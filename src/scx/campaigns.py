@@ -244,8 +244,9 @@ def run_hodge(seed=0, trials=100, n_max=7, d_max=3, kernel_tol=KERNEL_TOL):
 
 def run_duality(seed=0, trials=100, n_max=7, d_max=3):
     """Exact primal = dual for the covering value of random
-    representations (rep_value certifies internally and raises on any
-    mismatch)."""
+    representations.  The primal and its packing dual come from one
+    certified solve: rep_value's LP checks both feasibilities, equal
+    objectives and complementary slackness, and raises on any failure."""
     t0 = time.perf_counter()
     records = []
     for t in range(trials):

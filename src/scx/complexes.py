@@ -16,6 +16,7 @@ low-dimensional complex whose top faces are those missing faces.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -23,6 +24,7 @@ __all__ = [
     "Complex",
     "MissingFaceStats",
     "Partition",
+    "as_vertex",
     "from_facets",
     "from_missing_faces",
     "intersection",
@@ -33,11 +35,22 @@ __all__ = [
 ]
 
 
+def as_vertex(v) -> int:
+    """A vertex label as an int.  Python and numpy integers are accepted;
+    bools and anything non-integral (1.5, 1.0, "1") raise ValueError."""
+    if isinstance(v, bool):
+        raise ValueError(f"vertex {v!r} is a bool, not an integer")
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
+
+
 def _mask_of(vertices, n: int) -> int:
-    """Bitmask of a vertex collection, validating range and duplicates."""
+    """Bitmask of a vertex collection, validating type, range and duplicates."""
     m = 0
     for v in vertices:
-        v = int(v)
+        v = as_vertex(v)
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range 0..{n - 1}")
         b = 1 << v
@@ -348,7 +361,7 @@ class Complex:
         """Which top-cardinality subsets of theta are absent, and their
         common intersection (empty when theta is a face)."""
         d = self.max_missing_dim()
-        tvs = tuple(sorted(set(int(v) for v in theta)))
+        tvs = tuple(sorted(set(as_vertex(v) for v in theta)))
         _mask_of(tvs, self.n)
         if len(tvs) < d + 1:
             raise ValueError(f"subset must have at least {d + 1} vertices")
@@ -447,7 +460,7 @@ class Partition:
         canon = []
         seen: set[int] = set()
         for cl in classes:
-            cvs = tuple(sorted(int(v) for v in cl))
+            cvs = tuple(sorted(as_vertex(v) for v in cl))
             if not cvs:
                 raise ValueError("partition classes must be nonempty")
             if len(set(cvs)) != len(cvs):

@@ -7,10 +7,11 @@ side assigns to each index set sigma (one cardinality below each
 missing dimension) a nonnegative rational matrix of vertex vectors,
 constrained so that pairs completing sigma to a missing face have inner
 product at least one.  The representation's value |P| is a covering LP
-solved exactly, together with its single-vector dual; both optima must
-coincide, and everything downstream (domination bounds, connectivity
-bounds, Hall-type colorful-simplex conditions) consumes that exact
-rational value.
+solved exactly; the one solve also returns its single-vector packing
+dual, and the solver's certificate checks the two as a pair (both
+feasible, equal objectives, complementary slackness).  Everything
+downstream (domination bounds, connectivity bounds, Hall-type
+colorful-simplex conditions) consumes that exact rational value.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .complexes import Complex, Partition, is_colorful
+from .complexes import Complex, Partition, as_vertex, is_colorful
 from .homology import eta, missing_top_eigenvalue
-from .numerics import LpProblem, lp_solve, lp_solve_max
+# lp_solve_max is not called here any more; perfbench's tracer tests
+# still look it up as scx.domination.lp_solve_max
+from .numerics import LpProblem, lp_solve, lp_solve_max  # noqa: F401
 from .reports import CheckRecord, digest
 
 __all__ = [
@@ -125,7 +128,7 @@ class VectorRepresentation:
         self.complex = x
         mats = {}
         for sigma, rows in matrices.items():
-            key = tuple(sorted(int(v) for v in sigma))
+            key = tuple(sorted(as_vertex(v) for v in sigma))
             mats[key] = tuple(
                 tuple(Fraction(e) for e in row) for row in rows
             )
@@ -198,8 +201,10 @@ def rep_value(p: VectorRepresentation):
     """The value |P|: exact optimum of the covering LP.
 
     Solves the primal (one nonnegative weight vector per index set,
-    weighted Gram rows covering every vertex) and the single-vector
-    dual, both exactly; their optima must coincide.  With no index sets
+    weighted Gram rows covering every vertex) once, exactly.  Its dual
+    y is the single-vector packing optimum (y >= 0, y G_sigma <= 1 for
+    every sigma, sum y = |P|); ``lp_solve`` certifies x and y as a pair
+    before returning, so no second solve is needed.  With no index sets
     the primal is infeasible and the value is +inf.
     """
     x = p.complex
@@ -218,16 +223,6 @@ def rep_value(p: VectorRepresentation):
     primal = lp_solve(LpProblem([1] * (m * n), a_rows, [1] * n))
     if primal.status != "optimal":  # pragma: no cover - all-ones scaling is feasible
         raise RuntimeError(f"covering LP {primal.status}; representation invalid?")
-    # dual: max sum y  s.t.  y >= 0, y G_sigma <= 1 for every sigma
-    ub_rows = []
-    for g in grams:
-        for v in range(n):
-            ub_rows.append([g[w][v] for w in range(n)])
-    dual = lp_solve_max([1] * n, ub_rows, [1] * (m * n))
-    if dual.status != "optimal" or primal.value != dual.value:
-        raise RuntimeError(
-            f"covering/packing duality broken: {primal.value} vs {dual.status}:{dual.value}"
-        )
     return primal.value
 
 

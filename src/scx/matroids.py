@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, Partition, from_missing_faces
+from .complexes import Complex, Partition, as_vertex, from_missing_faces
 from .domination import VectorRepresentation, index_sets, rep_value
 from .numerics.lp import lp_solve_max
 from .reports import CheckRecord, digest
@@ -61,7 +61,7 @@ MAX_GP_CLASSES = 12
 def _as_mask(s, n: int) -> int:
     mask = 0
     for v in s:
-        v = int(v)
+        v = as_vertex(v)
         if v < 0 or v >= n:
             raise ValueError(f"vertex {v} outside ground set of size {n}")
         mask |= 1 << v
@@ -238,7 +238,7 @@ def is_general_position(m, s) -> bool:
 def gp_by_flat_counts(m, s) -> bool:
     """Flat-counting form: no rank-k flat (1 <= k <= d) holds more than k
     points of s.  Agrees with is_general_position on loopless matroids."""
-    elems = set(int(v) for v in s)
+    elems = set(as_vertex(v) for v in s)
     d = m.full_rank - 1
     for k in range(1, d + 1):
         for f in flats(m, k).flats:

@@ -6,20 +6,18 @@ no performance pivoting).  Every optimal solve returns both a primal and
 a dual vector and asserts, in exact arithmetic, primal feasibility, dual
 feasibility, complementary slackness and c.x = b.y before returning.
 
-Arithmetic runs on gmpy2.mpq when importable (identical exact semantics,
-several times faster than Fraction); the public API always returns
-Fractions.
+The tableau is kept as integer numerators over one common denominator
+(the basis determinant) and pivoted fraction-free (Bareiss), after
+scaling the columns, the right-hand side and the objective to integers.
+The pivot path is the one Bland's rule takes on the rational tableau;
+the public API returns Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 present in normal installs
-    _Q = Fraction
 
 __all__ = ["LpProblem", "LpSolution", "lp_solve", "lp_solve_max"]
 
@@ -53,126 +51,136 @@ class LpSolution:
     y: tuple | None
 
 
-def _pivot(T, cost, basis, r, j):
-    pr = T[r]
-    pv = pr[j]
-    if pv != 1:
-        inv = 1 / _Q(pv)
-        T[r] = pr = [e * inv for e in pr]
-    for i in range(len(T)):
-        if i != r and T[i][j]:
-            f = T[i][j]
-            Ti = T[i]
-            T[i] = [a - f * bb for a, bb in zip(Ti, pr)]
-    if cost[j]:
-        f = cost[j]
-        cost[:] = [a - f * bb for a, bb in zip(cost, pr)]
+def _pivot(N, den, basis, r, j):
+    """Fraction-free (Bareiss) pivot on entry (r, j); returns the new
+    common denominator.
+
+    The tableau is N / den.  Every row but r becomes
+    (N[i] * p - N[i][j] * N[r]) / den with p = N[r][j]; the division is
+    exact because each entry is then a minor of the scaled constraint
+    matrix, and p is the new basis determinant.  All rows are negated
+    when p < 0 so that den stays positive and entry signs are tableau
+    signs.
+    """
+    pr = N[r]
+    p = pr[j]
+    for i, row in enumerate(N):
+        if i == r:
+            continue
+        f = row[j]
+        if f:
+            N[i] = [(a * p - f * b) // den for a, b in zip(row, pr)]
+        elif p != den:
+            N[i] = [a * p // den for a in row]
+    if p < 0:
+        N[:] = [[-a for a in row] for row in N]
+        p = -p
     basis[r] = j
+    return p
 
 
-def _reduce_cost_row(cost, T, basis):
-    for r, bv in enumerate(basis):
-        if cost[bv]:
-            f = cost[bv]
-            pr = T[r]
-            cost[:] = [a - f * bb for a, bb in zip(cost, pr)]
-
-
-def _run_simplex(T, cost, basis, ncols, barred):
-    zero = _Q(0)
+def _run_simplex(N, den, basis, limit):
+    """Bland's rule on columns [0, limit); N[-1] is the cost row.
+    Returns (status, den)."""
+    m = len(basis)
     while True:
-        enter = None
-        for j in range(ncols):
-            if j not in barred and cost[j] < zero:
-                enter = j
-                break
+        cost = N[-1]
+        enter = next((j for j in range(limit) if cost[j] < 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", den
         leave = None
-        best = None
-        for i in range(len(T)):
-            tij = T[i][enter]
-            if tij > zero:
-                key = (T[i][-1] / tij, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
+        for i in range(m):
+            t = N[i][enter]
+            if t > 0:
+                rhs = N[i][-1]
+                # ratios rhs/t compared by cross-multiplying (t > 0),
+                # ties broken by the smaller basic index
+                if leave is None or rhs * lt < lrhs * t or (
+                    rhs * lt == lrhs * t and basis[i] < basis[leave]
+                ):
+                    leave, lrhs, lt = i, rhs, t
         if leave is None:
-            return "unbounded"
-        _pivot(T, cost, basis, leave, enter)
+            return "unbounded", den
+        den = _pivot(N, den, basis, leave, enter)
+
+
+def _lcm_of_denominators(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
 
 
 def lp_solve(p: LpProblem) -> LpSolution:
     """Two-phase exact simplex; see module docstring for guarantees."""
     m = len(p.b)
     n = len(p.c)
+    # scaled problem on integers: column j of A times kappa[j], b times
+    # beta, c times mu (and kappa).  Positive scalings keep every Bland
+    # entering choice and every ratio-test argmin, so the pivot path is
+    # that of the unscaled tableau.
+    kappa = [_lcm_of_denominators(row[j] for row in p.A) for j in range(n)]
+    beta = _lcm_of_denominators(p.b)
+    mu = _lcm_of_denominators(cj * k for cj, k in zip(p.c, kappa))
     pos_rhs = [bi > 0 for bi in p.b]  # rows kept as-is; the rest are negated
     # equality form: rows with b>0 keep  A x - s = b  (artificial basic),
     # rows with b<=0 are negated to  -A x + s = -b  (slack basic).
     art_rows = [i for i in range(m) if pos_rhs[i]]
     art_start = n + m
     ncols = n + m + len(art_rows)
-    T = []
+    N = []
     art_of = {}
-    for i in range(m):
-        row = [_Q(0)] * (ncols + 1)
-        sgn = 1 if pos_rhs[i] else -1
-        for j, a in enumerate(p.A[i]):
-            row[j] = _Q(a) * sgn
-        row[n + i] = _Q(-sgn)
-        row[-1] = _Q(p.b[i]) * sgn
-        T.append(row)
     basis = [0] * m
-    k = 0
     for i in range(m):
+        sgn = 1 if pos_rhs[i] else -1
+        row = [sgn * a.numerator * (k // a.denominator) for a, k in zip(p.A[i], kappa)]
+        row += [0] * (ncols + 1 - n)
+        row[n + i] = -sgn
+        row[-1] = sgn * p.b[i].numerator * (beta // p.b[i].denominator)
         if pos_rhs[i]:
-            a_col = art_start + k
-            art_of[i] = a_col
-            T[i][a_col] = _Q(1)
-            basis[i] = a_col
-            k += 1
+            art_of[i] = basis[i] = art_start + len(art_of)
+            row[basis[i]] = 1
         else:
             basis[i] = n + i
-    # phase 1: minimize the sum of artificials
-    cost = [_Q(0)] * (ncols + 1)
+        N.append(row)
+    # phase 1: minimize the sum of artificials (den is 1 on the identity basis)
+    cost = [0] * (ncols + 1)
     for i in art_rows:
-        cost[art_of[i]] = _Q(1)
-    _reduce_cost_row(cost, T, basis)
-    barred: set[int] = set()
-    status = _run_simplex(T, cost, basis, ncols, barred)
+        cost[art_of[i]] = 1
+        cost = [a - b for a, b in zip(cost, N[i])]
+    N.append(cost)
+    status, den = _run_simplex(N, 1, basis, ncols)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase-1 simplex reported unbounded")
-    if -cost[-1] != 0:
+    if N[-1][-1] != 0:
         return LpSolution("infeasible", None, None, None)
     # drive artificials out of the basis where possible, then bar them
     for r in range(m):
         if basis[r] >= art_start:
-            j = next((j for j in range(art_start) if T[r][j] != 0), None)
+            j = next((j for j in range(art_start) if N[r][j] != 0), None)
             if j is not None:
-                _pivot(T, cost, basis, r, j)
-    barred = set(range(art_start, ncols))
-    # phase 2: the real objective
-    cost = [_Q(0)] * (ncols + 1)
-    for j in range(n):
-        cost[j] = _Q(p.c[j])
-    _reduce_cost_row(cost, T, basis)
-    status = _run_simplex(T, cost, basis, ncols, barred)
+                den = _pivot(N, den, basis, r, j)
+    # phase 2: the real objective, reduced as den*c0 - sum c0[bv]*N[r]
+    c0 = [cj.numerator * (mu * k // cj.denominator) for cj, k in zip(p.c, kappa)]
+    cost = [den * cj for cj in c0] + [0] * (ncols + 1 - n)
+    for r, bv in enumerate(basis):
+        if bv < n and c0[bv]:
+            f = c0[bv]
+            cost = [a - f * b for a, b in zip(cost, N[r])]
+    N[-1] = cost
+    status, den = _run_simplex(N, den, basis, art_start)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, None)
-    value = -cost[-1]
-    full = [_Q(0)] * ncols
+    cost = N[-1]
+    x = [Fraction(0)] * n
     for r, bv in enumerate(basis):
-        full[bv] = T[r][-1]
-    x = [Fraction(int(e.numerator), int(e.denominator)) for e in full[:n]]
+        if bv < n:
+            x[bv] = Fraction(kappa[bv] * N[r][-1], den * beta)
     # duals read off the reduced costs of each row's initial identity column
     y = []
     for i in range(m):
-        col = art_of[i] if pos_rhs[i] else n + i
-        yi = -cost[col]
-        if not pos_rhs[i]:
-            yi = -yi
-        y.append(Fraction(int(yi.numerator), int(yi.denominator)))
-    val = Fraction(int(value.numerator), int(value.denominator))
+        if pos_rhs[i]:
+            y.append(Fraction(-cost[art_of[i]], den * mu))
+        else:
+            y.append(Fraction(cost[n + i], den * mu))
+    val = Fraction(-cost[-1], den * mu * beta)
     _certify(p, val, x, y)
     return LpSolution("optimal", val, tuple(x), tuple(y))
 

@@ -81,6 +81,14 @@ def test_bad_complex_json_is_parse_failure(tmp_path, capsys):
     assert "exactly one of" in err
 
 
+def test_non_integer_vertex_in_complex_file_is_parse_failure(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "missing_faces": [[0, 1.5]]}')
+    code, _, err = run_cli(capsys, "betti", str(path), "--dim", "0")
+    assert code == 2
+    assert "vertex 1.5 is not an integer" in err
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     code, out1, err = run_cli(capsys, "verify", "fp", "--trials", "2")
     assert code == 0

@@ -9,6 +9,7 @@ against their definitions element by element.
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from scx.complexes import (
@@ -406,3 +407,44 @@ def test_partition_json():
     assert p.classes == ((0, 1), (2,))
     with pytest.raises(ValueError):
         partition_from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, 1.0, True, False, "1", None, np.float64(1.0), np.bool_(True)],
+    ids=["1.5", "1.0", "True", "False", "str", "None", "np.float64", "np.bool_"],
+)
+def test_non_integer_vertices_are_rejected(bad):
+    with pytest.raises(ValueError, match="vertex"):
+        from_missing_faces(3, [[0, bad]])
+    with pytest.raises(ValueError, match="vertex"):
+        from_facets(3, [[0, bad]])
+    with pytest.raises(ValueError, match="vertex"):
+        Partition([[0], [bad]])
+    x = from_missing_faces(3, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="vertex"):
+        x.contains([bad])
+    with pytest.raises(ValueError, match="vertex"):
+        x.missing_stats([0, 2, bad])
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "missing_faces": [[0, 1.5]]}',
+    '{"n": 3, "missing_faces": [[0, true]]}',
+    '{"n": 3, "facets": [[0, 1.0]]}',
+])
+def test_complex_json_rejects_non_integer_vertices(text):
+    with pytest.raises(ValueError, match="vertex"):
+        complex_from_json(text)
+
+
+@pytest.mark.parametrize("text", ['{"classes": [[0, 1.5]]}', '{"classes": [[true], [2]]}'])
+def test_partition_json_rejects_non_integer_vertices(text):
+    with pytest.raises(ValueError, match="vertex"):
+        partition_from_json(text)
+
+
+def test_numpy_integer_vertices_are_accepted():
+    x = from_missing_faces(3, [[np.int64(0), np.int32(1)]])
+    assert x.missing_faces == ((0, 1),)
+    assert Partition([[np.uint8(2)], [0]]).classes == ((2,), (0,))

@@ -32,6 +32,7 @@ from scx.domination import (
     total_domination,
     validate_representation,
 )
+from scx.numerics.lp import lp_solve, lp_solve_max
 
 
 def ag23():
@@ -156,6 +157,17 @@ def test_representation_rejects_negative_and_shape():
         VectorRepresentation(x, {(): [(1,)]})
 
 
+def test_representation_rejects_non_integer_index_sets():
+    x = from_missing_faces(3, [(0, 1, 2)])
+    rows = [(1,)] * 3
+    for bad in (0.0, True, 1.5):
+        with pytest.raises(ValueError, match="vertex"):
+            VectorRepresentation(x, {(bad,): rows, (1,): rows, (2,): rows})
+    text = representation_to_json(all_ones_representation(x)).replace('"sigma":[0]', '"sigma":[0.0]')
+    with pytest.raises(ValueError, match="vertex"):
+        representation_from_json(text, x)
+
+
 def test_rep_value_all_ones_is_one():
     for x in [ag23(), octahedron(), from_missing_faces(2, [(0, 1)])]:
         assert rep_value(all_ones_representation(x)) == 1
@@ -186,13 +198,46 @@ def random_representation(rng, x):
 
 
 def test_rep_value_duality_on_random_representations():
-    # rep_value certifies primal = dual internally; a nonrational or
-    # mismatched optimum would raise
+    # the covering primal and its packing dual come from one certified
+    # solve: lp_solve checks both feasibilities, equal objectives and
+    # complementary slackness, so a nonrational or mismatched optimum
+    # would raise
     rng = random.Random(52)
     for _ in range(12):
         x = random_complex(rng)
         v = rep_value(random_representation(rng, x))
         assert isinstance(v, Fraction) and 0 < v <= 1
+
+
+def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
+    # one covering solve per value; the packing LP max sum y s.t.
+    # y G_sigma <= 1, solved on its own, is the independent oracle
+    import scx.domination as domination
+    import scx.numerics.lp as lp
+
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    # lp_solve_max reaches the module's lp_solve, so patch both names
+    monkeypatch.setattr(domination, "lp_solve", counting)
+    monkeypatch.setattr(lp, "lp_solve", counting)
+    rng = random.Random(57)
+    for _ in range(10):
+        x = random_complex(rng)
+        p = random_representation(rng, x)
+        calls.clear()
+        v = domination.rep_value(p)
+        assert len(calls) == 1
+        rows = [
+            [p.gram_entry(sigma, w, v_) for w in range(x.n)]
+            for sigma in p.matrices
+            for v_ in range(x.n)
+        ]
+        packing = lp_solve_max([1] * x.n, rows, [1] * len(rows))
+        assert packing.status == "optimal" and packing.value == v
 
 
 def test_rep_value_invariant_under_relabeling():

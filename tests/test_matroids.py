@@ -402,6 +402,17 @@ def test_matroid_json_round_trip():
     assert matroid_from_json('{"kind":"builtin","name":"AG23"}').label == "AG23"
 
 
+def test_non_integer_elements_are_rejected():
+    m = ag23_matroid()
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="vertex"):
+            m.rank([0, bad])
+        with pytest.raises(ValueError, match="vertex"):
+            UniformMatroid(2, 4).rank([bad])
+        with pytest.raises(ValueError, match="vertex"):
+            gp_by_flat_counts(m, [0, 2, bad])
+
+
 def test_matroid_json_errors():
     with pytest.raises(ValueError, match="builtin"):
         matroid_from_json('{"kind":"builtin","name":"FANO"}')
