@@ -105,7 +105,8 @@ class Complex:
     to share.
     """
 
-    __slots__ = ("n", "_missing", "_by_card", "_faces", "_masks", "_index", "_dim", "_lap", "_spec", "_betti")
+    __slots__ = ("n", "_missing", "_by_card", "_by_top", "_faces", "_masks", "_index", "_dim",
+                 "_lap", "_spec", "_betti")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
@@ -132,9 +133,17 @@ class Complex:
                             )
         self.n = n
         self._missing = tuple(canon)
-        self._by_card = {c: (tuple(ms), frozenset(ms)) for c, ms in by_card.items()}
-        self._faces: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._masks: dict[int, tuple[int, ...]] = {}
+        self._by_card = {c: tuple(ms) for c, ms in by_card.items()}
+        # Missing faces grouped by their largest vertex v, each stored
+        # without v: adding v to a face f (v above every vertex of f)
+        # gives a face iff no remainder stored under v lies inside f.
+        by_top: list[list[int]] = [[] for _ in range(n)]
+        for m in canon:
+            v = m.bit_length() - 1
+            by_top[v].append(m & ~(1 << v))
+        self._by_top = tuple(tuple(rs) for rs in by_top)
+        self._faces: dict[int, tuple[tuple[int, ...], ...]] = {-1: ((),)}
+        self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
         self._lap: dict[int, object] = {}
@@ -164,21 +173,19 @@ class Complex:
 
     def missing_layer(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Missing faces of dimension i (cardinality i+1)."""
-        masks, _ = self._by_card.get(i + 1, ((), frozenset()))
+        masks = self._by_card.get(i + 1, ())
         return tuple(_vertices_of(m) for m in masks)
 
     def contains_mask(self, mask: int) -> bool:
-        card = mask.bit_count()
-        for c, (ms, mset) in self._by_card.items():
-            if c > card:
-                continue
-            if c == card:
-                if mask in mset:
+        """True iff no missing face lies inside the vertex set ``mask``."""
+        by_top = self._by_top
+        rest = mask
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            for r in by_top[v]:
+                if r & rest == r:
                     return False
-            else:
-                for m in ms:
-                    if m & mask == m:
-                        return False
         return True
 
     def contains(self, face) -> bool:
@@ -186,34 +193,39 @@ class Complex:
         return self.contains_mask(_mask_of(face, self.n))
 
     def faces(self, k: int):
-        """All k-faces as sorted vertex tuples, in lexicographic order."""
+        """All k-faces as sorted vertex tuples, in lexicographic order.
+
+        Each k-face is a (k-1)-face f extended by a vertex v above every
+        vertex of f, kept unless a missing face with largest vertex v
+        lies inside f + v; extending the (k-1)-faces in their order, v
+        ascending, lists the k-faces in lexicographic order.
+        """
         if k < -1 or k >= self.n:
             return ()
-        if k == -1:
-            return ((),)
-        if k not in self._faces:
-            cards = [c for c in self._by_card if c <= k + 1]
-            if not cards:
-                fs = tuple(combinations(range(self.n), k + 1))
-                ms = tuple(_mask_of(f, self.n) for f in fs)
-            else:
-                fs_l, ms_l = [], []
-                for f in combinations(range(self.n), k + 1):
-                    m = 0
-                    for v in f:
-                        m |= 1 << v
-                    if self.contains_mask(m):
-                        fs_l.append(f)
-                        ms_l.append(m)
-                fs, ms = tuple(fs_l), tuple(ms_l)
-            self._faces[k] = fs
-            self._masks[k] = ms
+        for j in range(max(self._faces) + 1, k + 1):
+            self._extend(j)
         return self._faces[k]
 
+    def _extend(self, k: int) -> None:
+        """Enumerate and cache the k-faces from the cached (k-1)-faces."""
+        n = self.n
+        by_top = self._by_top
+        fs: list[tuple[int, ...]] = []
+        ms: list[int] = []
+        for f, fm in zip(self._faces[k - 1], self._masks[k - 1]):
+            for v in range(fm.bit_length(), n):
+                for r in by_top[v]:
+                    if r & fm == r:
+                        break
+                else:
+                    fs.append(f + (v,))
+                    ms.append(fm | 1 << v)
+        self._faces[k] = tuple(fs)
+        self._masks[k] = tuple(ms)
+
     def face_masks(self, k: int):
+        """Bitmasks of the k-faces, in the order of :meth:`faces`."""
         self.faces(k)
-        if k == -1:
-            return (0,)
         return self._masks.get(k, ())
 
     def face_index(self, k: int) -> dict[tuple[int, ...], int]:
@@ -338,14 +350,14 @@ class Complex:
         """Complex whose only missing faces are this one's i-dimensional ones."""
         if i + 1 not in self._by_card:
             raise ValueError(f"no missing faces of dimension {i}")
-        return Complex(self.n, self._by_card[i + 1][0])
+        return Complex(self.n, self._by_card[i + 1])
 
     def missing_complex(self, i: int) -> "Complex":
         """The i-dimensional complex with full (i-1)-skeleton whose
         i-faces are this complex's missing i-faces."""
         if i + 1 not in self._by_card:
             raise ValueError(f"no missing faces of dimension {i}")
-        layer = self._by_card[i + 1][1]
+        layer = frozenset(self._by_card[i + 1])
         gens = [_mask_of(f, self.n) for f in combinations(range(self.n), i + 1)
                 if _mask_of(f, self.n) not in layer]
         if i + 2 <= self.n:

@@ -10,6 +10,10 @@ entrywise before anything downstream sees them.
 Betti numbers are computed two independent ways as well: exactly, from
 rational ranks of the coboundary matrices, and numerically, as the
 kernel dimension of the full Laplacian (harmonic representatives).  The
+exact ranks are taken modulo primes below 2**31 and certified over Q:
+a rank found modulo some prime is a lower bound, and once the product
+of the primes used exceeds the Hadamard bound on the next-larger minors
+no larger rank is possible (see numerics.rational).  The
 homological connectivity eta is one more than the first index with a
 nonvanishing reduced Betti number, or infinity when none exists.
 """
@@ -308,7 +312,11 @@ def missing_top_eigenvalue(x: Complex, i: int, backend: str | None = None) -> fl
 
 
 def betti_exact(x: Complex, k: int) -> int:
-    """Reduced Betti number from exact rational ranks."""
+    """Reduced Betti number from exact rational ranks.
+
+    dim C^k minus the ranks of the coboundaries out of and into degree
+    k, each certified over Q by primes and a Hadamard bound.
+    """
     if k < -1:
         return 0
     cached = x._betti.get(k)

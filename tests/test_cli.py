@@ -65,6 +65,15 @@ def test_complex_file_with_missing_faces(tmp_path, capsys):
     assert out.strip() == "1"
 
 
+def test_betti_of_sixty_vertices_missing_one_edge(tmp_path, capsys):
+    # the degree-0 coboundary is 1769 x 60; the graph stays connected
+    path = tmp_path / "k60_minus_edge.json"
+    path.write_text('{"n": 60, "missing_faces": [[0, 1]]}')
+    code, out, _ = run_cli(capsys, "betti", str(path), "--dim", "0")
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_complex_file_with_facets(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text('{"n": 3, "facets": [[0, 1], [1, 2], [0, 2]]}')

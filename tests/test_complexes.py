@@ -163,6 +163,40 @@ def test_roundtrip_random_complexes():
         assert z == x
 
 
+def random_missing_masks(rng, n):
+    """A random antichain over every cardinality 1..n, as bitmasks; it
+    may hold singletons (missing vertices) and the whole vertex set."""
+    if n == 0:
+        return []
+    fam = {rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))} - {0}
+    return [m for m in fam if not any(o != m and o & m == o for o in fam)]
+
+
+def test_faces_match_definition_on_random_complexes():
+    """faces, face_masks and contains_mask against all subsets, filtered
+    by the definition, in lexicographic order; the levels are asked for
+    in a random order so each can be enumerated from a cold cache."""
+    rng = random.Random(4242)
+    for trial in range(150):
+        n = 1 if trial < 5 else rng.randint(0, 10)
+        masks = random_missing_masks(rng, n)
+        x = Complex(n, masks)
+
+        def is_face(m):
+            return not any(mu & m == mu for mu in masks)
+
+        levels = list(range(-3, n + 2))
+        rng.shuffle(levels)
+        for k in levels:
+            want = () if k < -1 else tuple(
+                f for f in combinations(range(n), k + 1) if is_face(sum(1 << v for v in f))
+            )
+            assert x.faces(k) == want, (n, masks, k)
+            assert x.face_masks(k) == tuple(sum(1 << v for v in f) for f in want)
+        for m in range(1 << n):
+            assert x.contains_mask(m) == is_face(m), (n, masks, m)
+
+
 def test_contains():
     x = from_missing_faces(4, [{0, 1, 2}])
     assert x.contains(())

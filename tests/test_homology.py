@@ -5,7 +5,9 @@ oracle on random reorderings.  Laplacians are validated three ways:
 entry formulas versus coboundary products, closed forms on full
 simplices and clique complexes, and known spectra (affine plane,
 complete multipartite graphs).  Betti numbers from exact ranks must
-match the harmonic (kernel-counting) computation everywhere.
+match the harmonic (kernel-counting) computation everywhere, and, as
+property tests, oracles that never compute a rank: the reduced Euler
+characteristic and Alexander duality.
 """
 
 import math
@@ -15,8 +17,10 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from scx.complexes import Complex, from_missing_faces, intersection
+from scx.complexes import Complex, from_facets, from_missing_faces, intersection
 from scx.homology import (
     OrientedBasis,
     betti_exact,
@@ -372,6 +376,60 @@ def test_betti_agreement_and_euler_characteristic():
             assert betti_exact(x, k) == betti_hodge(x, k)
         assert betti_exact(x, x.dim + 1) == 0
         assert betti_exact(x, -3) == 0
+
+
+@st.composite
+def any_complex(draw, n_max=7):
+    """A complex on n <= n_max vertices, half the time generated by random
+    proper subsets as facets (vertices in none of them are missing), half
+    the time by random minimal non-faces of two to four vertices (clique
+    complexes and their relatives, where homology is common)."""
+    n = draw(st.integers(1, n_max))
+    if draw(st.booleans()):
+        size = st.integers(min(2, n - 1), n - 1)
+        gens = draw(st.lists(size.flatmap(lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)),
+                             min_size=1, max_size=2 * n))
+        return from_facets(n, gens)
+    fam = draw(st.sets(st.frozensets(st.integers(0, n - 1), min_size=min(2, n), max_size=4), max_size=3 * n))
+    return from_missing_faces(n, [sorted(s) for s in fam if not any(t < s for t in fam)])
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(any_complex())
+def test_betti_exact_satisfies_the_reduced_euler_characteristic(x):
+    top = x.dim
+    chi_faces = sum((-1) ** k * x.n_faces(k) for k in range(-1, top + 1))
+    chi_betti = sum((-1) ** k * betti_exact(x, k) for k in range(-1, top + 1))
+    assert chi_faces == chi_betti
+    assert all(betti_exact(x, k) == 0 for k in range(top + 1, x.n + 1))
+
+
+def alexander_dual(x):
+    """X* = {s : V minus s is not a face of X}; its minimal non-faces are
+    the complements of X's facets."""
+    return from_missing_faces(x.n, [[v for v in range(x.n) if v not in f] for f in x.facets()])
+
+
+@PROPERTY_SETTINGS
+@given(any_complex())
+def test_betti_exact_satisfies_alexander_duality(x):
+    """b~_i(X) = b~_{n-i-3}(X*) for every i."""
+    assume(x.missing_faces)  # the full simplex has a void dual
+    dual = alexander_dual(x)
+    for i in range(-1, x.n):
+        assert betti_exact(x, i) == betti_exact(dual, x.n - i - 3), i
+
+
+def test_alexander_dual_of_the_hollow_triangle():
+    # the facets' complements are the three vertices, so the dual is
+    # {empty set}: b~_1(X) = 1 = b~_{-1}(X*)
+    x = from_facets(3, [{0, 1}, {1, 2}, {0, 2}])
+    dual = alexander_dual(x)
+    assert dual.missing_faces == ((0,), (1,), (2,))
+    assert betti_exact(x, 1) == betti_exact(dual, -1) == 1
 
 
 def test_betti_invariant_under_blowup():
