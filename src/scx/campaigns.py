@@ -1,16 +1,17 @@
 """Seeded verification campaigns over the theorem checkers.
 
-Each runner draws instances through randomgen with a per-trial stream,
-applies one family of checks, and returns a VerificationReport whose
-records are ordered by trial index.  The CLI exposes the runners as
-verify-suite tokens; the acceptance tests call them directly with the
-published trial counts.  Reports are deterministic functions of
-(seed, flags); wall time lives outside the canonical JSON.
+SUITES is the one table of campaigns, keyed by verify-suite token.  A
+row gives the parameters its trials take, with defaults, and its parts:
+trial functions ``trial(rng, **params) -> list[CheckRecord]`` paired
+with default trial counts.  run_suite, the one loop used by the CLI and
+the acceptance tests, runs each part in turn, trial t on the stream
+``trial_rng(seed, t)``; so records are ordered by part, then trial, and
+each replays from (token, seed, part, trial).  Reports are deterministic
+functions of (seed, params); wall time lives outside the canonical JSON.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from fractions import Fraction
 from itertools import count
@@ -19,7 +20,6 @@ from math import comb
 import numpy as np
 
 from .complexes import from_missing_faces
-
 from .domination import (
     check_colorful_hall,
     check_connectivity_bound,
@@ -46,6 +46,7 @@ from .matroids import (
 )
 from .randomgen import (
     random_complex,
+    random_complex_pair,
     random_linear_matroid,
     random_matroid,
     random_partition,
@@ -69,315 +70,226 @@ from .spectral_checks import (
 __all__ = [
     "SUITES",
     "run_suite",
-    "run_fp",
-    "run_intersection",
-    "run_yi",
-    "run_mu_bound",
-    "run_eigenhom",
-    "run_countdeg",
-    "run_pluslap",
-    "run_hodge",
-    "run_duality",
-    "run_gamma",
-    "run_connectivity",
-    "run_eigenrep",
-    "run_hall",
-    "run_matroid_hall",
-    "run_matroid_basics",
     "run_reproduce",
     "REPRODUCE_NAMES",
     "complete_multipartite_complex",
 ]
 
 
-def _report(suite, seed, params, records, t0):
-    return VerificationReport(suite, seed, params, tuple(records),
-                              wall_time_s=time.perf_counter() - t0)
-
-
-def run_fp(seed=0, trials=200, n_max=7, d_max=3, tol=SLACK_TOL):
+def _fp(rng, n_max, d_max, tol):
     """Gap recursion at every admissible degree of each random complex."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        for k in range(x.max_missing_dim(), x.dim + 2):
-            records.append(check_gap_recursion(x, k, tol=tol))
-    return _report("fp", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max, "tol": tol},
-                   records, t0)
+    x = random_complex(rng, n_max, d_max)
+    return [check_gap_recursion(x, k, tol=tol)
+            for k in range(x.max_missing_dim(), x.dim + 2)]
 
 
-def run_intersection(seed=0, trials=100, n_max=7, d_max=3, tol=SLACK_TOL):
+def _intersection(rng, n_max, d_max, tol):
     """Intersection gap bound on random pairs sharing a vertex set."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        n = rng.randint(4, n_max)
-        pair = [random_complex(rng, n_max, d_max, n=n) for _ in range(2)]
-        records.append(check_intersection_gap(pair, rng.randint(0, 2), tol=tol))
-    return _report("intersection", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max, "tol": tol},
-                   records, t0)
+    pair = random_complex_pair(rng, n_max, d_max)
+    return [check_intersection_gap(pair, rng.randint(0, 2), tol=tol)]
 
 
-def run_yi(seed=0, trials=100, n_max=7, d_max=3):
+def _yi(rng, n_max, d_max):
     """Complement identity in every missing dimension of each complex."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        for i in sorted(x.missing_dims()):
-            records.append(check_complement_identity(x, i))
-    return _report("yi", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max}, records, t0)
+    x = random_complex(rng, n_max, d_max)
+    return [check_complement_identity(x, i) for i in sorted(x.missing_dims())]
 
 
-def run_mu_bound(seed=0, trials=100, n_max=7, d_max=3, tol=SLACK_TOL):
+def _mu_bound(rng, n_max, d_max, tol):
     """Spectral-gap lower bound from missing-layer top eigenvalues."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        for k in range(0, x.dim + 1):
-            records.append(check_gap_lower_bound(x, k, tol=tol))
-    return _report("mu-bound", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max, "tol": tol},
-                   records, t0)
+    x = random_complex(rng, n_max, d_max)
+    return [check_gap_lower_bound(x, k, tol=tol) for k in range(0, x.dim + 1)]
 
 
-def run_eigenhom(seed=0, trials=100, n_max=7, d_max=3, tol=SLACK_TOL):
+def _eigenhom(rng, n_max, d_max, tol):
     """Connectivity-weighted eigenvalue sums reach n."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        records.append(check_connectivity_eigen(random_complex(rng, n_max, d_max), tol=tol))
-    return _report("eigenhom", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max, "tol": tol},
-                   records, t0)
+    return [check_connectivity_eigen(random_complex(rng, n_max, d_max), tol=tol)]
 
 
-def run_countdeg(seed=0, trials=100, n_max=7, d_max=3):
+def _countdeg(rng, n_max, d_max):
     """Facet degree sums over every face in the top two dimensions,
     folded into one exact record per complex."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        d = 0
-        x = None
-        while x is None or x.dim < d:
-            x = random_complex(rng, n_max, d_max)
-            d = x.max_missing_dim()
-        checked = 0
-        ok = True
-        worst = 0
-        for k in (x.dim, x.dim - 1):
-            if k < d:
-                continue
-            for sigma in x.faces(k):
-                rec = check_degree_sum(x, sigma)
-                checked += 1
-                ok = ok and rec.passed
-                worst = max(worst, abs(rec.margin))
-        records.append(CheckRecord(
-            "degree_sum_sweep", digest(x.n, x.missing_masks), None, None,
-            worst, ok and checked > 0, details={"faces_checked": checked}))
-    return _report("countdeg", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max}, records, t0)
+    d = 0
+    x = None
+    while x is None or x.dim < d:
+        x = random_complex(rng, n_max, d_max)
+        d = x.max_missing_dim()
+    checked = 0
+    ok = True
+    worst = 0
+    for k in (x.dim, x.dim - 1):
+        if k < d:
+            continue
+        for sigma in x.faces(k):
+            rec = check_degree_sum(x, sigma)
+            checked += 1
+            ok = ok and rec.passed
+            worst = max(worst, abs(rec.margin))
+    return [CheckRecord(
+        "degree_sum_sweep", digest(x.n, x.missing_masks), None, None,
+        worst, ok and checked > 0, details={"faces_checked": checked})]
 
 
-def run_pluslap(seed=0, trials=100, n_max=7, d_max=3, tol=SLACK_TOL):
+def _pluslap(rng, n_max, d_max, tol):
     """Upper-Laplacian energy of a random cochain on a missing-layer
     complex against its link-difference expansion."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        i = rng.choice(sorted(x.missing_dims()))
-        y = x.missing_complex(i)
-        phi = [rng.gauss(0.0, 1.0) for _ in range(y.n_faces(i - 1))]
-        records.append(check_upper_energy(y, phi, tol=tol))
-    return _report("pluslap", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max, "tol": tol},
-                   records, t0)
+    x = random_complex(rng, n_max, d_max)
+    i = rng.choice(sorted(x.missing_dims()))
+    y = x.missing_complex(i)
+    cochain = [rng.gauss(0.0, 1.0) for _ in range(y.n_faces(i - 1))]
+    return [check_upper_energy(y, cochain, tol=tol)]
 
 
-def run_hodge(seed=0, trials=100, n_max=7, d_max=3, kernel_tol=KERNEL_TOL):
+def _hodge(rng, n_max, d_max, kernel_tol):
     """Entrywise agreement of the two Laplacian assemblies and of the
     harmonic-kernel Betti numbers with the exact ranks, at every degree."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        inputs = digest(x.n, x.missing_masks)
-        worst = 0
-        for k in range(-1, x.dim + 1):
-            fm, fp = laplacian_from_formula(x, k)
-            pm, pp = laplacian_from_products(x, k)
-            diff = max(int(np.abs(fm - pm).max()), int(np.abs(fp - pp).max()))
-            worst = max(worst, diff)
-        records.append(CheckRecord(
-            "laplacian_assembly", inputs, None, None, worst, worst == 0,
-            details={"degrees": [-1, x.dim]}))
-        table = {}
-        agree = True
-        for k in range(-1, x.dim + 1):
-            h = betti_hodge(x, k, tol=kernel_tol)
-            e = betti_exact(x, k)
-            table[k] = [h, e]
-            agree = agree and h == e
-        records.append(CheckRecord(
-            "hodge_betti", inputs, None, None, 0 if agree else 1, agree,
-            details={"betti": table}))
-    return _report("hodge", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max,
-                    "kernel_tol": kernel_tol}, records, t0)
+    x = random_complex(rng, n_max, d_max)
+    inputs = digest(x.n, x.missing_masks)
+    worst = 0
+    for k in range(-1, x.dim + 1):
+        fm, fp = laplacian_from_formula(x, k)
+        pm, pp = laplacian_from_products(x, k)
+        diff = max(int(np.abs(fm - pm).max()), int(np.abs(fp - pp).max()))
+        worst = max(worst, diff)
+    assembly = CheckRecord(
+        "laplacian_assembly", inputs, None, None, worst, worst == 0,
+        details={"degrees": [-1, x.dim]})
+    table = {}
+    agree = True
+    for k in range(-1, x.dim + 1):
+        h = betti_hodge(x, k, tol=kernel_tol)
+        e = betti_exact(x, k)
+        table[k] = [h, e]
+        agree = agree and h == e
+    return [assembly, CheckRecord(
+        "hodge_betti", inputs, None, None, 0 if agree else 1, agree,
+        details={"betti": table})]
 
 
-def run_duality(seed=0, trials=100, n_max=7, d_max=3):
+def _duality(rng, n_max, d_max):
     """Exact primal = dual for the covering value of random
     representations.  The primal and its packing dual come from one
     certified solve: rep_value's LP checks both feasibilities, equal
     objectives and complementary slackness, and raises on any failure."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        p = random_representation(rng, x)
-        inputs = digest(x.n, x.missing_masks, sorted(p.matrices))
-        try:
-            value = rep_value(p)
-        except RuntimeError as exc:  # pragma: no cover - duality never breaks
-            records.append(CheckRecord("lp_duality", inputs, None, None,
-                                       None, False, note=str(exc)))
-            continue
-        records.append(CheckRecord(
-            "lp_duality", inputs, value, value, Fraction(0), True,
-            details={"value": str(value)}))
-    return _report("duality", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max}, records, t0)
+    x = random_complex(rng, n_max, d_max)
+    p = random_representation(rng, x)
+    inputs = digest(x.n, x.missing_masks, sorted(p.matrices))
+    try:
+        value = rep_value(p)
+    except RuntimeError as exc:  # pragma: no cover - duality never breaks
+        return [CheckRecord("lp_duality", inputs, None, None, None, False, note=str(exc))]
+    return [CheckRecord("lp_duality", inputs, value, value, Fraction(0), True,
+                        details={"value": str(value)})]
 
 
-def run_gamma(seed=0, trials=50, n_max=6, d_max=3):
+def _domination(rng, n_max, d_max):
     """Covering value against C(gamma-tilde, d) on single-layer
-    complexes with a finite totally dominating number."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_single_layer_complex(rng, n_max, d_max)
-        records.append(check_domination_bound(x, random_representation(rng, x)))
-    return _report("gamma", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max}, records, t0)
+    complexes with a finite totally dominating number; n_max is
+    clamped to 6."""
+    x = random_single_layer_complex(rng, min(n_max, 6), d_max)
+    return [check_domination_bound(x, random_representation(rng, x))]
 
 
-def run_connectivity(seed=0, trials=100, n_max=7, d_max=3):
+def _connectivity(rng, n_max, d_max):
     """Connectivity bound with the all-ones representation."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        records.append(check_connectivity_bound(random_complex(rng, n_max, d_max)))
-    return _report("connectivity", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max}, records, t0)
+    return [check_connectivity_bound(random_complex(rng, n_max, d_max))]
 
 
-def run_eigenrep(seed=0, trials=100, n_max=7, d_max=3, tol=SLACK_TOL):
+def _eigenrep(rng, n_max, d_max, tol=SLACK_TOL):
     """Missing-layer top eigenvalues against the representation bound."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        x = random_complex(rng, n_max, d_max)
-        records.append(check_rep_eigen_bound(x, random_representation(rng, x), tol=tol))
-    return _report("eigenrep", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max, "tol": tol},
-                   records, t0)
+    x = random_complex(rng, n_max, d_max)
+    return [check_rep_eigen_bound(x, random_representation(rng, x), tol=tol)]
 
 
-def run_hall(seed=0, trials=100, n_max=7, d_max=3, m_max=5):
+def _hall(rng, n_max, d_max, m_max):
     """Colorful simplices on (complex, partition) pairs where the
     connectivity hypothesis holds; inapplicable draws are rerolled, with
     a fallback to one class (always applicable) after 60 attempts."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        for attempt in count():
-            x = random_complex(rng, n_max, d_max)
-            m = rng.randint(1, min(m_max, x.n)) if attempt < 60 else 1
-            rec = check_colorful_hall(x, random_partition(rng, x.n, m))
-            if "not applicable" not in rec.note:
-                records.append(rec)
-                break
-    return _report("hall", seed,
-                   {"trials": trials, "n_max": n_max, "d_max": d_max,
-                    "m_max": m_max}, records, t0)
+    for attempt in count():
+        x = random_complex(rng, n_max, d_max)
+        m = rng.randint(1, min(m_max, x.n)) if attempt < 60 else 1
+        rec = check_colorful_hall(x, random_partition(rng, x.n, m))
+        if "not applicable" not in rec.note:
+            return [rec]
 
 
-def run_matroid_hall(seed=0, trials=100, n_max=9, m_max=3):
+def _matroid_hall(rng, n_max, m_max):
     """Fractional general-position Hall check on random matroids with
     random partitions; zero tolerance for a firing hypothesis without a
     colorful general-position transversal."""
-    t0 = time.perf_counter()
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        m = random_matroid(rng, n_max=n_max)
-        part = random_partition(rng, m.n, rng.randint(2, m_max))
-        records.append(check_fractional_gp_hall(m, part))
-    return _report("matroid-hall", seed,
-                   {"trials": trials, "n_max": n_max, "m_max": m_max}, records, t0)
+    m = random_matroid(rng, n_max=n_max)
+    part = random_partition(rng, m.n, rng.randint(2, m_max))
+    return [check_fractional_gp_hall(m, part)]
 
 
-def run_matroid_basics(seed=0, trials=50, n_max=9):
+def _matroid_basics(rng, n_max):
     """phi-star dominates phi exactly, and the two general-position
     definitions agree, on random linear matroids over F_3."""
+    m = random_linear_matroid(rng, n_max=n_max)
+    s = [v for v in range(m.n) if rng.random() < 0.8] or list(range(m.n))
+    inputs = digest(m.p, m.columns, tuple(s))
+    ps = phi_star(m, s)
+    pv = phi(m, s)
+    agree = True
+    for _ in range(20):
+        sub = [v for v in range(m.n) if rng.random() < 0.5]
+        agree = agree and (is_general_position(m, sub) == gp_by_flat_counts(m, sub))
+    return [CheckRecord("fractional_dominates_integer", inputs, ps, pv, ps - pv, ps >= pv,
+                        details={"phi_star": str(ps), "phi": pv}),
+            CheckRecord("gp_definitions_agree", inputs, None, None, None, agree,
+                        details={"subsets": 20})]
+
+
+_RANDOM = {"n_max": 7, "d_max": 3}
+_SLACK = {**_RANDOM, "tol": SLACK_TOL}
+
+# token -> (parameter defaults, shared by every part; parts, each a
+# (trial, default count) pair, run in this order)
+SUITES = {
+    "fp": (_SLACK, ((_fp, 200),)),
+    "intersection": (_SLACK, ((_intersection, 100),)),
+    "yi": (_RANDOM, ((_yi, 100),)),
+    "mu-bound": (_SLACK, ((_mu_bound, 100),)),
+    "eigenhom": (_SLACK, ((_eigenhom, 100),)),
+    "countdeg": (_RANDOM, ((_countdeg, 100),)),
+    "pluslap": (_SLACK, ((_pluslap, 100),)),
+    "hodge": ({**_RANDOM, "kernel_tol": KERNEL_TOL}, ((_hodge, 100),)),
+    "duality": (_RANDOM, ((_duality, 100),)),
+    # the domination checks: single-layer bound, connectivity bound and
+    # representation eigenvalue bound (the last at the default slack)
+    "gamma": (_RANDOM, ((_domination, 50), (_connectivity, 100), (_eigenrep, 100))),
+    "hall": ({**_RANDOM, "m_max": 5}, ((_hall, 100),)),
+    "matroid-hall": ({"n_max": 9, "m_max": 3}, ((_matroid_hall, 100),)),
+    "matroid-basics": ({"n_max": 9}, ((_matroid_basics, 50),)),
+}
+
+
+def run_suite(name, seed=0, trials=None, **params) -> VerificationReport:
+    """Run one SUITES row and bundle its records into a report.
+
+    Parameters the row does not take, or given as None, are dropped;
+    ``trials`` (at least 1) replaces every part's count.  The report's
+    params are the parameters used plus ``trials``: a count for one
+    part, a list of counts for several.
+    """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    defaults, parts = SUITES[name]
+    used = {k: (v if params.get(k) is None else params[k]) for k, v in defaults.items()}
+    counts = [default if trials is None else trials for _, default in parts]
     t0 = time.perf_counter()
     records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        m = random_linear_matroid(rng, n_max=n_max)
-        s = [v for v in range(m.n) if rng.random() < 0.8] or list(range(m.n))
-        inputs = digest(m.p, m.columns, tuple(s))
-        ps = phi_star(m, s)
-        pv = phi(m, s)
-        records.append(CheckRecord(
-            "fractional_dominates_integer", inputs, ps, pv, ps - pv, ps >= pv,
-            details={"phi_star": str(ps), "phi": pv}))
-        agree = True
-        for _ in range(20):
-            sub = [v for v in range(m.n) if rng.random() < 0.5]
-            agree = agree and (is_general_position(m, sub) == gp_by_flat_counts(m, sub))
-        records.append(CheckRecord(
-            "gp_definitions_agree", inputs, None, None, None, agree,
-            details={"subsets": 20}))
-    return _report("matroid-basics", seed, {"trials": trials, "n_max": n_max},
-                   records, t0)
+    for (trial, _), n in zip(parts, counts):
+        for t in range(n):
+            records.extend(trial(trial_rng(seed, t), **used))
+    report_params = {"trials": counts[0] if len(counts) == 1 else counts, **used}
+    return VerificationReport(name, seed, report_params, tuple(records),
+                              wall_time_s=time.perf_counter() - t0)
 
 
-def _run_gamma_token(seed=0, trials=None, n_max=7, d_max=3):
-    """CLI surface for the domination checks: the single-layer bound,
-    the connectivity bound and the representation eigenvalue bound."""
-    t0 = time.perf_counter()
-    parts = [
-        run_gamma(seed, trials or 50, min(n_max, 6), d_max),
-        run_connectivity(seed, trials or 100, n_max, d_max),
-        run_eigenrep(seed, trials or 100, n_max, d_max),
-    ]
-    records = [r for rep in parts for r in rep.records]
-    return _report("gamma", seed,
-                   {"trials": [len(rep.records) for rep in parts],
-                    "n_max": n_max, "d_max": d_max}, records, t0)
+# -- named reproductions ------------------------------------------------
 
 
 def complete_multipartite_complex(r, size):
@@ -480,34 +392,6 @@ def run_reproduce(name, stretch=False, seed=0):
     else:
         raise ValueError(
             f"unknown reproduction {name!r}; choose from {list(REPRODUCE_NAMES)}")
-    return _report(f"reproduce-{name}", seed,
-                   {"name": name, "stretch": bool(stretch)}, records, t0)
-
-
-SUITES = {
-    "fp": run_fp,
-    "intersection": run_intersection,
-    "yi": run_yi,
-    "mu-bound": run_mu_bound,
-    "eigenhom": run_eigenhom,
-    "countdeg": run_countdeg,
-    "pluslap": run_pluslap,
-    "hodge": run_hodge,
-    "duality": run_duality,
-    "gamma": _run_gamma_token,
-    "hall": run_hall,
-    "matroid-hall": run_matroid_hall,
-}
-
-
-def run_suite(name, seed=0, trials=None, n_max=None, d_max=None, **tols) -> VerificationReport:
-    """Dispatch a verify-suite token; arguments left as None fall back
-    to the runner's own defaults, and tolerance knobs a runner does not
-    take are dropped."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    allowed = set(inspect.signature(fn).parameters)
-    kwargs = {"trials": trials, "n_max": n_max, "d_max": d_max, **tols}
-    kwargs = {k: v for k, v in kwargs.items() if v is not None and k in allowed}
-    return fn(seed=seed, **kwargs)
+    return VerificationReport(f"reproduce-{name}", seed,
+                              {"name": name, "stretch": bool(stretch)}, tuple(records),
+                              wall_time_s=time.perf_counter() - t0)

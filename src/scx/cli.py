@@ -128,12 +128,7 @@ def cmd_spectrum(args):
     except ValueError as exc:
         return _fail(PARSE_FAILURE, exc)
     t0 = time.perf_counter()
-    try:
-        rep = spectrum(x, args.dim, tol=args.tol)
-    except ValueError as exc:
-        return _fail(GUARD_FAILURE, exc)
-    except RuntimeError as exc:
-        return _fail(NUMERIC_FAILURE, exc)
+    rep = spectrum(x, args.dim, tol=args.tol)
     wall = time.perf_counter() - t0
     if args.pretty:
         print(f"degree {rep.k} spectrum on {x.n} vertices "
@@ -159,39 +154,25 @@ def cmd_betti(args):
         x = _load_complex(args.input)
     except ValueError as exc:
         return _fail(PARSE_FAILURE, exc)
-    try:
-        print(betti_exact(x, args.dim))
-    except ValueError as exc:
-        return _fail(GUARD_FAILURE, exc)
+    print(betti_exact(x, args.dim))
     return 0
 
 
 def cmd_verify(args):
-    try:
-        rep = run_suite(
-            args.suite,
-            seed=args.seed,
-            trials=args.trials,
-            n_max=args.n_max,
-            d_max=args.d_max,
-            tol=args.slack_tol,
-            kernel_tol=args.kernel_tol,
-        )
-    except ValueError as exc:
-        return _fail(GUARD_FAILURE, exc)
-    except RuntimeError as exc:
-        return _fail(NUMERIC_FAILURE, exc)
+    rep = run_suite(
+        args.suite,
+        seed=args.seed,
+        trials=args.trials,
+        n_max=args.n_max,
+        d_max=args.d_max,
+        tol=args.slack_tol,
+        kernel_tol=args.kernel_tol,
+    )
     return _emit_report(rep, args.pretty)
 
 
 def cmd_reproduce(args):
-    try:
-        rep = run_reproduce(args.name, stretch=args.stretch)
-    except ValueError as exc:
-        return _fail(GUARD_FAILURE, exc)
-    except RuntimeError as exc:
-        return _fail(NUMERIC_FAILURE, exc)
-    return _emit_report(rep, args.pretty)
+    return _emit_report(run_reproduce(args.name, stretch=args.stretch), args.pretty)
 
 
 def cmd_matroid(args):
@@ -204,24 +185,19 @@ def cmd_matroid(args):
     except ValueError as exc:
         return _fail(PARSE_FAILURE, exc)
     t0 = time.perf_counter()
-    try:
-        if args.operation == "phi":
-            value = phi(m, subset)
-        elif args.operation == "phistar":
-            value = phi_star(m, subset)
-        else:
-            records = (
-                check_fractional_gp_hall(m, partition),
-                check_gp_hall(m, partition),
-            )
-            rep = VerificationReport(
-                "matroid-hall", 0, {"matroid": args.matroid},
-                records, wall_time_s=time.perf_counter() - t0)
-            return _emit_report(rep, args.pretty)
-    except ValueError as exc:
-        return _fail(GUARD_FAILURE, exc)
-    except RuntimeError as exc:
-        return _fail(NUMERIC_FAILURE, exc)
+    if args.operation == "phi":
+        value = phi(m, subset)
+    elif args.operation == "phistar":
+        value = phi_star(m, subset)
+    else:
+        records = (
+            check_fractional_gp_hall(m, partition),
+            check_gp_hall(m, partition),
+        )
+        rep = VerificationReport(
+            "matroid-hall", 0, {"matroid": args.matroid},
+            records, wall_time_s=time.perf_counter() - t0)
+        return _emit_report(rep, args.pretty)
     print(value)
     print(f"wall time: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     return 0
@@ -254,7 +230,7 @@ def build_parser():
                     help="one of: " + ", ".join(sorted(SUITES)))
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--trials", type=int, default=None,
-                    help="override the suite's trial count")
+                    help="override every part's trial count (at least 1)")
     vf.add_argument("--n-max", type=int, default=None, dest="n_max",
                     help="largest vertex count drawn per trial")
     vf.add_argument("--d-max", type=int, default=None, dest="d_max",
@@ -293,7 +269,15 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # input errors are caught per command (exit 2); past parsing, a
+    # ValueError is a guard refusing the work and a RuntimeError a
+    # failed certification
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        return _fail(GUARD_FAILURE, exc)
+    except RuntimeError as exc:
+        return _fail(NUMERIC_FAILURE, exc)
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ class Complex:
     """
 
     __slots__ = ("n", "_missing", "_by_card", "_by_top", "_faces", "_masks", "_index", "_dim",
-                 "_lap", "_spec", "_betti")
+                 "_memo")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
@@ -146,9 +146,8 @@ class Complex:
         self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
-        self._lap: dict[int, object] = {}
-        self._spec: dict[tuple, object] = {}
-        self._betti: dict[int, int] = {}
+        # results of scx.homology on this complex; only that module knows the keys
+        self._memo: dict[tuple, object] = {}
 
     # -- basic queries ------------------------------------------------
 

@@ -65,6 +65,18 @@ def _served(x: Complex, v: int, smask: int) -> bool:
     return False
 
 
+def _dominates(x: Complex, s) -> bool:
+    smask = 0
+    for v in s:
+        smask |= 1 << v
+    return all(_served(x, v, smask) for v in range(x.n))
+
+
+def _dominating_sets(x: Complex, size: int):
+    """Totally dominating sets of the given size, lexicographically."""
+    return (s for s in combinations(range(x.n), size) if _dominates(x, s))
+
+
 def total_domination(x: Complex, cap: int = 22):
     """Minimum size of a totally dominating set, or inf when none exists.
 
@@ -80,25 +92,9 @@ def total_domination(x: Complex, cap: int = 22):
     if x.n > cap:
         raise ValueError(f"vertex count {x.n} above search cap {cap}")
     for size in range(1, x.n + 1):
-        for s in combinations(range(x.n), size):
-            smask = 0
-            for v in s:
-                smask |= 1 << v
-            if all(_served(x, v, smask) for v in range(x.n)):
-                return size
+        if next(_dominating_sets(x, size), None) is not None:
+            return size
     return math.inf  # pragma: no cover - full V always works when feasible
-
-
-def _tds_sets(x: Complex, size: int):
-    """All totally dominating sets of the given size."""
-    out = []
-    for s in combinations(range(x.n), size):
-        smask = 0
-        for v in s:
-            smask |= 1 << v
-        if all(_served(x, v, smask) for v in range(x.n)):
-            out.append(s)
-    return out
 
 
 # -- vector representations -------------------------------------------
@@ -242,10 +238,7 @@ def dominating_alpha_from_tds(s, p: VectorRepresentation):
     if d < 1:
         raise ValueError("missing faces must have dimension at least 1")
     s = tuple(sorted(set(s)))
-    smask = 0
-    for v in s:
-        smask |= 1 << v
-    if not all(_served(x, v, smask) for v in range(x.n)):
+    if not _dominates(x, s):
         raise ValueError(f"{s} is not totally dominating")
     sset = set(s)
     alpha = {}
@@ -317,9 +310,8 @@ def check_domination_bound(x: Complex, p: VectorRepresentation | None = None) ->
                            note="vacuous: no totally dominating set")
     value = rep_value(p)
     bound = comb(gamma, d)
-    for s in _tds_sets(x, gamma):
-        dominating_alpha_from_tds(s, p)  # raises if the construction breaks
-        break
+    # raises if the construction breaks
+    dominating_alpha_from_tds(next(_dominating_sets(x, gamma)), p)
     return CheckRecord(name, inputs, value, bound, bound - value, value <= bound,
                        details={"gamma_tilde": gamma, "d": d})
 

@@ -16,6 +16,10 @@ of the primes used exceeds the Hadamard bound on the next-larger minors
 no larger rank is possible (see numerics.rational).  The
 homological connectivity eta is one more than the first index with a
 nonvanishing reduced Betti number, or infinity when none exists.
+
+Laplacians, spectra, missing-layer top eigenvalues and coboundary ranks
+are remembered on the complex (its ``_memo``, whose keys only this
+module knows), so a Betti vector ranks each coboundary once.
 """
 
 from __future__ import annotations
@@ -223,9 +227,9 @@ class LaplacianSet:
 
 def laplacians(x: Complex, k: int) -> LaplacianSet:
     """All three degree-k Laplacians, cross-checked between assemblies."""
-    cached = x._lap.get(k)
-    if cached is not None:
-        return cached
+    key = ("laplacians", k)
+    if key in x._memo:
+        return x._memo[key]
     fm, fp = laplacian_from_formula(x, k)
     pm, pp = laplacian_from_products(x, k)
     if not (np.array_equal(fm, pm) and np.array_equal(fp, pp)):
@@ -233,9 +237,8 @@ def laplacians(x: Complex, k: int) -> LaplacianSet:
             f"laplacian assemblies disagree in degree {k}; "
             "entry formulas and coboundary products must match"
         )
-    ls = LaplacianSet(k, fm, fp, fm + fp)
-    x._lap[k] = ls
-    return ls
+    x._memo[key] = LaplacianSet(k, fm, fp, fm + fp)
+    return x._memo[key]
 
 
 # -- spectra ----------------------------------------------------------
@@ -263,10 +266,9 @@ def spectrum(x: Complex, k: int, backend: str | None = None, tol: float | None =
         raise ValueError(f"no cochains in degree {k}")
     if tol is None:
         tol = 1e-8 * max(1.0, float(x.n))
-    key = (k, active_backend(backend), tol)
-    cached = x._spec.get(key)
-    if cached is not None:
-        return cached
+    key = ("spectrum", k, active_backend(backend), tol)
+    if key in x._memo:
+        return x._memo[key]
     full = laplacians(x, k).full
     evs = eigenvalues_sym(full.astype(np.float64), backend=backend)
     mu = float(evs[0])
@@ -275,9 +277,8 @@ def spectrum(x: Complex, k: int, backend: str | None = None, tol: float | None =
         raise RuntimeError(
             f"eigenvalue outside the certified range [0, n]: mu={mu}, max={lam}, n={x.n}"
         )
-    rep = SpectrumReport(k, tuple(float(e) for e in evs), mu, lam, tol)
-    x._spec[key] = rep
-    return rep
+    x._memo[key] = SpectrumReport(k, tuple(float(e) for e in evs), mu, lam, tol)
+    return x._memo[key]
 
 
 def spectral_gap(x: Complex, k: int, backend: str | None = None) -> float:
@@ -297,18 +298,25 @@ def missing_top_eigenvalue(x: Complex, i: int, backend: str | None = None) -> fl
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
     key = ("missing-top", i, active_backend(backend))
-    cached = x._spec.get(key)
-    if cached is not None:
-        return cached
+    if key in x._memo:
+        return x._memo[key]
     y = x.missing_complex(i)
     plus = laplacians(y, i - 1).plus
     evs = eigenvalues_sym(plus.astype(np.float64), backend=backend)
-    val = float(evs[-1]) if len(evs) else 0.0
-    x._spec[key] = val
-    return val
+    x._memo[key] = float(evs[-1]) if len(evs) else 0.0
+    return x._memo[key]
 
 
 # -- cohomology -------------------------------------------------------
+
+
+def _coboundary_rank(x: Complex, k: int) -> int:
+    """Rank over Q of the degree-k coboundary, memoized on the complex:
+    the Betti numbers of degrees k and k+1 both need it."""
+    key = ("coboundary-rank", k)
+    if key not in x._memo:
+        x._memo[key] = rank_exact(coboundary_matrix(x, k))
+    return x._memo[key]
 
 
 def betti_exact(x: Complex, k: int) -> int:
@@ -317,18 +325,10 @@ def betti_exact(x: Complex, k: int) -> int:
     dim C^k minus the ranks of the coboundaries out of and into degree
     k, each certified over Q by primes and a Hadamard bound.
     """
-    if k < -1:
-        return 0
-    cached = x._betti.get(k)
-    if cached is not None:
-        return cached
     nk = _dims(x, k)
     if nk == 0:
-        b = 0
-    else:
-        b = nk - rank_exact(coboundary_matrix(x, k)) - rank_exact(coboundary_matrix(x, k - 1))
-    x._betti[k] = b
-    return b
+        return 0
+    return nk - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
 
 
 def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL, backend: str | None = None) -> int:

@@ -22,7 +22,7 @@ from math import comb
 from .complexes import Complex, Partition, as_vertex, from_missing_faces
 from .domination import VectorRepresentation, index_sets, rep_value
 from .numerics.lp import lp_solve_max
-from .reports import CheckRecord, digest
+from .reports import CheckRecord, digest, jsonable
 
 __all__ = [
     "LinearMatroid",
@@ -259,6 +259,20 @@ def gp_complex(m, u=None) -> Complex:
     return x.induced(sorted(set(u)))
 
 
+def _extends(m, d: int, chosen, v: int) -> bool:
+    """Whether the general-position set ``chosen`` stays in general
+    position with v added: v with any t <= d chosen elements has rank
+    t + 1."""
+    for t in range(min(len(chosen), d) + 1):
+        for sub in combinations(chosen, t):
+            mask = 1 << v
+            for w in sub:
+                mask |= 1 << w
+            if m.rank_mask(mask) != t + 1:
+                return False
+    return True
+
+
 def phi(m, s=None) -> int:
     """Largest general-position subset, by branch and bound."""
     elems = sorted(set(s)) if s is not None else list(range(m.n))
@@ -267,24 +281,13 @@ def phi(m, s=None) -> int:
     d = m.full_rank - 1
     best = 0
 
-    def extends(chosen, v):
-        bit = 1 << v
-        for t in range(min(len(chosen), d) + 1):
-            for sub in combinations(chosen, t):
-                mask = bit
-                for w in sub:
-                    mask |= 1 << w
-                if m.rank_mask(mask) != t + 1:
-                    return False
-        return True
-
     def walk(i, chosen):
         nonlocal best
         if len(chosen) > best:
             best = len(chosen)
         if i == len(elems) or len(chosen) + len(elems) - i <= best:
             return
-        if extends(chosen, elems[i]):
+        if _extends(m, d, chosen, elems[i]):
             walk(i + 1, chosen + (elems[i],))
         walk(i + 1, chosen)
 
@@ -464,21 +467,11 @@ def colorful_gp_search(m, partition: Partition):
             raise ValueError("partition vertex outside the ground set")
     d = m.full_rank - 1
 
-    def extends(chosen, v):
-        for t in range(min(len(chosen), d) + 1):
-            for sub in combinations(chosen, t):
-                mask = 1 << v
-                for w in sub:
-                    mask |= 1 << w
-                if m.rank_mask(mask) != t + 1:
-                    return False
-        return True
-
     def walk(i, chosen):
         if i == partition.m:
             return tuple(sorted(chosen))
         for v in partition.classes[i]:
-            if extends(chosen, v):
+            if _extends(m, d, chosen, v):
                 res = walk(i + 1, chosen + (v,))
                 if res is not None:
                     return res
@@ -487,65 +480,53 @@ def colorful_gp_search(m, partition: Partition):
     return walk(0, ())
 
 
+def _gp_hall(m, partition: Partition, name, label, value_of, threshold_of) -> CheckRecord:
+    """The Hall sweep of both general-position checks: every union I of
+    classes needs value_of(m, I) above threshold_of(|I|), and when every
+    union clears it a colorful general-position transversal must exist."""
+    if partition.m > MAX_GP_CLASSES:
+        raise ValueError(f"more than {MAX_GP_CLASSES} classes")
+    inputs = digest(matroid_to_json(m), partition.classes)
+    values = {}
+    for size in range(1, partition.m + 1):
+        threshold = threshold_of(size)
+        for which in combinations(range(partition.m), size):
+            val = value_of(m, partition.union_of(which))
+            values[",".join(map(str, which))] = [jsonable(val), threshold]
+            if not val > threshold:
+                return CheckRecord(
+                    name, inputs, None, None, None, True,
+                    note=f"not applicable: {label} {val} <= threshold {threshold} "
+                         f"for classes {which}",
+                    details={"values": values},
+                )
+    found = colorful_gp_search(m, partition)
+    return CheckRecord(name, inputs, None, None, None, found is not None,
+                       details={"values": values, "found": found})
+
+
+def _gp_threshold(d: int, size: int) -> int:
+    return d * sum(r * comb(size - 1, r) for r in range(1, d + 1))
+
+
 def check_gp_hall(m, partition: Partition) -> CheckRecord:
     """Hall condition on the integer general-position numbers.
 
     Small unions must beat |I|-1; from d+2 classes on, the threshold
     grows to d * sum r C(|I|-1, r).  When every union clears it, a
     colorful general-position transversal must exist."""
-    if partition.m > MAX_GP_CLASSES:
-        raise ValueError(f"more than {MAX_GP_CLASSES} classes")
-    name = "gp_hall"
-    inputs = digest(matroid_to_json(m), partition.classes)
     d = m.full_rank - 1
-    values = {}
-    for size in range(1, partition.m + 1):
-        for which in combinations(range(partition.m), size):
-            union = partition.union_of(which)
-            val = phi(m, union)
-            if size <= d + 1:
-                threshold = size - 1
-            else:
-                threshold = d * sum(r * comb(size - 1, r) for r in range(1, d + 1))
-            values[",".join(map(str, which))] = [val, threshold]
-            if not val > threshold:
-                return CheckRecord(
-                    name, inputs, None, None, None, True,
-                    note=f"not applicable: phi {val} <= threshold {threshold} "
-                         f"for classes {which}",
-                    details={"values": values},
-                )
-    found = colorful_gp_search(m, partition)
-    return CheckRecord(name, inputs, None, None, None, found is not None,
-                       details={"values": values, "found": found})
+    return _gp_hall(m, partition, "gp_hall", "phi", phi,
+                    lambda size: size - 1 if size <= d + 1 else _gp_threshold(d, size))
 
 
 def check_fractional_gp_hall(m, partition: Partition) -> CheckRecord:
     """Hall condition on the fractional general-position numbers: every
     union of classes needs phi-star strictly above d * sum r C(|I|-1, r);
     then a colorful general-position transversal must exist."""
-    if partition.m > MAX_GP_CLASSES:
-        raise ValueError(f"more than {MAX_GP_CLASSES} classes")
-    name = "fractional_gp_hall"
-    inputs = digest(matroid_to_json(m), partition.classes)
     d = m.full_rank - 1
-    values = {}
-    for size in range(1, partition.m + 1):
-        threshold = d * sum(r * comb(size - 1, r) for r in range(1, d + 1))
-        for which in combinations(range(partition.m), size):
-            union = partition.union_of(which)
-            val = phi_star(m, union)
-            values[",".join(map(str, which))] = [str(val), threshold]
-            if not val > threshold:
-                return CheckRecord(
-                    name, inputs, None, None, None, True,
-                    note=f"not applicable: phi-star {val} <= threshold {threshold} "
-                         f"for classes {which}",
-                    details={"values": values},
-                )
-    found = colorful_gp_search(m, partition)
-    return CheckRecord(name, inputs, None, None, None, found is not None,
-                       details={"values": values, "found": found})
+    return _gp_hall(m, partition, "fractional_gp_hall", "phi-star", phi_star,
+                    lambda size: _gp_threshold(d, size))
 
 
 # -- stock geometries --------------------------------------------------
@@ -580,11 +561,21 @@ def ag23_complex() -> Complex:
 
 def pg33_complex() -> Complex:
     """Forty vertices; missing faces are the 520 collinear triples (three
-    points from any of the 130 lines)."""
+    points from any of the 130 lines).  The line through points a and b
+    holds the points a + b and a - b as well, once normalized, so the
+    lines come straight from the coordinates."""
     m = pg33_matroid()
+    index = {c: i for i, c in enumerate(m.columns)}
+
+    def point(vec):
+        lead = pow(next(e for e in vec if e), -1, m.p)
+        return index[tuple(e * lead % m.p for e in vec)]
+
     triples = set()
-    for line in flats(m, 2).flats:
-        triples.update(combinations(line, 3))
+    for a, b in combinations(m.columns, 2):
+        line = {index[a], index[b],
+                point([u + w for u, w in zip(a, b)]), point([u - w for u, w in zip(a, b)])}
+        triples.update(combinations(sorted(line), 3))
     return from_missing_faces(m.n, sorted(triples))
 
 

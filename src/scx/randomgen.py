@@ -10,6 +10,10 @@ d+1 with d in [1, d_max], keep each (d+1)-subset with probability 1/2
 (one cardinality is automatically an antichain), and with probability
 1/4 mix in a lower cardinality kept at rate 1/4, dropping the larger
 sets they sit inside.  Empty draws are rerolled.
+
+Bounds that no draw can meet (n_max below 4 or d_max below 1 for the
+complexes, n_max below 5 for linear and below 6 for mixed matroids) are
+refused with a ValueError naming the parameter, before any draw.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .matroids import LinearMatroid, UniformMatroid
 __all__ = [
     "trial_rng",
     "random_complex",
+    "random_complex_pair",
     "random_single_layer_complex",
     "random_representation",
     "random_partition",
@@ -40,9 +45,17 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def random_complex(rng: random.Random, n_max: int = 7, d_max: int = 3,
                    n: int | None = None, mixed: bool = True) -> Complex:
     """A complex with at least one missing face, per the module recipe."""
+    if n is None:
+        _at_least("n_max", n_max, 4)
+    _at_least("d_max", d_max, 1)
     while True:
         nn = n if n is not None else rng.randint(4, n_max)
         d = rng.randint(1, min(d_max, nn - 1))
@@ -57,10 +70,19 @@ def random_complex(rng: random.Random, n_max: int = 7, d_max: int = 3,
             return from_missing_faces(nn, sorted(fam, key=lambda s: (len(s), s)))
 
 
+def random_complex_pair(rng: random.Random, n_max: int = 7, d_max: int = 3) -> list:
+    """Two complexes on one vertex count drawn from [4, n_max]."""
+    _at_least("n_max", n_max, 4)
+    n = rng.randint(4, n_max)
+    return [random_complex(rng, n_max, d_max, n=n) for _ in range(2)]
+
+
 def random_single_layer_complex(rng: random.Random, n_max: int = 6,
                                 d_max: int = 3) -> Complex:
     """All missing faces of one cardinality, rerolled until a totally
     dominating set exists (every vertex inside some missing face)."""
+    _at_least("n_max", n_max, 4)
+    _at_least("d_max", d_max, 1)
     while True:
         n = rng.randint(4, n_max)
         d = rng.randint(1, min(d_max, n - 1))
@@ -111,6 +133,7 @@ def random_linear_matroid(rng: random.Random, n_max: int = 9, p: int = 3,
                           min_rank: int = 2) -> LinearMatroid:
     """Nonzero random columns over F_p (loopless), rerolled until the
     rank reaches min_rank."""
+    _at_least("n_max", n_max, 5)
     while True:
         n = rng.randint(5, n_max)
         height = rng.randint(3, 4)
@@ -127,6 +150,7 @@ def random_linear_matroid(rng: random.Random, n_max: int = 9, p: int = 3,
 
 def random_matroid(rng: random.Random, n_max: int = 9):
     """A uniform matroid one time in three, else linear over F_3."""
+    _at_least("n_max", n_max, 6)
     if rng.random() < 1 / 3:
         n = rng.randint(6, n_max)
         return UniformMatroid(rng.randint(2, min(4, n - 1)), n)

@@ -1,6 +1,9 @@
-"""Campaign runners: dispatch, determinism, and the reproduction names."""
+"""Campaign table: dispatch, determinism, and the reproduction names."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +11,58 @@ from scx.campaigns import (
     REPRODUCE_NAMES,
     SUITES,
     complete_multipartite_complex,
-    run_matroid_basics,
     run_reproduce,
     run_suite,
 )
 from scx.reports import report_from_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# sha256 of each report's canonical JSON with every float rounded to 10
+# significant digits (seed 3, 2 trials per part), captured from the
+# per-campaign runners the table replaced
+GOLDEN = {
+    "fp": "52a2d54d140aa6eb59906c6e55dd09490864871e2023635e85dfa036a9f6bbaf",
+    "intersection": "3677746425c70a8dc2a1475513d2ea40d96ec1a94b087045e33482302ccba2fc",
+    "yi": "fe0d6d5138fdaf747d25f2765a3e7280c09946290ef2a48074d3d0d255342290",
+    "mu-bound": "d95e2f74cadea97da80fc3e219d4c92b2f52c5e3f18aa835527f3a98f7585472",
+    "eigenhom": "2596ea4645bd31ccf69a89e151510b75d44e37d52da353537acdde7c1b77a637",
+    "countdeg": "fcae5a81fb8ea959a8c3fb92a1502c48f023db190d3f05f0c6bb9b6bd1c1908a",
+    "pluslap": "e1e054fd94aef80ee1241a8f23dc2f4474d8a2ae1c8b339be5805eb3c7897000",
+    "hodge": "91ce4087a36f30ee4754c0f4d4c2c9cc18a2eaf273893c212943e43a61eb2e17",
+    "duality": "d21ba4d69d12d61b36e001cb73cf3c91bacbfd15cdb84c089a767adbb1a7707f",
+    "gamma": "3cc2d24ec96bbf7b2b3d24db4842e5edbf500d6a80bd7387d426270d3205d728",
+    "hall": "5507fad142822f3b83faa41e0e849e78873e9ab42cad38340e60919fc85a6081",
+    "matroid-hall": "b5b025f6506540d4aeccb15e0c54a67aa96ce84d0fd43c4c8a9adfc9e93edc8e",
+    "matroid-basics": "ca444e2bb0f8c1d693d1f2fb272abd57fe9ef92da719d50c33ea869fd5a0493a",
+    "reproduce-rpartite": "1e11375b7f7d37d143f617999991c87ce85f7079292a68cb50dc5c92b035b91f",
+    "reproduce-ag23": "9ebd53205b02fc758f791615c730e6d867d3d403257a6715cd2e48ac4d824977",
+    "reproduce-pg33": "1f12f495015adcab7ffcef7c038e6decaa113882906165453b384f8b090d666f",
+    "reproduce-ag23-sharpness": "4716d879260389bde39ef8c82bc9051a4d7f7e382caa76af86bf0fac032b2250",
+}
+
+
+def _rounded(v):
+    if isinstance(v, float):
+        return float(f"{v:.10g}")
+    if isinstance(v, list):
+        return [_rounded(e) for e in v]
+    if isinstance(v, dict):
+        return {k: _rounded(e) for k, e in v.items()}
+    return v
+
+
+def _golden_digest(rep):
+    doc = _rounded(json.loads(rep.to_json()))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_match_the_golden_digests():
+    got = {name: _golden_digest(run_suite(name, seed=3, trials=2)) for name in SUITES}
+    got.update({f"reproduce-{name}": _golden_digest(run_reproduce(name))
+                for name in REPRODUCE_NAMES})
+    assert got == GOLDEN
 
 
 def test_every_suite_token_passes_at_small_counts():
@@ -80,10 +130,45 @@ def test_hodge_suite_reports_both_record_kinds():
 
 
 def test_matroid_basics_cross_checks_definitions():
-    rep = run_matroid_basics(trials=5)
+    rep = run_suite("matroid-basics", trials=5)
     kinds = {r.check for r in rep.records}
     assert kinds == {"fractional_dominates_integer", "gp_definitions_agree"}
     assert rep.passed
+
+
+def test_gamma_runs_its_three_parts_in_order():
+    rep = run_suite("gamma", seed=1, trials=2)
+    assert rep.params["trials"] == [2, 2, 2]
+    assert [r.check for r in rep.records] == ["domination_bound"] * 2 + [
+        "connectivity_bound"] * 2 + ["rep_eigen_bound"] * 2
+    assert run_suite("gamma").params["trials"] == [50, 100, 100]
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_run_suite_rejects_fewer_than_one_trial(trials):
+    for name in ("fp", "gamma"):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_suite(name, trials=trials)
+
+
+@pytest.mark.parametrize("name,knobs,message", [
+    ("fp", {"n_max": 3}, "n_max must be at least 4"),
+    ("fp", {"d_max": 0}, "d_max must be at least 1"),
+    ("intersection", {"n_max": 3}, "n_max must be at least 4"),
+    ("gamma", {"n_max": 3}, "n_max must be at least 4"),
+    ("matroid-basics", {"n_max": 4}, "n_max must be at least 5"),
+    ("matroid-hall", {"n_max": 5}, "n_max must be at least 6"),
+])
+def test_unreachable_bounds_are_refused_on_every_seed(name, knobs, message):
+    for seed in range(6):
+        with pytest.raises(ValueError, match=message):
+            run_suite(name, seed=seed, trials=1, **knobs)
+
+
+def test_readme_lists_every_suite_token():
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"Suites: (.*?)\. ", text).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == sorted(SUITES)
 
 
 def test_complete_multipartite_shape():

@@ -122,6 +122,35 @@ def test_verify_pretty_table(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("suite,trials", [("fp", "0"), ("fp", "-2"), ("gamma", "0")])
+def test_verify_refuses_fewer_than_one_trial(capsys, suite, trials):
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", trials)
+    assert code == 4
+    assert out == ""
+    assert f"trials must be at least 1, got {trials}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fp", "--n-max", "3"], "n_max must be at least 4, got 3"),
+    (["fp", "--d-max", "0"], "d_max must be at least 1, got 0"),
+    (["matroid-hall", "--n-max", "5"], "n_max must be at least 6, got 5"),
+])
+def test_verify_refuses_unreachable_bounds_on_every_seed(capsys, argv, message):
+    for seed in range(6):
+        code, out, err = run_cli(capsys, "verify", *argv, "--seed", str(seed), "--trials", "1")
+        assert code == 4
+        assert out == ""
+        assert message in err
+        assert "randrange" not in err
+
+
+def test_verify_matroid_basics_token(capsys):
+    code, out, _ = run_cli(capsys, "verify", "matroid-basics", "--trials", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["suite"] == "matroid-basics" and doc["n_records"] == 4
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -2,11 +2,14 @@
 
 import math
 
+import pytest
+
 from scx.complexes import Partition
 from scx.domination import rep_value, total_domination
 from scx.matroids import LinearMatroid, UniformMatroid
 from scx.randomgen import (
     random_complex,
+    random_complex_pair,
     random_linear_matroid,
     random_matroid,
     random_partition,
@@ -104,3 +107,31 @@ def test_random_linear_matroid_loopless_with_rank():
 def test_random_matroid_mixes_kinds():
     kinds = {type(random_matroid(trial_rng(23, t))) for t in range(60)}
     assert kinds == {LinearMatroid, UniformMatroid}
+
+
+def test_unreachable_bounds_are_refused_before_any_draw():
+    cases = [
+        (lambda rng: random_complex(rng, n_max=3), "n_max must be at least 4"),
+        (lambda rng: random_complex(rng, d_max=0), "d_max must be at least 1"),
+        (lambda rng: random_complex_pair(rng, n_max=3), "n_max must be at least 4"),
+        (lambda rng: random_single_layer_complex(rng, n_max=3), "n_max must be at least 4"),
+        (lambda rng: random_single_layer_complex(rng, d_max=0), "d_max must be at least 1"),
+        (lambda rng: random_linear_matroid(rng, n_max=4), "n_max must be at least 5"),
+        (lambda rng: random_matroid(rng, n_max=5), "n_max must be at least 6"),
+    ]
+    for draw, message in cases:
+        for seed in range(6):
+            rng = trial_rng(seed, 0)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=message):
+                draw(rng)
+            assert rng.getstate() == state
+
+
+def test_smallest_accepted_bounds_draw():
+    for t in range(20):
+        assert random_complex(trial_rng(31, t), n_max=4, d_max=1).n == 4
+        assert random_matroid(trial_rng(31, t), n_max=6).n in (5, 6)
+        assert random_linear_matroid(trial_rng(31, t), n_max=5).n == 5
+        pair = random_complex_pair(trial_rng(31, t), n_max=4)
+        assert [x.n for x in pair] == [4, 4]
