@@ -45,6 +45,7 @@ from .matroids import (
     phi_star,
 )
 from .randomgen import (
+    _at_least,
     random_complex,
     random_complex_pair,
     random_linear_matroid,
@@ -205,6 +206,7 @@ def _hall(rng, n_max, d_max, m_max):
     """Colorful simplices on (complex, partition) pairs where the
     connectivity hypothesis holds; inapplicable draws are rerolled, with
     a fallback to one class (always applicable) after 60 attempts."""
+    _at_least("m_max", m_max, 1)
     for attempt in count():
         x = random_complex(rng, n_max, d_max)
         m = rng.randint(1, min(m_max, x.n)) if attempt < 60 else 1
@@ -217,6 +219,7 @@ def _matroid_hall(rng, n_max, m_max):
     """Fractional general-position Hall check on random matroids with
     random partitions; zero tolerance for a firing hypothesis without a
     colorful general-position transversal."""
+    _at_least("m_max", m_max, 2)
     m = random_matroid(rng, n_max=n_max)
     part = random_partition(rng, m.n, rng.randint(2, m_max))
     return [check_fractional_gp_hall(m, part)]

@@ -158,16 +158,23 @@ def cmd_betti(args):
     return 0
 
 
+# verify option -> the SUITES parameter it sets
+_VERIFY_KNOBS = {"--n-max": "n_max", "--d-max": "d_max",
+                 "--slack-tol": "tol", "--kernel-tol": "kernel_tol"}
+
+
 def cmd_verify(args):
-    rep = run_suite(
-        args.suite,
-        seed=args.seed,
-        trials=args.trials,
-        n_max=args.n_max,
-        d_max=args.d_max,
-        tol=args.slack_tol,
-        kernel_tol=args.kernel_tol,
-    )
+    # an option the suite does not take is refused, not silently dropped
+    defaults = SUITES[args.suite][0]
+    params = {}
+    for option, key in _VERIFY_KNOBS.items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if key not in defaults:
+            raise ValueError(f"{option} does not apply to suite {args.suite!r}")
+        params[key] = value
+    rep = run_suite(args.suite, seed=args.seed, trials=args.trials, **params)
     return _emit_report(rep, args.pretty)
 
 

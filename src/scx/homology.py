@@ -31,7 +31,6 @@ import numpy as np
 
 from .complexes import Complex
 from .numerics import eigenvalues_sym, rank_exact
-from .numerics.eigen import active_backend
 
 __all__ = [
     "OrientedBasis",
@@ -255,7 +254,7 @@ class SpectrumReport:
     tol: float
 
 
-def spectrum(x: Complex, k: int, backend: str | None = None, tol: float | None = None) -> SpectrumReport:
+def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     """Eigenvalues of the degree-k full Laplacian, sorted ascending.
 
     Certifies the a-priori bounds: every eigenvalue must lie within the
@@ -266,11 +265,11 @@ def spectrum(x: Complex, k: int, backend: str | None = None, tol: float | None =
         raise ValueError(f"no cochains in degree {k}")
     if tol is None:
         tol = 1e-8 * max(1.0, float(x.n))
-    key = ("spectrum", k, active_backend(backend), tol)
+    key = ("spectrum", k, tol)
     if key in x._memo:
         return x._memo[key]
     full = laplacians(x, k).full
-    evs = eigenvalues_sym(full.astype(np.float64), backend=backend)
+    evs = eigenvalues_sym(full.astype(np.float64))
     mu = float(evs[0])
     lam = float(evs[-1])
     if mu < -tol or lam > x.n + tol:
@@ -281,14 +280,14 @@ def spectrum(x: Complex, k: int, backend: str | None = None, tol: float | None =
     return x._memo[key]
 
 
-def spectral_gap(x: Complex, k: int, backend: str | None = None) -> float:
+def spectral_gap(x: Complex, k: int) -> float:
     """Smallest degree-k Laplacian eigenvalue; +inf on an empty basis."""
     if _dims(x, k) == 0:
         return math.inf
-    return spectrum(x, k, backend=backend).mu
+    return spectrum(x, k).mu
 
 
-def missing_top_eigenvalue(x: Complex, i: int, backend: str | None = None) -> float:
+def missing_top_eigenvalue(x: Complex, i: int) -> float:
     """Largest upper-Laplacian eigenvalue of the dimension-i missing layer.
 
     The layer complex has the full (i-1)-skeleton and one top face per
@@ -297,12 +296,12 @@ def missing_top_eigenvalue(x: Complex, i: int, backend: str | None = None) -> fl
     """
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
-    key = ("missing-top", i, active_backend(backend))
+    key = ("missing-top", i)
     if key in x._memo:
         return x._memo[key]
     y = x.missing_complex(i)
     plus = laplacians(y, i - 1).plus
-    evs = eigenvalues_sym(plus.astype(np.float64), backend=backend)
+    evs = eigenvalues_sym(plus.astype(np.float64))
     x._memo[key] = float(evs[-1]) if len(evs) else 0.0
     return x._memo[key]
 
@@ -331,11 +330,11 @@ def betti_exact(x: Complex, k: int) -> int:
     return nk - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
 
 
-def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL, backend: str | None = None) -> int:
+def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL) -> int:
     """Reduced Betti number as the numerical kernel dimension of the Laplacian."""
     if k < -1 or _dims(x, k) == 0:
         return 0
-    evs = spectrum(x, k, backend=backend).eigenvalues
+    evs = spectrum(x, k).eigenvalues
     return sum(1 for e in evs if e < tol)
 
 

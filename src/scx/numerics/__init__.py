@@ -1,8 +1,8 @@
-"""Numeric kernels: symmetric eigensolver, exact rational linear algebra, exact LP."""
+"""Numeric kernels: Jacobi symmetric eigensolver, certified exact rank, exact LP."""
 
 from .eigen import EigenError, eigenvalues_sym
 from .lp import LpProblem, LpSolution, lp_solve, lp_solve_max
-from .rational import RationalMatrix, rank_exact
+from .rational import rank_exact
 
 __all__ = [
     "EigenError",
@@ -11,6 +11,5 @@ __all__ = [
     "LpSolution",
     "lp_solve",
     "lp_solve_max",
-    "RationalMatrix",
     "rank_exact",
 ]

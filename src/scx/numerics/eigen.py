@@ -1,10 +1,8 @@
 """Dense symmetric eigensolver: cyclic Jacobi sweeps.
 
-Two interchangeable backends compute the same rotation sequence: a numba
-@njit kernel (element loops, compiled) and a pure-numpy one (vectorized
-column updates).  Selection order: explicit ``backend=`` argument, then
-the SCX_EIGEN_BACKEND environment variable (``numba`` or ``numpy``),
-then numba if importable.
+One numpy kernel applies the rotations with vectorized column updates.
+Jacobi is kept for its accuracy on small eigenvalues relative to the
+matrix norm (Demmel-Veselic), which the kernel dimensions need.
 
 Convergence: sweeps stop once the off-diagonal Frobenius norm drops
 below 1e-12 times the Frobenius norm of the input; more than 100 sweeps
@@ -16,28 +14,13 @@ requested the extremal pairs are certified by a residual check
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is optional (the ``fast`` extra); numpy kernel only
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 SWEEP_LIMIT = 100
 OFF_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
-# Beyond this |theta|, theta*theta nears overflow; both kernels then take
+# Beyond this |theta|, theta*theta nears overflow; the kernel then takes
 # t = 1/(2 theta), to which the full formula rounds exactly until it overflows.
 THETA_MAX = 1e150
 
@@ -46,63 +29,8 @@ class EigenError(RuntimeError):
     """Eigensolver failed to converge or to certify its output."""
 
 
-@njit(cache=True)
-def _jacobi_numba(a, v, want_v, tol, sweep_limit):  # pragma: no cover - compiled
-    m = a.shape[0]
-    sweeps = 0
-    for sweep in range(sweep_limit):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                off += 2.0 * a[p, q] * a[p, q]
-        if math.sqrt(off) <= tol:
-            return sweep
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > THETA_MAX:
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                tau = s / (1.0 + c)
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for r in range(m):
-                    if r != p and r != q:
-                        arp = a[r, p]
-                        arq = a[r, q]
-                        a[r, p] = arp - s * (arq + tau * arp)
-                        a[p, r] = a[r, p]
-                        a[r, q] = arq + s * (arp - tau * arq)
-                        a[q, r] = a[r, q]
-                if want_v:
-                    for r in range(m):
-                        vrp = v[r, p]
-                        vrq = v[r, q]
-                        v[r, p] = vrp - s * (vrq + tau * vrp)
-                        v[r, q] = vrq + s * (vrp - tau * vrq)
-        sweeps = sweep + 1
-    off = 0.0
-    for p in range(m - 1):
-        for q in range(p + 1, m):
-            off += 2.0 * a[p, q] * a[p, q]
-    if math.sqrt(off) <= tol:
-        return sweeps
-    return -1
-
-
-def _jacobi_numpy(a, v, want_v, tol, sweep_limit):
+def _jacobi(a, v, want_v, tol, sweep_limit):
+    """Rotate ``a`` (and ``v``) in place; sweeps used, or -1 if not converged."""
     m = a.shape[0]
     iu = np.triu_indices(m, 1)
     for sweep in range(sweep_limit):
@@ -147,19 +75,7 @@ def _jacobi_numpy(a, v, want_v, tol, sweep_limit):
     return -1
 
 
-def active_backend(backend: str | None = None) -> str:
-    """Resolve the backend name: argument > SCX_EIGEN_BACKEND > default."""
-    b = backend or os.environ.get("SCX_EIGEN_BACKEND", "").strip().lower() or None
-    if b is None:
-        b = "numba" if HAS_NUMBA else "numpy"
-    if b not in ("numba", "numpy"):
-        raise ValueError(f"unknown eigensolver backend {b!r}")
-    if b == "numba" and not HAS_NUMBA:
-        raise EigenError("numba backend requested but numba is not importable")
-    return b
-
-
-def eigenvalues_sym(mat, vectors: bool = False, backend: str | None = None):
+def eigenvalues_sym(mat, vectors: bool = False):
     """Sorted eigenvalues (and optionally eigenvectors) of a symmetric matrix.
 
     Returns the sorted eigenvalue array, or a pair (values, columns) when
@@ -180,8 +96,7 @@ def eigenvalues_sym(mat, vectors: bool = False, backend: str | None = None):
     norm = float(np.linalg.norm(a))
     tol = OFF_TOL * norm
     v = np.eye(m) if vectors else np.empty((0, 0))
-    kernel = _jacobi_numba if active_backend(backend) == "numba" else _jacobi_numpy
-    sweeps = kernel(a, v, vectors, tol, SWEEP_LIMIT)
+    sweeps = _jacobi(a, v, vectors, tol, SWEEP_LIMIT)
     if sweeps < 0:
         raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps (side {m})")
     w = np.diag(a).copy()

@@ -1,8 +1,4 @@
-"""Exact rational dense matrices and certified multi-modular rank.
-
-RationalMatrix is a thin immutable wrapper over tuples of Fractions
-(always in lowest terms, as Fraction guarantees); it only supports the
-operations the domination/LP layers need: transpose, product, equality.
+"""Certified multi-modular rank of exact rational matrices.
 
 rank_exact gives the rank over the rationals.  Rows with fractions are
 cleared of denominators row by row, which leaves the rank alone, and
@@ -26,59 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["RationalMatrix", "rank_exact"]
-
-
-class RationalMatrix:
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows) -> None:
-        conv = tuple(tuple(Fraction(e) for e in row) for row in rows)
-        if conv and any(len(r) != len(conv[0]) for r in conv):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", conv)
-        object.__setattr__(self, "nrows", len(conv))
-        object.__setattr__(self, "ncols", len(conv[0]) if conv else 0)
-
-    def __setattr__(self, *a) -> None:
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    @property
-    def T(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.rows)) if self.rows else RationalMatrix([])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({[[str(e) for e in r] for r in self.rows]})"
+__all__ = ["rank_exact"]
 
 
 def _is_prime(q: int) -> bool:
@@ -108,9 +52,7 @@ def _primes():
 
 def _as_int_rows(mat) -> list[list[int]]:
     """Rows of Python ints, each row's denominators cleared."""
-    if isinstance(mat, RationalMatrix):
-        rows = [list(r) for r in mat.rows]
-    elif hasattr(mat, "tolist"):
+    if hasattr(mat, "tolist"):
         rows = mat.tolist()
     else:
         rows = [list(r) for r in mat]
@@ -179,7 +121,7 @@ def rank_exact(mat) -> int:
     """Rank over the rationals, certified by primes and a Hadamard bound.
 
     Integer ndarrays are reduced modulo each prime in numpy; any other
-    input (nested lists, RationalMatrix, float or object arrays) must
+    input (nested lists, float or object arrays) must
     hold integers, Fractions or integral floats, and its rows are
     cleared of denominators first.  Anything else (1.5, nan, inf)
     raises ValueError.

@@ -158,6 +158,8 @@ def test_run_suite_rejects_fewer_than_one_trial(trials):
     ("gamma", {"n_max": 3}, "n_max must be at least 4"),
     ("matroid-basics", {"n_max": 4}, "n_max must be at least 5"),
     ("matroid-hall", {"n_max": 5}, "n_max must be at least 6"),
+    ("hall", {"m_max": 0}, "m_max must be at least 1, got 0"),
+    ("matroid-hall", {"m_max": 1}, "m_max must be at least 2, got 1"),
 ])
 def test_unreachable_bounds_are_refused_on_every_seed(name, knobs, message):
     for seed in range(6):

@@ -144,6 +144,18 @@ def test_verify_refuses_unreachable_bounds_on_every_seed(capsys, argv, message):
         assert "randrange" not in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["gamma", "--slack-tol=-1e9"], "--slack-tol"),
+    (["yi", "--kernel-tol", "5"], "--kernel-tol"),
+    (["matroid-hall", "--d-max", "2"], "--d-max"),
+])
+def test_verify_refuses_options_the_suite_does_not_take(capsys, argv, option):
+    code, out, err = run_cli(capsys, "verify", *argv, "--trials", "1")
+    assert code == 4
+    assert out == ""
+    assert f"{option} does not apply to suite {argv[0]!r}" in err
+
+
 def test_verify_matroid_basics_token(capsys):
     code, out, _ = run_cli(capsys, "verify", "matroid-basics", "--trials", "2")
     assert code == 0

@@ -6,8 +6,8 @@ entry formulas versus coboundary products, closed forms on full
 simplices and clique complexes, and known spectra (affine plane,
 complete multipartite graphs).  Betti numbers from exact ranks must
 match the harmonic (kernel-counting) computation everywhere, and, as
-property tests, oracles that never compute a rank: the reduced Euler
-characteristic and Alexander duality.
+property tests, the reduced Euler characteristic, Alexander duality and
+the Kunneth formula for joins.
 """
 
 import math
@@ -421,6 +421,25 @@ def test_betti_exact_satisfies_alexander_duality(x):
     dual = alexander_dual(x)
     for i in range(-1, x.n):
         assert betti_exact(x, i) == betti_exact(dual, x.n - i - 3), i
+
+
+def join(x, y):
+    """X*Y on n_X + n_Y vertices: its minimal non-faces are X's and Y's,
+    the latter shifted by n_X."""
+    shifted = [[v + x.n for v in f] for f in y.missing_faces]
+    return from_missing_faces(x.n + y.n, list(x.missing_faces) + shifted)
+
+
+@PROPERTY_SETTINGS
+@given(any_complex(n_max=5), any_complex(n_max=5))
+def test_betti_exact_satisfies_kunneth_for_joins(x, y):
+    """b~_{k+1}(X*Y) = sum over i+j=k of b~_i(X) b~_j(Y), with i, j >= -1."""
+    bx = {i: betti_exact(x, i) for i in range(-1, x.n)}
+    by = {j: betti_exact(y, j) for j in range(-1, y.n)}
+    xy = join(x, y)
+    for k in range(-2, x.n + y.n - 1):
+        want = sum(bx[i] * by.get(k - i, 0) for i in range(-1, x.n))
+        assert betti_exact(xy, k + 1) == want, k
 
 
 def test_alexander_dual_of_the_hollow_triangle():

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from scx.homology import coboundary_matrix
-from scx.numerics.rational import RationalMatrix, rank_exact
+from scx.numerics.rational import rank_exact
 from scx.randomgen import random_complex
 
 
@@ -145,26 +145,3 @@ def test_rank_with_entries_beyond_31_bits():
     assert rank_exact(np.array([[top, 2 * top], [-top, -2 * top]], dtype=np.int64)) == 1
     u = np.array([[2**64 - 1, 2**63], [2**63, 2**62]], dtype=np.uint64)
     assert rank_exact(u) == sympy.Matrix([[int(e) for e in r] for r in u]).rank() == 2
-
-
-def test_rational_matrix_ops():
-    a = RationalMatrix([[1, "1/2"], [0, 2]])
-    b = RationalMatrix([[2, 0], [1, 1]])
-    assert (a @ b).rows == ((Fraction(5, 2), Fraction(1, 2)), (Fraction(2), Fraction(2)))
-    assert a.T.rows == ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(2)))
-    assert RationalMatrix.identity(2) @ a == a
-    assert RationalMatrix.zeros(2, 2).rows == ((0, 0), (0, 0))
-    assert a.shape == (2, 2)
-    assert a[0, 1] == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        RationalMatrix([[1], [1, 2]])
-    with pytest.raises(ValueError):
-        a @ RationalMatrix([[1, 2, 3]])
-    with pytest.raises(AttributeError):
-        a.rows = ()
-
-
-def test_rank_of_rational_matrix_object():
-    g = RationalMatrix([[1, 1], [1, 1]])
-    assert rank_exact(g) == 1
-    assert rank_exact(g @ g) == 1
