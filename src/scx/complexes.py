@@ -24,6 +24,7 @@ __all__ = [
     "Complex",
     "MissingFaceStats",
     "Partition",
+    "as_int",
     "as_vertex",
     "from_facets",
     "from_missing_faces",
@@ -35,15 +36,21 @@ __all__ = [
 ]
 
 
-def as_vertex(v) -> int:
-    """A vertex label as an int.  Python and numpy integers are accepted;
-    bools and anything non-integral (1.5, 1.0, "1") raise ValueError."""
-    if isinstance(v, bool):
-        raise ValueError(f"vertex {v!r} is a bool, not an integer")
+def as_int(value, what: str) -> int:
+    """An integer field as an int.  Python and numpy integers are
+    accepted; bools and anything non-integral (1.5, 1.0, "1") raise a
+    ValueError that names the field."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is a bool, not an integer")
     try:
-        return operator.index(v)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"vertex {v!r} is not an integer") from None
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def as_vertex(v) -> int:
+    """A vertex label as an int, by the rule of :func:`as_int`."""
+    return as_int(v, "vertex")
 
 
 def _mask_of(vertices, n: int) -> int:
@@ -234,6 +241,7 @@ class Complex:
         return self._index[k]
 
     def n_faces(self, k: int) -> int:
+        """Number of k-faces: 1 in degree -1 (the empty face), 0 below."""
         return len(self.faces(k))
 
     @property
@@ -325,7 +333,7 @@ class Complex:
         faces, one clone choice per vertex, so each missing face mu
         contributes prod(counts[v] for v in mu) lifts.
         """
-        counts = [int(a) for a in counts]
+        counts = [as_int(a, "multiplicity") for a in counts]
         if len(counts) != self.n:
             raise ValueError("need one multiplicity per vertex")
         if any(a < 1 for a in counts):
@@ -527,7 +535,7 @@ def complex_from_json(text) -> Complex:
     has_m = "missing_faces" in obj
     if has_f == has_m:
         raise ValueError("complex JSON needs exactly one of 'facets' or 'missing_faces'")
-    n = int(obj["n"])
+    n = as_int(obj["n"], "n")
     if has_f:
         return from_facets(n, obj["facets"])
     return from_missing_faces(n, obj["missing_faces"])

@@ -1,11 +1,13 @@
 """Signed cochain calculus on complexes: coboundaries, Laplacians, spectra.
 
 Cochains are represented in the standard basis indexed by faces in
-ascending vertex order; all signs come from permutation parity.  The
-three Laplacians (lower, upper, full) are assembled twice — once from
-the explicit entry formulas, once as matrix products of coboundary and
-boundary maps — and the two integer matrices are required to agree
-entrywise before anything downstream sees them.
+ascending vertex order; all signs come from permutation parity.  Each
+degree's coboundary is held once, as a signed incidence from which the
+dense coboundary and boundary matrices are scattered.  The lower and
+upper Laplacians are assembled twice, from the entry formulas over each
+face's one-vertex swaps and as products scatter-added from the
+incidences, and the two integer results must agree entrywise before
+anything downstream sees them.
 
 Betti numbers are computed two independent ways as well: exactly, from
 rational ranks of the coboundary matrices, and numerically, as the
@@ -17,9 +19,10 @@ no larger rank is possible (see numerics.rational).  The
 homological connectivity eta is one more than the first index with a
 nonvanishing reduced Betti number, or infinity when none exists.
 
-Laplacians, spectra, missing-layer top eigenvalues and coboundary ranks
-are remembered on the complex (its ``_memo``, whose keys only this
-module knows), so a Betti vector ranks each coboundary once.
+Incidences, Laplacians, spectra, missing-layer top eigenvalues and
+coboundary ranks are remembered on the complex (its ``_memo``, whose
+keys only this module knows), so a Betti vector ranks each coboundary
+once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .complexes import Complex
 from .numerics import eigenvalues_sym, rank_exact
 
 __all__ = [
-    "OrientedBasis",
     "LaplacianSet",
     "SpectrumReport",
     "sign",
@@ -60,21 +62,19 @@ KERNEL_TOL = 1e-7
 
 
 def _perm_parity(perm) -> int:
-    """Sign of a permutation given as the image sequence of 0..m-1."""
-    seen = [False] * len(perm)
-    par = 1
+    """Sign of a permutation given as the image sequence of 0..m-1:
+    -1 to the power of m minus its number of cycles."""
+    seen = set()
+    cycles = 0
     for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            par = -par
-    return par
+        if i not in seen:
+            cycles += 1
+            j = i
+            while j not in seen:
+                seen.add(j)
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
 
 def sign(sigma, tau) -> int:
     """Relative sign of an ordered simplex and an ordered subsimplex.
@@ -106,29 +106,28 @@ def evaluate_cochain(phi, index, ordered) -> float:
     return sign(tuple(ordered), key) * phi[index[key]]
 
 
-# -- bases and matrices ----------------------------------------------
+# -- the signed incidence and its readers -----------------------------
 
 
-@dataclass(frozen=True)
-class OrientedBasis:
-    """The standard cochain basis in dimension k: ascending k-faces."""
+def _incidence(x: Complex, k: int) -> np.ndarray:
+    """The degree-k coboundary (k >= -2) as a fixed-width index array.
 
-    k: int
-    simplices: tuple
-    index: dict
+    Row r lists the positions of the k-faces left by dropping each vertex
+    of the r-th (k+1)-face in turn; dropping the i-th carries the sign
+    (-1)**i, which is not stored.  Degrees k and k+1 both read it.
+    """
+    key = ("incidence", k)
+    if key not in x._memo:
+        pos = {m: i for i, m in enumerate(x.face_masks(k))}
+        up = x.faces(k + 1)
+        flat = [pos[m ^ 1 << v] for f, m in zip(up, x.face_masks(k + 1)) for v in f]
+        x._memo[key] = np.array(flat, dtype=np.intp).reshape(len(up), k + 2)
+    return x._memo[key]
 
-    @classmethod
-    def of(cls, x: Complex, k: int) -> "OrientedBasis":
-        return cls(k, x.faces(k), dict(x.face_index(k)) if k >= 0 else {(): 0})
 
-
-def _dims(x: Complex, k: int) -> int:
-    """Dimension of the k-cochain space (reduced convention)."""
-    if k == -1:
-        return 1
-    if k < -1:
-        return 0
-    return x.n_faces(k)
+def _signs(width: int) -> np.ndarray:
+    """(-1)**i for i < width: the sign of dropping the i-th vertex."""
+    return np.array([(-1) ** i for i in range(width)], dtype=np.int64)
 
 
 def coboundary_matrix(x: Complex, k: int) -> np.ndarray:
@@ -137,19 +136,10 @@ def coboundary_matrix(x: Complex, k: int) -> np.ndarray:
     Row sigma, column tau carries the sign of dropping from sigma the
     vertex missing from tau; for k = -1 this is the all-ones column.
     """
-    rows = _dims(x, k + 1)
-    cols = _dims(x, k)
-    if k < -1:
-        return np.zeros((rows, cols), dtype=np.int64)
-    if k == -1:
-        return np.ones((rows, 1), dtype=np.int64)
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    idx = x.face_index(k)
-    for r, f in enumerate(x.faces(k + 1)):
-        s = 1
-        for i in range(k + 2):
-            mat[r, idx[f[:i] + f[i + 1 :]]] = s
-            s = -s
+    mat = np.zeros((x.n_faces(k + 1), x.n_faces(k)), dtype=np.int64)
+    if k >= -1:
+        inc = _incidence(x, k)
+        mat[np.arange(len(inc))[:, None], inc] = _signs(k + 2)
     return mat
 
 
@@ -158,59 +148,68 @@ def boundary_matrix(x: Complex, k: int) -> np.ndarray:
     return coboundary_matrix(x, k).T.copy()
 
 
-def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # BLAS product of +-1 matrices; exact since every inner sum is far
-    # below 2**53.
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return np.rint(prod).astype(np.int64)
-
-
 def laplacian_from_formula(x: Complex, k: int):
     """Lower and upper Laplacians assembled entry by entry.
 
     Off-diagonal entries exist only for faces sharing all but one
-    vertex; their sign is the product of the two reorder signs, read off
-    the positions of the two swapped vertices.
+    vertex, so each face is paired with its one-vertex swaps: drop a
+    vertex u, add a vertex w outside.  The sign is the product of the
+    two reorder signs, read off the positions of u and w; the upper
+    entry is set when the union is a face.  The diagonal holds k+1 and
+    the number of faces one dimension up.
     """
     if k < -1:
         raise ValueError("cochain spaces vanish below degree -1")
-    if k == -1:
-        minus = np.zeros((1, 1), dtype=np.int64)
-        plus = np.array([[x.n_faces(0)]], dtype=np.int64)
-        return minus, plus
     faces = x.faces(k)
     masks = x.face_masks(k)
+    pos = {m: i for i, m in enumerate(masks)}
     m = len(faces)
-    minus = np.zeros((m, m), dtype=np.int64)
+    minus = (k + 1) * np.eye(m, dtype=np.int64)
     plus = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        minus[i, i] = k + 1
-        plus[i, i] = x.degree(faces[i])
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            mj = masks[j]
-            inter = mi & mj
-            if inter.bit_count() != k:
+    for i, (f, mi) in enumerate(zip(faces, masks)):
+        degree = 0
+        for w in range(x.n):
+            wb = 1 << w
+            if mi & wb:
                 continue
-            ub = mi & ~inter
-            wb = mj & ~inter
-            par = (mi & (ub - 1)).bit_count() + (mj & (wb - 1)).bit_count()
-            s = -1 if par % 2 else 1
-            minus[i, j] = minus[j, i] = s
-            if x.contains_mask(mi | mj):
-                plus[i, j] = plus[j, i] = -s
+            up = x.contains_mask(mi | wb)
+            degree += up
+            below = (mi & (wb - 1)).bit_count()
+            for t, u in enumerate(f):
+                j = pos.get(mi ^ 1 << u | wb)
+                if j is not None:
+                    s = -1 if (t + below - (u < w)) % 2 else 1
+                    minus[i, j] = s
+                    if up:
+                        plus[i, j] = -s
+        plus[i, i] = degree
     return minus, plus
 
 
 def laplacian_from_products(x: Complex, k: int):
-    """Lower and upper Laplacians as boundary/coboundary products."""
+    """Lower and upper Laplacians d_{k-1} d_{k-1}^T and d_k^T d_k,
+    scatter-added from the incidences.  Each row of the degree-k
+    incidence adds the outer product of its signed entries to the upper
+    one; the lower one pairs the degree-(k-1) entries sharing a column."""
     if k < -1:
         raise ValueError("cochain spaces vanish below degree -1")
-    dk = coboundary_matrix(x, k)
-    dkm1 = coboundary_matrix(x, k - 1)
-    minus = _int_matmul(dkm1, dkm1.T)
-    plus = _int_matmul(dk.T, dk)
+    m = x.n_faces(k)
+    inc = _incidence(x, k)
+    sgn = _signs(k + 2)
+    plus = np.zeros((m, m), dtype=np.int64)
+    np.add.at(plus, (inc[:, :, None], inc[:, None, :]), sgn[:, None] * sgn)
+    low = _incidence(x, k - 1)  # one row per k-face
+    order = np.argsort(low.ravel(), kind="stable")
+    col = low.ravel()[order]
+    row, slot = np.divmod(order, k + 1)
+    sgn = _signs(k + 1)[slot]
+    # entry e pairs with the size[e] entries of its column, from start[e] on
+    start = np.searchsorted(col, col)
+    size = np.searchsorted(col, col, side="right") - start
+    left = np.repeat(np.arange(col.size), size)
+    right = np.repeat(start + size - np.cumsum(size), size) + np.arange(left.size)
+    minus = np.zeros((m, m), dtype=np.int64)
+    np.add.at(minus, (row[left], row[right]), sgn[left] * sgn[right])
     return minus, plus
 
 
@@ -232,10 +231,8 @@ def laplacians(x: Complex, k: int) -> LaplacianSet:
     fm, fp = laplacian_from_formula(x, k)
     pm, pp = laplacian_from_products(x, k)
     if not (np.array_equal(fm, pm) and np.array_equal(fp, pp)):
-        raise RuntimeError(
-            f"laplacian assemblies disagree in degree {k}; "
-            "entry formulas and coboundary products must match"
-        )
+        raise RuntimeError(f"laplacian assemblies disagree in degree {k}; "
+                           "entry formulas and coboundary products must match")
     x._memo[key] = LaplacianSet(k, fm, fp, fm + fp)
     return x._memo[key]
 
@@ -258,13 +255,15 @@ def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     """Eigenvalues of the degree-k full Laplacian, sorted ascending.
 
     Certifies the a-priori bounds: every eigenvalue must lie within the
-    guard of [0, n].  Raises ValueError when the cochain space is zero;
-    use spectral_gap for the infinity-sentinel convention.
+    guard of [0, n].  Raises ValueError on a zero cochain space or a
+    guard that is negative or not finite; see spectral_gap for +inf.
     """
-    if _dims(x, k) == 0:
+    if x.n_faces(k) == 0:
         raise ValueError(f"no cochains in degree {k}")
     if tol is None:
         tol = 1e-8 * max(1.0, float(x.n))
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     key = ("spectrum", k, tol)
     if key in x._memo:
         return x._memo[key]
@@ -274,15 +273,14 @@ def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     lam = float(evs[-1])
     if mu < -tol or lam > x.n + tol:
         raise RuntimeError(
-            f"eigenvalue outside the certified range [0, n]: mu={mu}, max={lam}, n={x.n}"
-        )
+            f"eigenvalue outside the certified range [0, n]: mu={mu}, max={lam}, n={x.n}")
     x._memo[key] = SpectrumReport(k, tuple(float(e) for e in evs), mu, lam, tol)
     return x._memo[key]
 
 
 def spectral_gap(x: Complex, k: int) -> float:
     """Smallest degree-k Laplacian eigenvalue; +inf on an empty basis."""
-    if _dims(x, k) == 0:
+    if x.n_faces(k) == 0:
         return math.inf
     return spectrum(x, k).mu
 
@@ -324,7 +322,7 @@ def betti_exact(x: Complex, k: int) -> int:
     dim C^k minus the ranks of the coboundaries out of and into degree
     k, each certified over Q by primes and a Hadamard bound.
     """
-    nk = _dims(x, k)
+    nk = x.n_faces(k)
     if nk == 0:
         return 0
     return nk - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
@@ -332,7 +330,7 @@ def betti_exact(x: Complex, k: int) -> int:
 
 def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL) -> int:
     """Reduced Betti number as the numerical kernel dimension of the Laplacian."""
-    if k < -1 or _dims(x, k) == 0:
+    if x.n_faces(k) == 0:
         return 0
     evs = spectrum(x, k).eigenvalues
     return sum(1 for e in evs if e < tol)

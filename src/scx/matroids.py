@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, Partition, as_vertex, from_missing_faces
+from .complexes import Complex, Partition, as_int, as_vertex, from_missing_faces
 from .domination import VectorRepresentation, index_sets, rep_value
 from .numerics.lp import lp_solve_max
 from .reports import CheckRecord, digest, jsonable
@@ -81,10 +81,10 @@ class LinearMatroid:
     __slots__ = ("p", "columns", "n", "label", "_rank_cache", "_flat_cache", "_gp_cache")
 
     def __init__(self, p: int, columns, label: str | None = None) -> None:
-        p = int(p)
+        p = as_int(p, "modulus")
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ValueError(f"modulus {p} is not prime")
-        cols = tuple(tuple(int(e) % p for e in c) for c in columns)
+        cols = tuple(tuple(as_int(e, "column entry") % p for e in c) for c in columns)
         if not cols:
             raise ValueError("need at least one column")
         if len({len(c) for c in cols}) != 1:
@@ -135,7 +135,7 @@ class UniformMatroid:
     __slots__ = ("r", "n", "label", "_flat_cache", "_gp_cache")
 
     def __init__(self, r: int, n: int) -> None:
-        r, n = int(r), int(n)
+        r, n = as_int(r, "rank"), as_int(n, "n")
         if n < 1 or not 0 <= r <= n:
             raise ValueError(f"need 0 <= rank <= n, got rank {r}, n {n}")
         self.r = r

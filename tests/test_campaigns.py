@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from scx import homology
 from scx.campaigns import (
     REPRODUCE_NAMES,
     SUITES,
@@ -127,6 +130,53 @@ def test_hodge_suite_reports_both_record_kinds():
     kinds = {r.check for r in rep.records}
     assert "laplacian_assembly" in kinds
     assert "hodge_betti" in kinds
+
+
+def _counting(fn, calls, name):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+def test_hodge_assembles_each_degree_once(monkeypatch):
+    # count calls made under any scx module's name for the assemblies
+    calls = {"formula": 0, "products": 0}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "scx"]
+    for name in calls:
+        orig = getattr(homology, f"laplacian_from_{name}")
+        counted = _counting(orig, calls, name)
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    rep = run_suite("hodge", seed=0, trials=20, n_max=8)
+    degrees = sum(r.details["degrees"][1] + 2 for r in rep.records
+                  if r.check == "laplacian_assembly")
+    assert degrees > 20
+    assert calls == {"formula": degrees, "products": degrees}
+
+
+def test_hodge_records_an_assembly_disagreement_as_a_failure(monkeypatch):
+    products = homology.laplacian_from_products
+
+    def skewed(x, k):
+        minus, plus = products(x, k)
+        return minus, plus + 1
+
+    monkeypatch.setattr(homology, "laplacian_from_products", skewed)
+    rep = run_suite("hodge", seed=0, trials=2)
+    assert [r.check for r in rep.records] == ["laplacian_assembly"] * 2
+    assert not any(r.passed for r in rep.records)
+    assert all("assemblies disagree in degree -1" in r.note for r in rep.records)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("name,knob", [("fp", "tol"), ("mu-bound", "tol"), ("hodge", "kernel_tol")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_run_suite_refuses_non_finite_tolerances(name, knob, value):
+    with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value}$"):
+        run_suite(name, trials=1, **{knob: value})
 
 
 def test_matroid_basics_cross_checks_definitions():

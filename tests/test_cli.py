@@ -156,6 +156,61 @@ def test_verify_refuses_options_the_suite_does_not_take(capsys, argv, option):
     assert f"{option} does not apply to suite {argv[0]!r}" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fp", "--slack-tol", "inf"], "tol must be finite, got inf"),
+    (["fp", "--slack-tol", "nan"], "tol must be finite, got nan"),
+    (["fp", "--slack-tol=-inf"], "tol must be finite, got -inf"),
+    (["hodge", "--kernel-tol", "nan"], "kernel_tol must be finite, got nan"),
+    (["hodge", "--kernel-tol", "inf"], "kernel_tol must be finite, got inf"),
+])
+def test_verify_refuses_non_finite_tolerances(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv, "--trials", "1")
+    assert code == 4
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-5", "-1e-12"])
+def test_spectrum_refuses_a_negative_or_non_finite_guard(capsys, tol):
+    code, out, err = run_cli(capsys, "spectrum", "ag23", "--dim", "1", f"--tol={tol}")
+    assert code == 4
+    assert out == ""
+    assert "tol must be finite and nonnegative" in err
+
+
+def test_spectrum_takes_a_zero_guard(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "hollow-triangle", "--dim", "0", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["tol"] == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3.7, "missing_faces": [[0, 1, 2]]}',
+    '{"n": true, "missing_faces": [[0]]}',
+    '{"n": "3", "missing_faces": [[0, 1, 2]]}',
+])
+def test_non_integer_vertex_count_in_complex_file_is_parse_failure(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "betti", str(path), "--dim", "0")
+    assert code == 2
+    assert "is not an integer" in err or "is a bool" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "uniform", "rank": 2.9, "n": 4.2},
+    {"kind": "linear", "p": 3.0, "columns": [[1, 0], [0, 1]]},
+    {"kind": "linear", "p": 3, "columns": [[1.5, 0], [0, 1]]},
+])
+def test_non_integer_matroid_field_is_parse_failure(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "matroid", "phi", "--matroid", str(path))
+    assert code == 2
+    assert out == ""
+    assert "is not an integer" in err
+
+
 def test_verify_matroid_basics_token(capsys):
     code, out, _ = run_cli(capsys, "verify", "matroid-basics", "--trials", "2")
     assert code == 0

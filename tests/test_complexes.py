@@ -173,9 +173,10 @@ def random_missing_masks(rng, n):
 
 
 def test_faces_match_definition_on_random_complexes():
-    """faces, face_masks and contains_mask against all subsets, filtered
-    by the definition, in lexicographic order; the levels are asked for
-    in a random order so each can be enumerated from a cold cache."""
+    """faces, face_masks, face_index, n_faces and contains_mask against
+    all subsets, filtered by the definition, in lexicographic order; the
+    levels are asked for in a random order so each can be enumerated
+    from a cold cache."""
     rng = random.Random(4242)
     for trial in range(150):
         n = 1 if trial < 5 else rng.randint(0, 10)
@@ -193,6 +194,8 @@ def test_faces_match_definition_on_random_complexes():
             )
             assert x.faces(k) == want, (n, masks, k)
             assert x.face_masks(k) == tuple(sum(1 << v for v in f) for f in want)
+            assert x.face_index(k) == {f: i for i, f in enumerate(want)}
+            assert x.n_faces(k) == len(want)  # 1 in degree -1, the empty face
         for m in range(1 << n):
             assert x.contains_mask(m) == is_face(m), (n, masks, m)
 
@@ -470,6 +473,25 @@ def test_non_integer_vertices_are_rejected(bad):
 def test_complex_json_rejects_non_integer_vertices(text):
     with pytest.raises(ValueError, match="vertex"):
         complex_from_json(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"n": 3.7, "missing_faces": [[0, 1]]}', "n 3.7 is not an integer"),
+    ('{"n": 3.0, "missing_faces": [[0, 1]]}', "n 3.0 is not an integer"),
+    ('{"n": true, "missing_faces": [[0]]}', "n True is a bool"),
+    ('{"n": "3", "facets": [[0, 1]]}', "n '3' is not an integer"),
+])
+def test_complex_json_rejects_a_non_integer_vertex_count(text, message):
+    with pytest.raises(ValueError, match=message):
+        complex_from_json(text)
+
+
+def test_blowup_counts_must_be_integers():
+    x = from_missing_faces(2, [{0, 1}])
+    for bad in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="multiplicity"):
+            x.blowup([1, bad])
+    assert x.blowup([np.int64(2), 1]) == x.blowup([2, 1])
 
 
 @pytest.mark.parametrize("text", ['{"classes": [[0, 1.5]]}', '{"classes": [[true], [2]]}'])

@@ -10,8 +10,10 @@ property tests, the reduced Euler characteristic, Alexander duality and
 the Kunneth formula for joins.
 """
 
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,7 +24,6 @@ from hypothesis import strategies as st
 
 from scx.complexes import Complex, from_facets, from_missing_faces, intersection
 from scx.homology import (
-    OrientedBasis,
     betti_exact,
     betti_hodge,
     boundary_matrix,
@@ -37,6 +38,7 @@ from scx.homology import (
     spectral_gap,
     spectrum,
 )
+from scx.matroids import ag23_complex, pg33_complex
 from scx.numerics import rank_exact
 
 
@@ -209,15 +211,6 @@ def test_dd_zero_everywhere():
             assert not prod.any()
 
 
-def test_oriented_basis():
-    x = ag23()
-    b = OrientedBasis.of(x, 1)
-    assert b.k == 1 and len(b.simplices) == 36
-    assert all(b.simplices[i] == f for f, i in b.index.items())
-    assert all(f == tuple(sorted(f)) for f in b.simplices)
-    assert OrientedBasis.of(x, -1).simplices == ((),)
-
-
 # -- Laplacian assembly ------------------------------------------------
 
 
@@ -231,9 +224,9 @@ def test_full_simplex_laplacian_is_n_identity():
 
 
 def test_clique_complex_l0_is_j_plus_graph_laplacian():
+    # the 70-vertex case takes face bitmasks past 64 bits
     rng = random.Random(16)
-    for _ in range(20):
-        n = rng.randint(3, 8)
+    for n in [rng.randint(3, 8) for _ in range(20)] + [70]:
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
         non_edges = [e for e in combinations(range(n), 2) if e not in set(edges)]
         x = from_missing_faces(n, non_edges) if non_edges else from_missing_faces(n, [])
@@ -258,6 +251,66 @@ def test_assemblies_agree_on_random_complexes():
             ls = laplacians(x, k)
             assert np.array_equal(ls.full, ls.minus + ls.plus)
             assert np.array_equal(ls.full, ls.full.T)
+
+
+# sha256 over (dtype, shape, bytes) of the lower and upper Laplacians
+# and the coboundary in one degree: any change to an assembly, a sign or
+# the face order changes these integer matrices
+PINNED_DEGREES = {
+    ("pg33", -1): "595fbd41af8221b75cfa7efdb779964e4b02d91d1560fd12eb781701f4f00311",
+    ("pg33", 0): "92eeb9402b197b8637299bc4a0208b6cf494024ef59dd315f0fc7873d46c0ed0",
+    ("pg33", 1): "d90fb3c55a424892a95412876b9c2ef7cae5075d8f7719fd1993097b1e617300",
+    ("ag23", -1): "9e55d29ca1fa3145b0675a24944ffb8d57f6f4a4e0647e3b885afe9e20154d90",
+    ("ag23", 0): "6f37d454861e835aa399e5dfc33c46bf3e9b168ac5d53b650f63730c2954b58f",
+    ("ag23", 1): "bf55f5ee391d16665a3120e78f430bbf7cf6921005b266cea57cb0d91e951087",
+    ("ag23", 2): "8e0d594e32f0a4da86b1c374d045d91dffb768e2dd6b7264318b9cbec6cad30b",
+    ("ag23", 3): "a3c61d5a9993ef9b201e998e8bf5e362e16e9fd296689163d1a97e7e1689f386",
+}
+# the same digests, hex-encoded and chained over every degree of 50
+# random complexes on at most 8 vertices (random_antichain, seed 7)
+PINNED_RANDOM = "df984480018d000ad19a37ad2cdc5d4623b9ad78b47be669a8fc0fcda80b9954"
+
+
+def degree_digest(x, k):
+    fm, fp = laplacian_from_formula(x, k)
+    pm, pp = laplacian_from_products(x, k)
+    assert np.array_equal(fm, pm) and np.array_equal(fp, pp)
+    h = hashlib.sha256()
+    for a in (fm, fp, coboundary_matrix(x, k)):
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_integer_matrices_match_pinned_digests():
+    geometries = {"pg33": pg33_complex(), "ag23": ag23_complex()}
+    assert geometries["ag23"].dim == 3
+    got = {(name, k): degree_digest(geometries[name], k) for name, k in PINNED_DEGREES}
+    assert got == PINNED_DEGREES
+
+
+def test_random_integer_matrices_match_pinned_digest():
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(50):
+        n = rng.randint(2, 8)
+        x = from_missing_faces(n, random_antichain(rng, n))
+        for k in range(-1, x.dim + 1):
+            h.update(degree_digest(x, k).encode())
+    assert h.hexdigest() == PINNED_RANDOM
+
+
+def test_product_assembly_never_densifies_a_coboundary():
+    # pg33's degree-1 coboundary is 9360 x 780: 58 MB as dense int64,
+    # while the two 780 x 780 results take 9.7 MB
+    x = pg33_complex()
+    tracemalloc.start()
+    try:
+        laplacian_from_products(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_ag23_l1_shape_and_assembly():

@@ -413,6 +413,20 @@ def test_non_integer_elements_are_rejected():
             gp_by_flat_counts(m, [0, 2, bad])
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"kind":"uniform","rank":2.9,"n":4}', "rank 2.9 is not an integer"),
+    ('{"kind":"uniform","rank":2,"n":4.2}', "n 4.2 is not an integer"),
+    ('{"kind":"uniform","rank":true,"n":4}', "rank True is a bool"),
+    ('{"kind":"linear","p":3.0,"columns":[[1,0],[0,1]]}', "modulus 3.0 is not an integer"),
+    ('{"kind":"linear","p":"3","columns":[[1,0],[0,1]]}', "modulus '3' is not an integer"),
+    ('{"kind":"linear","p":3,"columns":[[1.5,0],[0,1]]}', "column entry 1.5 is not an integer"),
+    ('{"kind":"linear","p":3,"columns":[[1,false],[0,1]]}', "column entry False is a bool"),
+])
+def test_matroid_json_rejects_non_integer_fields(text, message):
+    with pytest.raises(ValueError, match=message):
+        matroid_from_json(text)
+
+
 def test_matroid_json_errors():
     with pytest.raises(ValueError, match="builtin"):
         matroid_from_json('{"kind":"builtin","name":"FANO"}')
