@@ -6,17 +6,22 @@ some missing face contains v and otherwise sits inside S.  The vector
 side assigns to each index set sigma (one cardinality below each
 missing dimension) a nonnegative rational matrix of vertex vectors,
 constrained so that pairs completing sigma to a missing face have inner
-product at least one.  The representation's value |P| is a covering LP
-solved exactly; the one solve also returns its single-vector packing
-dual, and the solver's certificate checks the two as a pair (both
-feasible, equal objectives, complementary slackness).  Everything
-downstream (domination bounds, connectivity bounds, Hall-type
-colorful-simplex conditions) consumes that exact rational value.
+product at least one.  Each index set's rows are scaled to integers once,
+at construction, by the lcm d of their denominators; inner products are
+then integer Gram entries over d**2, so validation, the eigenvalue bound
+and the covering LP run on integers.  The representation's value |P| is
+that covering LP, solved exactly; the one solve also returns its
+single-vector packing dual, and the solver's certificate checks the two
+as a pair (both feasible, complementary slackness, the value equal to
+both objectives).  Everything downstream (domination bounds,
+connectivity bounds, Hall-type colorful-simplex conditions) consumes
+that exact rational value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -115,20 +120,40 @@ def index_sets(x: Complex) -> tuple:
     return tuple(sorted(set(out), key=lambda s: (len(s), s)))
 
 
-class VectorRepresentation:
-    """Nonnegative rational vertex vectors for each index set of a complex."""
+def _entry(e, sigma) -> Fraction:
+    if type(e) is Fraction:
+        return e
+    if isinstance(e, bool):
+        raise ValueError(f"sigma={sigma}: entry {e!r} is a bool, not a number")
+    return Fraction(e)
 
-    __slots__ = ("complex", "matrices")
+
+class VectorRepresentation:
+    """Nonnegative rational vertex vectors for each index set of a complex.
+
+    ``matrices`` holds each index set's rows as Fractions; ``scaled``
+    holds the same rows times d as integers, with d the lcm of their
+    denominators, so inner products are exact integers over d**2.
+    """
+
+    __slots__ = ("complex", "matrices", "scaled", "_gram")
 
     def __init__(self, x: Complex, matrices) -> None:
         self.complex = x
         mats = {}
+        scaled = {}
         for sigma, rows in matrices.items():
             key = tuple(sorted(as_vertex(v) for v in sigma))
-            mats[key] = tuple(
-                tuple(Fraction(e) for e in row) for row in rows
+            rows = tuple(tuple(_entry(e, key) for e in row) for row in rows)
+            d = math.lcm(*(e.denominator for row in rows for e in row))
+            mats[key] = rows
+            scaled[key] = (
+                tuple(tuple(e.numerator * (d // e.denominator) for e in row) for row in rows),
+                d,
             )
         self.matrices = mats
+        self.scaled = scaled
+        self._gram = {}
         ok, violations = validate_representation(self, x)
         if not ok:
             raise ValueError("invalid representation: " + "; ".join(violations[:5]))
@@ -136,20 +161,35 @@ class VectorRepresentation:
     def vector(self, sigma, v) -> tuple:
         return self.matrices[tuple(sigma)][v]
 
+    def gram(self, sigma) -> tuple:
+        """(G, d): the integer Gram matrix of sigma's scaled rows and
+        their scale; the vectors of v and w have product G[v][w] / d**2."""
+        sigma = tuple(sigma)
+        g = self._gram.get(sigma)
+        if g is None:
+            rows, d = self.scaled[sigma]
+            g = self._gram[sigma] = (
+                tuple(tuple(sum(map(operator.mul, a, b)) for b in rows) for a in rows),
+                d,
+            )
+        return g
+
     def gram_entry(self, sigma, v, w) -> Fraction:
-        rows = self.matrices[tuple(sigma)]
-        return sum((a * b for a, b in zip(rows[v], rows[w])), Fraction(0))
+        g, d = self.gram(sigma)
+        return Fraction(g[v][w], d * d)
 
 
 def validate_representation(p: VectorRepresentation, x: Complex):
     """Exact check of shapes, nonnegativity and the inner-product lower
-    bounds on missing-face completions.  Returns (ok, violations)."""
+    bounds on missing-face completions, on the integer-scaled rows: a
+    product is at least one when G[v][w] >= d**2.  Returns (ok,
+    violations)."""
     violations = []
     expected = index_sets(x)
     got = tuple(sorted(p.matrices, key=lambda s: (len(s), s)))
     if got != expected:
         return False, [f"index sets mismatch: expected {expected}, got {got}"]
-    for sigma, rows in p.matrices.items():
+    for sigma, (rows, _) in p.scaled.items():
         if len(rows) != x.n:
             violations.append(f"sigma={sigma}: need {x.n} rows, got {len(rows)}")
         widths = {len(r) for r in rows}
@@ -162,13 +202,14 @@ def validate_representation(p: VectorRepresentation, x: Complex):
     for mu in x.missing_faces:
         card = len(mu)
         for sigma in combinations(mu, card - 2):
-            if sigma not in p.matrices:
+            if sigma not in p.scaled:
                 continue
             v, w = sorted(set(mu) - set(sigma))
-            if p.gram_entry(sigma, v, w) < 1:
+            g, d = p.gram(sigma)
+            if g[v][w] < d * d:
                 violations.append(
                     f"sigma={sigma}: vectors {v},{w} have product "
-                    f"{p.gram_entry(sigma, v, w)} < 1"
+                    f"{Fraction(g[v][w], d * d)} < 1"
                 )
     return not violations, violations
 
@@ -180,19 +221,6 @@ def all_ones_representation(x: Complex) -> VectorRepresentation:
     )
 
 
-def _grams(p: VectorRepresentation):
-    sets = sorted(p.matrices, key=lambda s: (len(s), s))
-    grams = []
-    for sigma in sets:
-        rows = p.matrices[sigma]
-        g = [
-            [sum((a * b for a, b in zip(rows[v], rows[w])), Fraction(0)) for w in range(len(rows))]
-            for v in range(len(rows))
-        ]
-        grams.append(g)
-    return sets, grams
-
-
 def rep_value(p: VectorRepresentation):
     """The value |P|: exact optimum of the covering LP.
 
@@ -202,21 +230,27 @@ def rep_value(p: VectorRepresentation):
     every sigma, sum y = |P|); ``lp_solve`` certifies x and y as a pair
     before returning, so no second solve is needed.  With no index sets
     the primal is infeasible and the value is +inf.
+
+    The LP is built on integers: the weight of (sigma, v) is rescaled so
+    that its column is G[v] and its cost d**2, both divided by their
+    gcd.  That is the column the solver's own scaling makes of the
+    rational column G[v] / d**2 with cost 1, so the tableau, the pivot
+    path and the value are those of the rational covering LP.
     """
-    x = p.complex
-    sets, grams = _grams(p)
-    if not sets:
+    if not p.matrices:
         return math.inf
-    n = x.n
-    m = len(sets)
-    # primal: min sum alpha  s.t.  sum_sigma G_sigma^T alpha_sigma >= 1
-    a_rows = []
-    for w in range(n):
-        row = []
-        for g in grams:
-            row.extend(g[v][w] for v in range(n))
-        a_rows.append(row)
-    primal = lp_solve(LpProblem([1] * (m * n), a_rows, [1] * n))
+    # primal: min sum alpha  s.t.  sum_sigma G_sigma^T alpha_sigma >= 1,
+    # column (sigma, v) being row v of the symmetric G_sigma
+    cost = []
+    cols = []
+    for sigma in sorted(p.matrices, key=lambda s: (len(s), s)):
+        g, d = p.gram(sigma)
+        dd = d * d
+        for col in g:
+            k = math.gcd(dd, *col)
+            cost.append(dd // k)
+            cols.append([e // k for e in col])
+    primal = lp_solve(LpProblem(cost, list(zip(*cols)), [1] * p.complex.n))
     if primal.status != "optimal":  # pragma: no cover - all-ones scaling is feasible
         raise RuntimeError(f"covering LP {primal.status}; representation invalid?")
     return primal.value
@@ -355,12 +389,11 @@ def check_rep_eigen_bound(x: Complex, p: VectorRepresentation | None = None,
         lam = missing_top_eigenvalue(x, i)
         best = Fraction(0)
         for sigma in combinations(range(x.n), i - 1):
-            rows = p.matrices[sigma]
-            col_sum = [sum(col, Fraction(0)) for col in zip(*rows)]
-            for v in range(x.n):
-                prod = sum((a * b for a, b in zip(rows[v], col_sum)), Fraction(0))
-                if prod > best:
-                    best = prod
+            # column sums and products on the integer rows, over d**2
+            rows, d = p.scaled[sigma]
+            col_sum = [sum(col) for col in zip(*rows)]
+            top = max((sum(map(operator.mul, row, col_sum)) for row in rows), default=0)
+            best = max(best, Fraction(top, d * d))
         bound = i * best
         margin = float(bound) - lam
         per_dim[i] = {"top_eig": lam, "bound": str(bound)}
@@ -472,8 +505,6 @@ def representation_from_json(text, x: Complex) -> VectorRepresentation:
     import json
 
     doc = json.loads(text)
-    mats = {
-        tuple(entry["sigma"]): [[Fraction(e) for e in row] for row in entry["matrix"]]
-        for entry in doc["sets"]
-    }
+    # entries go in as parsed, so a JSON true is refused like a Python True
+    mats = {tuple(entry["sigma"]): entry["matrix"] for entry in doc["sets"]}
     return VectorRepresentation(x, mats)

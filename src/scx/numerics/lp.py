@@ -3,37 +3,44 @@
 Solves  min c.x  s.t.  A x >= b, x >= 0  by a two-phase primal simplex
 on the standard-form tableau with Bland's anti-cycling rule (always on;
 no performance pivoting).  Every optimal solve returns both a primal and
-a dual vector and asserts, in exact arithmetic, primal feasibility, dual
-feasibility, complementary slackness and c.x = b.y before returning.
+a dual vector and certifies them, exactly, before returning: primal
+feasibility, dual feasibility, complementary slackness and c.x = b.y.
 
-The tableau is kept as integer numerators over one common denominator
-(the basis determinant) and pivoted fraction-free (Bareiss), after
-scaling the columns, the right-hand side and the objective to integers.
-The pivot path is the one Bland's rule takes on the rational tableau;
-the public API returns Fractions.
+The columns, the right-hand side and the objective are first scaled to
+integers.  The tableau is kept as integer numerators over one common
+denominator (the basis determinant) and pivoted fraction-free
+(Bareiss); the pivot path is the one Bland's rule takes on the rational
+tableau.  The certificate is checked in integer arithmetic on the same
+scaled system, and only the returned value, x and y are Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["LpProblem", "LpSolution", "lp_solve", "lp_solve_max"]
 
 
+def _rational(e):
+    return e if type(e) is int else Fraction(e)
+
+
 @dataclass(frozen=True)
 class LpProblem:
-    """min c.x  subject to  A x >= b,  x >= 0 (all data rational)."""
+    """min c.x  subject to  A x >= b,  x >= 0 (all data rational; int
+    entries stay ints, every other entry becomes a Fraction)."""
 
     c: tuple
     A: tuple
     b: tuple
 
     def __init__(self, c, A, b) -> None:
-        cf = tuple(Fraction(e) for e in c)
-        Af = tuple(tuple(Fraction(e) for e in row) for row in A)
-        bf = tuple(Fraction(e) for e in b)
+        cf = tuple(map(_rational, c))
+        Af = tuple(tuple(map(_rational, row)) for row in A)
+        bf = tuple(map(_rational, b))
         if len(Af) != len(bf):
             raise ValueError("A and b row counts differ")
         if any(len(row) != len(cf) for row in Af):
@@ -105,7 +112,7 @@ def _run_simplex(N, den, basis, limit):
 
 
 def _lcm_of_denominators(values) -> int:
-    return math.lcm(*(v.denominator for v in values))
+    return math.lcm(*[v.denominator for v in values])
 
 
 def lp_solve(p: LpProblem) -> LpSolution:
@@ -116,10 +123,13 @@ def lp_solve(p: LpProblem) -> LpSolution:
     # beta, c times mu (and kappa).  Positive scalings keep every Bland
     # entering choice and every ratio-test argmin, so the pivot path is
     # that of the unscaled tableau.
-    kappa = [_lcm_of_denominators(row[j] for row in p.A) for j in range(n)]
+    kappa = [_lcm_of_denominators(col) for col in zip(*p.A)] if m else [1] * n
     beta = _lcm_of_denominators(p.b)
     mu = _lcm_of_denominators(cj * k for cj, k in zip(p.c, kappa))
-    pos_rhs = [bi > 0 for bi in p.b]  # rows kept as-is; the rest are negated
+    A = [[a.numerator * (k // a.denominator) for a, k in zip(row, kappa)] for row in p.A]
+    b = [bi.numerator * (beta // bi.denominator) for bi in p.b]
+    c = [cj.numerator * (mu * k // cj.denominator) for cj, k in zip(p.c, kappa)]
+    pos_rhs = [bi > 0 for bi in b]  # rows kept as-is; the rest are negated
     # equality form: rows with b>0 keep  A x - s = b  (artificial basic),
     # rows with b<=0 are negated to  -A x + s = -b  (slack basic).
     art_rows = [i for i in range(m) if pos_rhs[i]]
@@ -130,10 +140,9 @@ def lp_solve(p: LpProblem) -> LpSolution:
     basis = [0] * m
     for i in range(m):
         sgn = 1 if pos_rhs[i] else -1
-        row = [sgn * a.numerator * (k // a.denominator) for a, k in zip(p.A[i], kappa)]
-        row += [0] * (ncols + 1 - n)
+        row = [sgn * a for a in A[i]] + [0] * (ncols + 1 - n)
         row[n + i] = -sgn
-        row[-1] = sgn * p.b[i].numerator * (beta // p.b[i].denominator)
+        row[-1] = sgn * b[i]
         if pos_rhs[i]:
             art_of[i] = basis[i] = art_start + len(art_of)
             row[basis[i]] = 1
@@ -144,7 +153,7 @@ def lp_solve(p: LpProblem) -> LpSolution:
     cost = [0] * (ncols + 1)
     for i in art_rows:
         cost[art_of[i]] = 1
-        cost = [a - b for a, b in zip(cost, N[i])]
+        cost = [u - v for u, v in zip(cost, N[i])]
     N.append(cost)
     status, den = _run_simplex(N, 1, basis, ncols)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
@@ -157,60 +166,64 @@ def lp_solve(p: LpProblem) -> LpSolution:
             j = next((j for j in range(art_start) if N[r][j] != 0), None)
             if j is not None:
                 den = _pivot(N, den, basis, r, j)
-    # phase 2: the real objective, reduced as den*c0 - sum c0[bv]*N[r]
-    c0 = [cj.numerator * (mu * k // cj.denominator) for cj, k in zip(p.c, kappa)]
-    cost = [den * cj for cj in c0] + [0] * (ncols + 1 - n)
+    # phase 2: the real objective, reduced as den*c - sum c[bv]*N[r]
+    cost = [den * cj for cj in c] + [0] * (ncols + 1 - n)
     for r, bv in enumerate(basis):
-        if bv < n and c0[bv]:
-            f = c0[bv]
-            cost = [a - f * b for a, b in zip(cost, N[r])]
+        if bv < n and c[bv]:
+            f = c[bv]
+            cost = [u - f * v for u, v in zip(cost, N[r])]
     N[-1] = cost
     status, den = _run_simplex(N, den, basis, art_start)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, None)
     cost = N[-1]
-    x = [Fraction(0)] * n
+    X = [0] * n
     for r, bv in enumerate(basis):
         if bv < n:
-            x[bv] = Fraction(kappa[bv] * N[r][-1], den * beta)
+            X[bv] = N[r][-1]
     # duals read off the reduced costs of each row's initial identity column
-    y = []
-    for i in range(m):
-        if pos_rhs[i]:
-            y.append(Fraction(-cost[art_of[i]], den * mu))
-        else:
-            y.append(Fraction(cost[n + i], den * mu))
-    val = Fraction(-cost[-1], den * mu * beta)
-    _certify(p, val, x, y)
-    return LpSolution("optimal", val, tuple(x), tuple(y))
+    Y = [-cost[art_of[i]] if pos_rhs[i] else cost[n + i] for i in range(m)]
+    V = -cost[-1]
+    _certify(A, b, c, den, X, Y, V)
+    x = tuple(Fraction(k * e, den * beta) for k, e in zip(kappa, X))
+    y = tuple(Fraction(e, den * mu) for e in Y)
+    return LpSolution("optimal", Fraction(V, den * mu * beta), x, y)
 
 
-def _certify(p: LpProblem, value, x, y) -> None:
-    n = len(p.c)
+def _certify(A, b, c, den, X, Y, V) -> None:
+    """Certify an optimum on the integer-scaled system, in integers.
+
+    A, b and c are the scaled data (A kappa, b beta, c kappa mu); the
+    optimum is x = kappa X / (den beta) and y = Y / (den mu) with value
+    V / (den mu beta).  Every check below is the rational one multiplied
+    by a positive integer:  A X >= den b (primal feasibility), X >= 0,
+    Y >= 0, Y A <= den c (dual feasibility), complementary slackness
+    both ways, and c.X = V.  Strong duality b.Y = V then follows:
+    X.(den c - Y A) + Y.(A X - den b) = den (c.X - b.Y), and with both
+    feasibilities and complementary slackness both terms are zero.
+    """
     slack = []
-    for i, row in enumerate(p.A):
-        s = sum(a * xj for a, xj in zip(row, x)) - p.b[i]
+    for row, bi in zip(A, b):
+        s = sum(map(operator.mul, row, X)) - den * bi
         if s < 0:
             raise RuntimeError("LP certification failed: primal infeasible")
         slack.append(s)
-    if any(xj < 0 for xj in x):
+    if any(e < 0 for e in X):
         raise RuntimeError("LP certification failed: negative primal variable")
-    if any(yi < 0 for yi in y):
+    if any(e < 0 for e in Y):
         raise RuntimeError("LP certification failed: negative dual variable")
-    red = []
-    for j in range(n):
-        rc = p.c[j] - sum(y[i] * p.A[i][j] for i in range(len(y)))
-        if rc < 0:
-            raise RuntimeError("LP certification failed: dual infeasible")
-        red.append(rc)
-    if sum(c * xj for c, xj in zip(p.c, x)) != value:
-        raise RuntimeError("LP certification failed: objective mismatch")
-    if sum(b * yi for b, yi in zip(p.b, y)) != value:
-        raise RuntimeError("LP certification failed: strong duality violated")
-    if any(xj * rc != 0 for xj, rc in zip(x, red)):
+    red = [den * cj for cj in c]
+    for row, yi in zip(A, Y):
+        if yi:
+            red = [r - yi * a for r, a in zip(red, row)]
+    if any(r < 0 for r in red):
+        raise RuntimeError("LP certification failed: dual infeasible")
+    if any(e and r for e, r in zip(X, red)):
         raise RuntimeError("LP certification failed: complementary slackness (primal)")
-    if any(yi * s != 0 for yi, s in zip(y, slack)):
+    if any(e and s for e, s in zip(Y, slack)):
         raise RuntimeError("LP certification failed: complementary slackness (dual)")
+    if sum(map(operator.mul, c, X)) != V:
+        raise RuntimeError("LP certification failed: objective mismatch")
 
 
 def lp_solve_max(c, A, b) -> LpSolution:
@@ -221,9 +234,9 @@ def lp_solve_max(c, A, b) -> LpSolution:
     y.A >= c certificates become  value = b.y  by the same strong
     duality identity).
     """
-    neg_c = [-Fraction(e) for e in c]
-    neg_A = [[-Fraction(e) for e in row] for row in A]
-    neg_b = [-Fraction(e) for e in b]
+    neg_c = [-_rational(e) for e in c]
+    neg_A = [[-_rational(e) for e in row] for row in A]
+    neg_b = [-_rational(e) for e in b]
     sol = lp_solve(LpProblem(neg_c, neg_A, neg_b))
     if sol.status != "optimal":
         return sol

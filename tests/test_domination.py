@@ -32,7 +32,7 @@ from scx.domination import (
     total_domination,
     validate_representation,
 )
-from scx.numerics.lp import lp_solve, lp_solve_max
+from scx.numerics.lp import LpProblem, lp_solve, lp_solve_max
 
 
 def ag23():
@@ -157,6 +157,18 @@ def test_representation_rejects_negative_and_shape():
         VectorRepresentation(x, {(): [(1,)]})
 
 
+def test_representation_rejects_bool_entries():
+    x = from_missing_faces(3, [(0, 1, 2)])
+    ones = [(1, 0)] * 3
+    for bad in (True, False):
+        rows = [(1, 0), (1, bad), (1, 0)]
+        with pytest.raises(ValueError, match=rf"sigma=\(1,\): entry {bad} is a bool"):
+            VectorRepresentation(x, {(0,): ones, (1,): rows, (2,): ones})
+    text = representation_to_json(all_ones_representation(x)).replace('["1"]', "[true]", 1)
+    with pytest.raises(ValueError, match=r"sigma=\(0,\): entry True is a bool"):
+        representation_from_json(text, x)
+
+
 def test_representation_rejects_non_integer_index_sets():
     x = from_missing_faces(3, [(0, 1, 2)])
     rows = [(1,)] * 3
@@ -238,6 +250,44 @@ def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
         ]
         packing = lp_solve_max([1] * x.n, rows, [1] * len(rows))
         assert packing.status == "optimal" and packing.value == v
+
+
+def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch):
+    # rep_value's integer LP (column G[v] and cost d**2 over their gcd)
+    # against the rational covering LP with all-ones cost, built here
+    # from the Fraction rows: same value, same (row, column) pivots and
+    # the same basis determinant after each, so the same integer tableau
+    import scx.numerics.lp as lp
+    from scx.randomgen import random_representation as fractional_representation
+
+    pivots = []
+    real = lp._pivot
+
+    def recording(N, den, basis, r, j):
+        den = real(N, den, basis, r, j)
+        pivots.append((r, j, den))
+        return den
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    rng = random.Random(58)
+    fractional = 0
+    for _ in range(30):
+        x = random_complex(rng)
+        p = fractional_representation(rng, x)
+        fractional += any(d > 1 for _, d in p.scaled.values())
+        pivots.clear()
+        value = rep_value(p)
+        path = list(pivots)
+        sets = sorted(p.matrices, key=lambda s: (len(s), s))
+        rows = [
+            [sum((a * b for a, b in zip(p.matrices[s][v], p.matrices[s][w])), Fraction(0))
+             for s in sets for v in range(x.n)]
+            for w in range(x.n)
+        ]
+        pivots.clear()
+        ref = lp_solve(LpProblem([1] * len(rows[0]), rows, [1] * x.n))
+        assert path and (value, path) == (ref.value, pivots)
+    assert fractional >= 20
 
 
 def test_rep_value_invariant_under_relabeling():

@@ -1,11 +1,14 @@
 """Exact LP solver: hand-derived optima, Beale's cycling instance, scipy oracle."""
 
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from scipy.optimize import linprog
 
+import scx.numerics.lp as lp
 from scx.numerics.lp import LpProblem, LpSolution, lp_solve, lp_solve_max
 
 
@@ -201,3 +204,68 @@ def test_pinned_max_form():
                        [F(7, 8), F(1, 2), F(2, 3)])
     assert (sol.status, sol.value, sol.x, sol.y) == (
         "optimal", F(35, 16), (0, 0, F(35, 16)), (F(5, 2), 0, 0))
+
+
+def test_problem_keeps_ints_and_makes_the_rest_fractions():
+    p = LpProblem([1, F(1, 2)], [[2, 0.5]], [True])
+    assert [type(e) for e in (*p.c, *p.A[0], *p.b)] == [int, Fraction, int, Fraction, Fraction]
+    assert p.c == (1, F(1, 2)) and p.A == ((2, F(1, 2)),) and p.b == (1,)
+
+
+# -- the certificate on the integer-scaled system ---------------------
+
+# min x1 + x2 + x3  s.t.  x1/2 - x2/3 >= 1/2,  x1 + x3/4 >= 0: the optimum
+# is x = (1, 0, 0), y = (2, 0) with value 1, reduced costs (0, 5/3, 1)
+# and slacks (0, 1).  Each mutation moves one integer of the scaled
+# optimum (X, Y or V) by one and must trip exactly the named check.
+CERT_PROBLEM = LpProblem([1, 1, 1], [[F(1, 2), F(-1, 3), 0], [1, 0, F(1, 4)]], [F(1, 2), 0])
+MUTATIONS = [
+    ("X", 0, -1, "primal infeasible"),  # row 1 is tight and needs x1
+    ("X", 1, -1, "negative primal variable"),  # row 1 only gains from x2 < 0
+    ("Y", 1, -1, "negative dual variable"),
+    ("Y", 0, 1, "dual infeasible"),  # y1 over the cost of x1
+    ("X", 2, 1, "complementary slackness (primal)"),  # x3 > 0 at reduced cost 1
+    ("X", 0, 1, "complementary slackness (dual)"),  # row 1 slack with y1 > 0
+    ("V", None, 1, "objective mismatch"),
+]
+
+
+def _certified_optimum(monkeypatch, problem):
+    seen = []
+    real = lp._certify
+
+    def capture(A, b, c, den, X, Y, V):
+        seen.append((A, b, c, den, list(X), list(Y), V))
+        real(A, b, c, den, X, Y, V)
+
+    monkeypatch.setattr(lp, "_certify", capture)
+    sol = lp_solve(problem)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return sol, seen[0]
+
+
+def test_certificate_is_integer_and_accepts_the_optimum(monkeypatch):
+    sol, (A, b, c, den, X, Y, V) = _certified_optimum(monkeypatch, CERT_PROBLEM)
+    assert (sol.value, sol.x, sol.y) == (1, (1, 0, 0), (2, 0))
+    assert all(type(e) is int for e in (den, V, *b, *c, *X, *Y, *A[0], *A[1]))
+    lp._certify(A, b, c, den, X, Y, V)
+
+
+@pytest.mark.parametrize("part, index, delta, message", MUTATIONS,
+                         ids=[m[-1] for m in MUTATIONS])
+def test_certificate_refuses_each_mutation(monkeypatch, part, index, delta, message):
+    _, (A, b, c, den, X, Y, V) = _certified_optimum(monkeypatch, CERT_PROBLEM)
+    if part == "V":
+        V += delta
+    else:
+        (X if part == "X" else Y)[index] += delta
+    with pytest.raises(RuntimeError) as err:
+        lp._certify(A, b, c, den, X, Y, V)
+    assert str(err.value) == f"LP certification failed: {message}"
+
+
+def test_mutations_cover_every_refusal():
+    source = inspect.getsource(lp._certify)
+    refusals = re.findall(r'"LP certification failed: (.+?)"', source)
+    assert sorted(refusals) == sorted(m[-1] for m in MUTATIONS)
