@@ -19,6 +19,12 @@ no larger rank is possible (see numerics.rational).  The
 homological connectivity eta is one more than the first index with a
 nonvanishing reduced Betti number, or infinity when none exists.
 
+The top eigenvalue of a missing layer is solved on the smaller of two
+matrices with the same nonzero spectrum: the layer's upper Laplacian
+d^T d in degree i-1 or its lower Laplacian d d^T in degree i (Horak and
+Jost, Spectra of combinatorial Laplace operators on simplicial
+complexes, 2013).
+
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
 coboundary ranks are remembered on the complex (its ``_memo``, whose
 keys only this module knows), so a Betti vector ranks each coboundary
@@ -251,6 +257,11 @@ class SpectrumReport:
     tol: float
 
 
+def _range_tol(x: Complex) -> float:
+    """Default guard on the certified eigenvalue range [0, n]."""
+    return 1e-8 * max(1.0, float(x.n))
+
+
 def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     """Eigenvalues of the degree-k full Laplacian, sorted ascending.
 
@@ -261,7 +272,7 @@ def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     if x.n_faces(k) == 0:
         raise ValueError(f"no cochains in degree {k}")
     if tol is None:
-        tol = 1e-8 * max(1.0, float(x.n))
+        tol = _range_tol(x)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     key = ("spectrum", k, tol)
@@ -286,11 +297,15 @@ def spectral_gap(x: Complex, k: int) -> float:
 
 
 def missing_top_eigenvalue(x: Complex, i: int) -> float:
-    """Largest upper-Laplacian eigenvalue of the dimension-i missing layer.
+    """Largest eigenvalue of the dimension-i missing layer's Laplacians.
 
-    The layer complex has the full (i-1)-skeleton and one top face per
-    missing i-face; the relevant matrix is its upper Laplacian in degree
-    i-1.
+    The layer complex y has the full (i-1)-skeleton and one top face per
+    missing i-face.  Its upper Laplacian in degree i-1 (d^T d, one row
+    per (i-1)-face) and its lower Laplacian in degree i (d d^T, one row
+    per missing i-face) share their nonzero eigenvalues, so the smaller
+    of the two is solved; both come through ``laplacians`` and so are
+    cross-checked between assemblies.  The value must lie within the
+    guard of [0, n], as in ``spectrum``.
     """
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
@@ -298,10 +313,17 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
     if key in x._memo:
         return x._memo[key]
     y = x.missing_complex(i)
-    plus = laplacians(y, i - 1).plus
-    evs = eigenvalues_sym(plus.astype(np.float64))
-    x._memo[key] = float(evs[-1]) if len(evs) else 0.0
-    return x._memo[key]
+    if y.n_faces(i) < y.n_faces(i - 1):
+        mat = laplacians(y, i).minus
+    else:
+        mat = laplacians(y, i - 1).plus
+    lam = float(eigenvalues_sym(mat.astype(np.float64))[-1])
+    tol = _range_tol(x)
+    if not -tol <= lam <= x.n + tol:
+        raise RuntimeError(
+            f"eigenvalue outside the certified range [0, n]: max={lam}, n={x.n}")
+    x._memo[key] = lam
+    return lam
 
 
 # -- cohomology -------------------------------------------------------

@@ -336,18 +336,23 @@ def _gp_constraint_supports(m, elems) -> tuple:
     return tuple(sorted(supports))
 
 
-def fractional_gp_violations(m, w: GpWeighting) -> list:
-    """Flat constraints the weighting breaks (empty list = feasible)."""
+def _violations(w: GpWeighting, supports, d: int) -> list:
+    """Constraints over these supports, each capped at d, that the
+    weighting breaks (empty list = feasible)."""
     if any(e < 0 for e in w.weights):
         return ["negative weight"]
-    d = m.full_rank - 1
     value = w.as_dict()
     out = []
-    for support in _gp_constraint_supports(m, w.subset):
+    for support in supports:
         total = sum((value[v] for v in support), Fraction(0))
         if total > d:
             out.append(f"flat constraint over {support}: {total} > {d}")
     return out
+
+
+def fractional_gp_violations(m, w: GpWeighting) -> list:
+    """Flat constraints the weighting breaks (empty list = feasible)."""
+    return _violations(w, _gp_constraint_supports(m, w.subset), m.full_rank - 1)
 
 
 def phi_star_weighting(m, s=None) -> GpWeighting:
@@ -375,7 +380,7 @@ def phi_star_weighting(m, s=None) -> GpWeighting:
     if sol.status != "optimal":
         raise RuntimeError(f"fractional weighting LP ended {sol.status}")
     w = GpWeighting(elems, tuple(sol.x))
-    bad = fractional_gp_violations(m, w)
+    bad = _violations(w, supports, d)
     if bad:
         raise RuntimeError("LP weighting infeasible: " + "; ".join(bad[:3]))
     return w

@@ -18,6 +18,7 @@ is deterministic, never probabilistic.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -45,9 +46,27 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+#: Primes below 2**31 found so far, largest first; ``_primes`` extends
+#: it, so each candidate is tested once per process.
+_PRIMES: list[int] = []
+_PRIMES_LOCK = threading.Lock()
+
+
 def _primes():
-    """Primes below 2**31, largest first."""
-    return (q for q in range(2**31 - 1, 10, -2) if _is_prime(q))
+    """Primes below 2**31 (and above 10), largest first."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            with _PRIMES_LOCK:
+                if i == len(_PRIMES):
+                    q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+                    while q > 10 and not _is_prime(q):
+                        q -= 2
+                    if q <= 10:
+                        return
+                    _PRIMES.append(q)
+        yield _PRIMES[i]
+        i += 1
 
 
 def _as_int_rows(mat) -> list[list[int]]:

@@ -111,7 +111,13 @@ def check_intersection_gap(complexes, k: int, tol: float = SLACK_TOL) -> CheckRe
 def check_complement_identity(x: Complex, i: int, tol: float = 1e-8) -> CheckRecord:
     """The missing layer's upper Laplacian plus the relaxation's full
     Laplacian is exactly n times the identity, whence the relaxation's
-    gap equals n minus the layer's top eigenvalue."""
+    gap equals n minus the layer's top eigenvalue.
+
+    The matrix identity is checked on the upper Laplacian in integers;
+    the eigenvalue side compares two separate eigensolves, the
+    relaxation's full Laplacian and whichever of the layer's two
+    Laplacians ``missing_top_eigenvalue`` solves (usually the lower one
+    in degree i, which is smaller)."""
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
     name = "complement_identity"

@@ -27,9 +27,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = {
     "fp": "52a2d54d140aa6eb59906c6e55dd09490864871e2023635e85dfa036a9f6bbaf",
     "intersection": "3677746425c70a8dc2a1475513d2ea40d96ec1a94b087045e33482302ccba2fc",
-    "yi": "fe0d6d5138fdaf747d25f2765a3e7280c09946290ef2a48074d3d0d255342290",
-    "mu-bound": "d95e2f74cadea97da80fc3e219d4c92b2f52c5e3f18aa835527f3a98f7585472",
-    "eigenhom": "2596ea4645bd31ccf69a89e151510b75d44e37d52da353537acdde7c1b77a637",
+    "yi": "c7c3dc0a715620e4884a3d1a3b0665bc01f345da87208eb861a96d61b1276c04",
+    "mu-bound": "27b5ed5ea5f81897ddfc366e7e51925d27e51ea9ec3362fd0af66333785ec838",
+    "eigenhom": "164986d26888de36fe2f6e0c5170fe562e43b821431e92d382251f1b478ae416",
     "countdeg": "fcae5a81fb8ea959a8c3fb92a1502c48f023db190d3f05f0c6bb9b6bd1c1908a",
     "pluslap": "e1e054fd94aef80ee1241a8f23dc2f4474d8a2ae1c8b339be5805eb3c7897000",
     "hodge": "91ce4087a36f30ee4754c0f4d4c2c9cc18a2eaf273893c212943e43a61eb2e17",

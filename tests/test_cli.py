@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import scx.homology as homology
 from scx.cli import main
 from scx.matroids import ag23_matroid, matroid_to_json
 
@@ -113,6 +115,14 @@ def test_verify_forced_failure_exits_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "fp", "--trials", "2", "--slack-tol=-1e9")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_failed_certification_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(homology, "eigenvalues_sym", lambda mat: np.full(len(mat), 1e6))
+    code, out, err = run_cli(capsys, "verify", "yi", "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert "certified range" in err
 
 
 def test_verify_pretty_table(capsys):

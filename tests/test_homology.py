@@ -22,6 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import scx.homology as homology
 from scx.complexes import Complex, from_facets, from_missing_faces, intersection
 from scx.homology import (
     betti_exact,
@@ -39,7 +40,8 @@ from scx.homology import (
     spectrum,
 )
 from scx.matroids import ag23_complex, pg33_complex
-from scx.numerics import rank_exact
+from scx.numerics import eigenvalues_sym, rank_exact
+from scx.randomgen import random_complex
 
 
 def ag23_lines():
@@ -375,13 +377,54 @@ def test_gap_sentinel_and_spectrum_error():
     assert spectral_gap(x, -1) == 3.0  # one-dimensional space, value n0
 
 
-def test_missing_top_eigenvalue():
-    x = ag23()
-    assert missing_top_eigenvalue(x, 2) == pytest.approx(3.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        missing_top_eigenvalue(x, 1)
-    two_pts = from_missing_faces(2, [(0, 1)])
-    assert missing_top_eigenvalue(two_pts, 1) == pytest.approx(2.0, abs=1e-10)
+def _solved_sides(monkeypatch):
+    """Record the side of every matrix handed to the eigensolver."""
+    sides = []
+
+    def solver(mat):
+        sides.append(mat.shape[0])
+        return eigenvalues_sym(mat)
+
+    monkeypatch.setattr(homology, "eigenvalues_sym", solver)
+    return sides
+
+
+def test_missing_top_eigenvalue(monkeypatch):
+    sides = _solved_sides(monkeypatch)
+    for n, missing, i, side, lam in [
+        (4, [(0,), (2,)], 0, 1, 2.0),              # missing vertices: C(n, 0) = 1 row
+        (3, [(0, 1), (0, 2), (1, 2)], 1, 3, 3.0),  # equal sides: the triangle's graph Laplacian
+        (2, [(0, 1)], 1, 1, 2.0),                  # a single missing edge
+        (9, ag23_lines(), 2, 12, 3.0),             # ag23: 12 lines against 36 edges
+    ]:
+        x = from_missing_faces(n, missing)
+        del sides[:]
+        assert missing_top_eigenvalue(x, i) == pytest.approx(lam, abs=1e-8)
+        assert sides == [side]
+        with pytest.raises(ValueError):
+            missing_top_eigenvalue(x, i - 1)
+
+
+def test_missing_top_eigenvalue_solves_the_smaller_laplacian(monkeypatch):
+    rng = random.Random(20)
+    cases = [random_complex(rng) for _ in range(120)]
+    sides = _solved_sides(monkeypatch)
+    for x in cases:
+        for i in sorted(x.missing_dims()):
+            y = x.missing_complex(i)
+            del sides[:]
+            lam = missing_top_eigenvalue(x, i)
+            assert sides == [min(y.n_faces(i - 1), y.n_faces(i))]
+            upper = eigenvalues_sym(laplacians(y, i - 1).plus.astype(np.float64))[-1]
+            assert abs(lam - upper) <= 1e-9 * max(1.0, upper)
+
+
+def test_missing_top_eigenvalue_range_guard(monkeypatch):
+    x = from_missing_faces(4, [(0, 1, 2)])
+    monkeypatch.setattr(homology, "eigenvalues_sym", lambda mat: np.full(len(mat), x.n + 1.0))
+    with pytest.raises(RuntimeError, match="certified range"):
+        missing_top_eigenvalue(x, 2)
+    assert ("missing-top", 2) not in x._memo
 
 
 # -- Betti numbers and connectivity -----------------------------------

@@ -10,9 +10,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+import scx.matroids as matroids
 from scx.complexes import Partition, from_missing_faces
 from scx.domination import rep_value
 from scx.matroids import (
@@ -262,6 +264,27 @@ def test_phi_star_ag23():
     w = phi_star_weighting(m)
     assert w.total == 9
     assert fractional_gp_violations(m, w) == []
+
+
+def test_phi_star_builds_the_flat_supports_once(monkeypatch):
+    calls = []
+    build = matroids._gp_constraint_supports
+    monkeypatch.setattr(matroids, "_gp_constraint_supports",
+                        lambda m, elems: calls.append(elems) or build(m, elems))
+    rng = random.Random(67)
+    for _ in range(5):
+        m = random_linear(rng, n_max=8)
+        del calls[:]
+        phi_star(m)
+        assert calls == [tuple(range(m.n))]
+
+
+def test_phi_star_rechecks_the_lp_weighting(monkeypatch):
+    # the re-check runs on the supports the LP was built from
+    monkeypatch.setattr(matroids, "lp_solve_max", lambda c, a, b: SimpleNamespace(
+        status="optimal", x=[Fraction(3)] * len(c)))
+    with pytest.raises(RuntimeError, match="infeasible"):
+        phi_star(ag23_matroid())
 
 
 def test_phi_star_rank_guard():

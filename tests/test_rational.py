@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 import sympy
 
+import scx.numerics.rational as rational
 from scx.homology import coboundary_matrix
 from scx.numerics.rational import rank_exact
 from scx.randomgen import random_complex
@@ -79,6 +81,24 @@ def test_rank_rejects_ragged_rows():
 P0 = sympy.prevprime(2**31)
 P1 = sympy.prevprime(P0)
 P2 = sympy.prevprime(P1)
+
+
+def test_primes_run_down_from_the_largest_below_2_31():
+    want = [sympy.prevprime(2**31)]
+    while len(want) < 25:
+        want.append(sympy.prevprime(want[-1]))
+    assert list(islice(rational._primes(), 25)) == want
+
+
+def test_primes_found_once_are_not_retested(monkeypatch):
+    first = list(islice(rational._primes(), 8))
+    tested = []
+    is_prime = rational._is_prime
+    monkeypatch.setattr(rational, "_is_prime", lambda q: tested.append(q) or is_prime(q))
+    assert list(islice(rational._primes(), 8)) == first
+    assert tested == []
+    rank_exact([[P0 * P1, 0], [0, 1]])
+    assert tested == []
 
 
 @pytest.mark.parametrize(
