@@ -8,8 +8,8 @@ is reported on stderr so reruns stay byte-identical); ``--pretty``
 switches to a human table.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input could not be
-parsed, 3 a numeric certification failed, 4 a size or applicability
-guard refused the computation.
+parsed or has the wrong shape, 3 a numeric certification failed, 4 a
+size or applicability guard refused the computation.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .reports import json_lists
+
 __all__ = [
     "Complex",
     "MissingFaceStats",
@@ -68,14 +70,26 @@ def _mask_of(vertices, n: int) -> int:
 
 
 def _vertices_of(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
+
+
+def _relabel(masks, verts) -> list[int]:
+    """Each mask, all of whose vertices lie in the ascending ``verts``,
+    with vertex verts[j] renamed j."""
+    pos = {v: j for j, v in enumerate(verts)}
+    out = []
+    for m in masks:
+        mm = 0
+        for v in _vertices_of(m):
+            mm |= 1 << pos[v]
+        out.append(mm)
+    return out
 
 
 def _minimalize(masks) -> list[int]:
@@ -113,7 +127,7 @@ class Complex:
     """
 
     __slots__ = ("n", "_missing", "_by_card", "_by_top", "_faces", "_masks", "_index", "_dim",
-                 "_memo")
+                 "_layers", "_memo")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
@@ -153,6 +167,7 @@ class Complex:
         self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
+        self._layers: dict[int, Complex] = {}
         # results of scx.homology on this complex; only that module knows the keys
         self._memo: dict[tuple, object] = {}
 
@@ -293,16 +308,9 @@ class Complex:
         smask = _mask_of(sigma, self.n)
         if not self.contains_mask(smask):
             raise ValueError(f"{tuple(sorted(sigma))} is not a face")
-        rest = [v for v in range(self.n) if not smask & (1 << v)]
-        relabel = {v: j for j, v in enumerate(rest)}
+        rest = _vertices_of(~smask & ((1 << self.n) - 1))
         gens = _minimalize(m & ~smask for m in self._missing)
-        lifted = []
-        for g in gens:
-            mm = 0
-            for v in _vertices_of(g):
-                mm |= 1 << relabel[v]
-            lifted.append(mm)
-        return Complex(len(rest), lifted)
+        return Complex(len(rest), _relabel(gens, rest))
 
     def induced(self, subset) -> "Complex":
         """Induced subcomplex on a vertex subset, relabelled densely.
@@ -314,15 +322,8 @@ class Complex:
         """
         umask = _mask_of(set(subset), self.n)
         verts = _vertices_of(umask)
-        relabel = {v: j for j, v in enumerate(verts)}
-        kept = []
-        for m in self._missing:
-            if m & umask == m:
-                mm = 0
-                for v in _vertices_of(m):
-                    mm |= 1 << relabel[v]
-                kept.append(mm)
-        return Complex(len(verts), kept)
+        kept = [m for m in self._missing if m & umask == m]
+        return Complex(len(verts), _relabel(kept, verts))
 
     def blowup(self, counts) -> "Complex":
         """Replace vertex v by counts[v] clones.
@@ -361,20 +362,13 @@ class Complex:
 
     def missing_complex(self, i: int) -> "Complex":
         """The i-dimensional complex with full (i-1)-skeleton whose
-        i-faces are this complex's missing i-faces."""
-        if i + 1 not in self._by_card:
-            raise ValueError(f"no missing faces of dimension {i}")
-        layer = frozenset(self._by_card[i + 1])
-        gens = [_mask_of(f, self.n) for f in combinations(range(self.n), i + 1)
-                if _mask_of(f, self.n) not in layer]
-        if i + 2 <= self.n:
-            for f in combinations(range(self.n), i + 2):
-                m = 0
-                for v in f:
-                    m |= 1 << v
-                if all(m & ~(1 << v) in layer for v in f):
-                    gens.append(m)
-        return Complex(self.n, gens)
+        i-faces are this complex's missing i-faces.  Built once per i and
+        kept on this complex, so the layer's own cached faces and
+        incidences serve every caller."""
+        y = self._layers.get(i)
+        if y is None:
+            y = self._layers[i] = _layer_complex(self, i)
+        return y
 
     def missing_stats(self, theta) -> MissingFaceStats:
         """Which top-cardinality subsets of theta are absent, and their
@@ -404,6 +398,25 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex(n={self.n}, missing={list(self.missing_faces)!r})"
+
+
+def _layer_complex(x: Complex, i: int) -> Complex:
+    """Build the layer of :meth:`Complex.missing_complex`.  Its missing
+    faces are the (i+1)-sets outside the layer and the (i+2)-sets whose
+    (i+1)-subsets all lie in it."""
+    if i + 1 not in x._by_card:
+        raise ValueError(f"no missing faces of dimension {i}")
+    layer = frozenset(x._by_card[i + 1])
+    gens = [_mask_of(f, x.n) for f in combinations(range(x.n), i + 1)
+            if _mask_of(f, x.n) not in layer]
+    if i + 2 <= x.n:
+        for f in combinations(range(x.n), i + 2):
+            m = 0
+            for v in f:
+                m |= 1 << v
+            if all(m & ~(1 << v) in layer for v in f):
+                gens.append(m)
+    return Complex(x.n, gens)
 
 
 def from_facets(n: int, facets) -> Complex:
@@ -537,12 +550,10 @@ def complex_from_json(text) -> Complex:
         raise ValueError("complex JSON needs exactly one of 'facets' or 'missing_faces'")
     n = as_int(obj["n"], "n")
     if has_f:
-        return from_facets(n, obj["facets"])
-    return from_missing_faces(n, obj["missing_faces"])
+        return from_facets(n, json_lists(obj, "facets", "complex"))
+    return from_missing_faces(n, json_lists(obj, "missing_faces", "complex"))
 
 
 def partition_from_json(text) -> Partition:
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
-    if not isinstance(obj, dict) or "classes" not in obj:
-        raise ValueError("partition JSON needs a 'classes' field")
-    return Partition(obj["classes"])
+    return Partition(json_lists(obj, "classes", "partition"))

@@ -16,6 +16,10 @@ as a pair (both feasible, complementary slackness, the value equal to
 both objectives).  Everything downstream (domination bounds,
 connectivity bounds, Hall-type colorful-simplex conditions) consumes
 that exact rational value.
+
+The Hall-type checks here and in ``matroids`` share one depth-first
+colorful-transversal search, pruned on each prefix, and one Hall sweep
+over the unions of classes.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
-from .complexes import Complex, Partition, as_vertex, is_colorful
+from .complexes import Complex, Partition, as_vertex
 from .homology import eta, missing_top_eigenvalue
 # lp_solve_max is not called here any more; perfbench's tracer tests
 # still look it up as scx.domination.lp_solve_max
 from .numerics import LpProblem, lp_solve, lp_solve_max  # noqa: F401
-from .reports import CheckRecord, digest
+from .reports import CheckRecord, digest, jsonable
 
 __all__ = [
     "VectorRepresentation",
@@ -405,24 +409,68 @@ def check_rep_eigen_bound(x: Complex, p: VectorRepresentation | None = None,
 # -- colorful simplices ------------------------------------------------
 
 
+def _check_cap(partition: Partition, cap: int) -> None:
+    if partition.m > cap:
+        raise ValueError(f"more than {cap} classes")
+
+
+def _transversal(partition: Partition, cap: int, n: int, ground: str, accepts):
+    """First transversal of the classes, sorted, whose vertices a
+    depth-first walk admits one by one through ``accepts(prefix, v)``;
+    None if there is none.  The walk follows ``product(*classes)`` order,
+    so for a property closed under subsets (a face, a general-position
+    set) it returns the first transversal in that order having it."""
+    _check_cap(partition, cap)
+    classes = partition.classes
+    for cl in classes:
+        if any(v < 0 or v >= n for v in cl):
+            raise ValueError(f"partition vertex outside the {ground}")
+
+    def walk(chosen):
+        if len(chosen) == len(classes):
+            return tuple(sorted(chosen))
+        for v in classes[len(chosen)]:
+            if accepts(chosen, v):
+                found = walk(chosen + (v,))
+                if found is not None:
+                    return found
+        return None
+
+    return walk(())
+
+
+def _hall_sweep(partition: Partition, cap: int, name: str, inputs: str, label: str,
+                union, search) -> CheckRecord:
+    """Every union of classes, by size then lexicographically, needs
+    ``union(which)`` = (value, threshold) with the value above the
+    threshold; the first that is not makes the check not applicable.
+    Otherwise ``search()`` must find a colorful transversal."""
+    _check_cap(partition, cap)
+    values = {}
+    for size in range(1, partition.m + 1):
+        for which in combinations(range(partition.m), size):
+            value, threshold = union(which)
+            values[",".join(map(str, which))] = [jsonable(value), threshold]
+            if not value > threshold:
+                return CheckRecord(name, inputs, None, None, None, True,
+                                   note=f"not applicable: {label} {value} <= threshold "
+                                        f"{threshold} for classes {which}",
+                                   details={"values": values})
+    found = search()
+    return CheckRecord(name, inputs, None, None, None, found is not None,
+                       details={"values": values, "found": found})
+
+
 def colorful_simplex_search(z: Complex, partition: Partition):
     """First transversal of the classes that is a face, or None."""
-    if partition.m > MAX_PARTITION_CLASSES:
-        raise ValueError(f"more than {MAX_PARTITION_CLASSES} classes")
-    for cl in partition.classes:
-        if any(v < 0 or v >= z.n for v in cl):
-            raise ValueError("partition vertex outside the complex")
-    for pick in product(*partition.classes):
-        if z.contains(pick):
-            return tuple(sorted(pick))
-    return None
+    return _transversal(partition, MAX_PARTITION_CLASSES, z.n, "complex",
+                        lambda chosen, v: z.contains(chosen + (v,)))
 
 
 def check_colorful_hall(z: Complex, partition: Partition) -> CheckRecord:
     """If every union of classes is connected one step deeper than the
     number of classes joined, a colorful simplex must exist."""
-    if partition.m > MAX_PARTITION_CLASSES:
-        raise ValueError(f"more than {MAX_PARTITION_CLASSES} classes")
+    _check_cap(partition, MAX_PARTITION_CLASSES)
     name = "colorful_hall"
     inputs = digest(z.n, z.missing_masks, partition.classes)
     m = partition.m
@@ -456,31 +504,16 @@ def check_representation_hall(x: Complex, partition: Partition, reps=None) -> Ch
     colorful simplex must exist.  Representations default to all-ones
     and may be supplied per class index set.
     """
-    if partition.m > MAX_PARTITION_CLASSES:
-        raise ValueError(f"more than {MAX_PARTITION_CLASSES} classes")
-    name = "representation_hall"
-    inputs = digest(x.n, x.missing_masks, partition.classes)
-    values = {}
-    for size in range(1, partition.m + 1):
-        for which in combinations(range(partition.m), size):
-            sub = x.induced(partition.union_of(which))
-            p = None if reps is None else reps.get(frozenset(which))
-            value = rep_value(p if p is not None else all_ones_representation(sub))
-            threshold = sum(r * comb(size - 1, r) for r in sub.missing_dims() if r >= 1)
-            values[",".join(map(str, which))] = [
-                str(value) if not isinstance(value, float) else "inf",
-                threshold,
-            ]
-            if not value > threshold:
-                return CheckRecord(
-                    name, inputs, None, None, None, True,
-                    note=f"not applicable: value {value} <= threshold {threshold} "
-                         f"for classes {which}",
-                    details={"values": values},
-                )
-    found = colorful_simplex_search(x, partition)
-    return CheckRecord(name, inputs, None, None, None, found is not None,
-                       details={"values": values, "found": found})
+
+    def union(which):
+        sub = x.induced(partition.union_of(which))
+        p = None if reps is None else reps.get(frozenset(which))
+        value = rep_value(p if p is not None else all_ones_representation(sub))
+        return value, sum(r * comb(len(which) - 1, r) for r in sub.missing_dims() if r >= 1)
+
+    return _hall_sweep(partition, MAX_PARTITION_CLASSES, "representation_hall",
+                       digest(x.n, x.missing_masks, partition.classes), "value", union,
+                       lambda: colorful_simplex_search(x, partition))
 
 
 # -- JSON boundary -----------------------------------------------------

@@ -25,6 +25,9 @@ d^T d in degree i-1 or its lower Laplacian d d^T in degree i (Horak and
 Jost, Spectra of combinatorial Laplace operators on simplicial
 complexes, 2013).
 
+Every dense coboundary or Laplacian passes one size guard first: above
+2**25 entries it is refused with a ValueError giving its shape.
+
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
 coboundary ranks are remembered on the complex (its ``_memo``, whose
 keys only this module knows), so a Betti vector ranks each coboundary
@@ -62,6 +65,19 @@ __all__ = [
 
 #: Default threshold below which a Laplacian eigenvalue counts as zero.
 KERNEL_TOL = 1e-7
+
+#: Most entries of one dense coboundary or Laplacian (2**25 int64 entries
+#: are 256 MiB).
+_DENSE_ENTRIES = 1 << 25
+
+
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    """An int64 zero matrix; a shape above the dense budget is refused
+    with a ValueError before anything is allocated."""
+    if rows * cols > _DENSE_ENTRIES:
+        raise ValueError(f"dense {rows} x {cols} matrix exceeds the budget of "
+                         f"{_DENSE_ENTRIES} entries")
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 # -- signs ------------------------------------------------------------
@@ -142,7 +158,7 @@ def coboundary_matrix(x: Complex, k: int) -> np.ndarray:
     Row sigma, column tau carries the sign of dropping from sigma the
     vertex missing from tau; for k = -1 this is the all-ones column.
     """
-    mat = np.zeros((x.n_faces(k + 1), x.n_faces(k)), dtype=np.int64)
+    mat = _zeros(x.n_faces(k + 1), x.n_faces(k))
     if k >= -1:
         inc = _incidence(x, k)
         mat[np.arange(len(inc))[:, None], inc] = _signs(k + 2)
@@ -170,8 +186,9 @@ def laplacian_from_formula(x: Complex, k: int):
     masks = x.face_masks(k)
     pos = {m: i for i, m in enumerate(masks)}
     m = len(faces)
-    minus = (k + 1) * np.eye(m, dtype=np.int64)
-    plus = np.zeros((m, m), dtype=np.int64)
+    minus = _zeros(m, m)
+    np.fill_diagonal(minus, k + 1)
+    plus = _zeros(m, m)
     for i, (f, mi) in enumerate(zip(faces, masks)):
         degree = 0
         for w in range(x.n):
@@ -202,7 +219,7 @@ def laplacian_from_products(x: Complex, k: int):
     m = x.n_faces(k)
     inc = _incidence(x, k)
     sgn = _signs(k + 2)
-    plus = np.zeros((m, m), dtype=np.int64)
+    plus = _zeros(m, m)
     np.add.at(plus, (inc[:, :, None], inc[:, None, :]), sgn[:, None] * sgn)
     low = _incidence(x, k - 1)  # one row per k-face
     order = np.argsort(low.ravel(), kind="stable")
@@ -214,7 +231,7 @@ def laplacian_from_products(x: Complex, k: int):
     size = np.searchsorted(col, col, side="right") - start
     left = np.repeat(np.arange(col.size), size)
     right = np.repeat(start + size - np.cumsum(size), size) + np.arange(left.size)
-    minus = np.zeros((m, m), dtype=np.int64)
+    minus = _zeros(m, m)
     np.add.at(minus, (row[left], row[right]), sgn[left] * sgn[right])
     return minus, plus
 

@@ -7,7 +7,8 @@ closures and flats, circuits, general-position complexes, the integer
 and fractional general-position numbers phi and phi-star (the latter an
 exact rational LP), a flat-indexed vector representation of the
 general-position complex, and Hall-type checkers that search for
-colorful general-position sets when the phi / phi-star hypotheses hold.
+colorful general-position sets when the phi / phi-star hypotheses hold,
+through the one transversal search and Hall sweep of ``domination``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, Partition, as_int, as_vertex, from_missing_faces
-from .domination import VectorRepresentation, index_sets, rep_value
+from .complexes import Complex, Partition, _vertices_of, as_int, as_vertex, from_missing_faces
+from .domination import VectorRepresentation, _hall_sweep, _transversal, index_sets, rep_value
 from .numerics.lp import lp_solve_max
-from .reports import CheckRecord, digest, jsonable
+from .reports import CheckRecord, digest, json_field, json_lists
 
 __all__ = [
     "LinearMatroid",
@@ -68,13 +69,6 @@ def _as_mask(s, n: int) -> int:
     return mask
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 class LinearMatroid:
     """Columns of a matrix over F_p; rank = rank of the chosen columns."""
 
@@ -103,7 +97,7 @@ class LinearMatroid:
             return cached
         p = self.p
         pivots = []  # echelon rows, each with leading coefficient 1
-        for v in _bits(mask):
+        for v in _vertices_of(mask):
             vec = list(self.columns[v])
             for lead, prow in pivots:
                 f = vec[lead]
@@ -173,7 +167,7 @@ def _closure_mask(m, mask: int) -> int:
 
 def closure(m, s) -> tuple:
     """Every vertex whose addition leaves the rank unchanged."""
-    return tuple(_bits(_closure_mask(m, _as_mask(s, m.n))))
+    return _vertices_of(_closure_mask(m, _as_mask(s, m.n)))
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,7 @@ def flats(m, r: int) -> FlatSet:
             mask = _as_mask(s, m.n)
             if m.rank_mask(mask) == r:
                 masks.add(_closure_mask(m, mask))
-    fs = FlatSet(r, tuple(sorted(tuple(_bits(mask)) for mask in masks)))
+    fs = FlatSet(r, tuple(sorted(_vertices_of(mask) for mask in masks)))
     m._flat_cache[r] = fs
     return fs
 
@@ -420,7 +414,7 @@ def flat_representation(m, u=None) -> VectorRepresentation:
             mask = smask | (1 << verts[vd])
             row = [Fraction(0)] * len(layer)
             if m.rank_mask(mask) == r:
-                row[col[tuple(_bits(_closure_mask(m, mask)))]] = Fraction(1)
+                row[col[_vertices_of(_closure_mask(m, mask))]] = Fraction(1)
             rows.append(tuple(row))
         mats[sigma] = rows
     return VectorRepresentation(x, mats)
@@ -465,49 +459,9 @@ def check_flat_rep_bound(m, u=None) -> CheckRecord:
 
 def colorful_gp_search(m, partition: Partition):
     """Lexicographically first transversal in general position, or None."""
-    if partition.m > MAX_GP_CLASSES:
-        raise ValueError(f"more than {MAX_GP_CLASSES} classes")
-    for cl in partition.classes:
-        if any(v < 0 or v >= m.n for v in cl):
-            raise ValueError("partition vertex outside the ground set")
     d = m.full_rank - 1
-
-    def walk(i, chosen):
-        if i == partition.m:
-            return tuple(sorted(chosen))
-        for v in partition.classes[i]:
-            if _extends(m, d, chosen, v):
-                res = walk(i + 1, chosen + (v,))
-                if res is not None:
-                    return res
-        return None
-
-    return walk(0, ())
-
-
-def _gp_hall(m, partition: Partition, name, label, value_of, threshold_of) -> CheckRecord:
-    """The Hall sweep of both general-position checks: every union I of
-    classes needs value_of(m, I) above threshold_of(|I|), and when every
-    union clears it a colorful general-position transversal must exist."""
-    if partition.m > MAX_GP_CLASSES:
-        raise ValueError(f"more than {MAX_GP_CLASSES} classes")
-    inputs = digest(matroid_to_json(m), partition.classes)
-    values = {}
-    for size in range(1, partition.m + 1):
-        threshold = threshold_of(size)
-        for which in combinations(range(partition.m), size):
-            val = value_of(m, partition.union_of(which))
-            values[",".join(map(str, which))] = [jsonable(val), threshold]
-            if not val > threshold:
-                return CheckRecord(
-                    name, inputs, None, None, None, True,
-                    note=f"not applicable: {label} {val} <= threshold {threshold} "
-                         f"for classes {which}",
-                    details={"values": values},
-                )
-    found = colorful_gp_search(m, partition)
-    return CheckRecord(name, inputs, None, None, None, found is not None,
-                       details={"values": values, "found": found})
+    return _transversal(partition, MAX_GP_CLASSES, m.n, "ground set",
+                        lambda chosen, v: _extends(m, d, chosen, v))
 
 
 def _gp_threshold(d: int, size: int) -> int:
@@ -521,8 +475,15 @@ def check_gp_hall(m, partition: Partition) -> CheckRecord:
     grows to d * sum r C(|I|-1, r).  When every union clears it, a
     colorful general-position transversal must exist."""
     d = m.full_rank - 1
-    return _gp_hall(m, partition, "gp_hall", "phi", phi,
-                    lambda size: size - 1 if size <= d + 1 else _gp_threshold(d, size))
+
+    def union(which):
+        size = len(which)
+        threshold = size - 1 if size <= d + 1 else _gp_threshold(d, size)
+        return phi(m, partition.union_of(which)), threshold
+
+    return _hall_sweep(partition, MAX_GP_CLASSES, "gp_hall",
+                       digest(matroid_to_json(m), partition.classes), "phi", union,
+                       lambda: colorful_gp_search(m, partition))
 
 
 def check_fractional_gp_hall(m, partition: Partition) -> CheckRecord:
@@ -530,8 +491,13 @@ def check_fractional_gp_hall(m, partition: Partition) -> CheckRecord:
     union of classes needs phi-star strictly above d * sum r C(|I|-1, r);
     then a colorful general-position transversal must exist."""
     d = m.full_rank - 1
-    return _gp_hall(m, partition, "fractional_gp_hall", "phi-star", phi_star,
-                    lambda size: _gp_threshold(d, size))
+
+    def union(which):
+        return phi_star(m, partition.union_of(which)), _gp_threshold(d, len(which))
+
+    return _hall_sweep(partition, MAX_GP_CLASSES, "fractional_gp_hall",
+                       digest(matroid_to_json(m), partition.classes), "phi-star", union,
+                       lambda: colorful_gp_search(m, partition))
 
 
 # -- stock geometries --------------------------------------------------
@@ -601,11 +567,11 @@ def matroid_to_json(m) -> str:
 
 def matroid_from_json(text: str):
     doc = json.loads(text)
-    kind = doc.get("kind")
+    kind = json_field(doc, "kind", "matroid")
     if kind == "linear":
-        return LinearMatroid(doc["p"], doc["columns"])
+        return LinearMatroid(json_field(doc, "p", "matroid"), json_lists(doc, "columns", "matroid"))
     if kind == "uniform":
-        return UniformMatroid(doc["rank"], doc["n"])
+        return UniformMatroid(json_field(doc, "rank", "matroid"), json_field(doc, "n", "matroid"))
     if kind == "builtin":
         name = doc.get("name")
         if name == "AG23":

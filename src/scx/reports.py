@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-__all__ = ["CheckRecord", "VerificationReport", "report_from_json", "digest", "jsonable"]
+__all__ = ["CheckRecord", "VerificationReport", "report_from_json", "digest", "jsonable",
+           "json_field", "json_lists"]
 
 
 def digest(*parts) -> str:
@@ -45,6 +46,21 @@ def jsonable(v):
     if isinstance(v, (int, str, bool)) or v is None:
         return v
     return str(v)
+
+
+def json_field(obj, key: str, what: str):
+    """obj[key] of a parsed JSON object, or a ValueError naming the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} JSON needs a '{key}' field")
+    return obj[key]
+
+
+def json_lists(obj, key: str, what: str) -> list:
+    """A field that must hold a list of lists (vertex sets, columns)."""
+    value = json_field(obj, key, what)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(e, (list, tuple)) for e in value):
+        raise ValueError(f"{what} JSON field '{key}' must be a list of lists")
+    return value
 
 
 @dataclass

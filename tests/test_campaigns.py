@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scx import homology
+from scx import complexes, homology
 from scx.campaigns import (
     REPRODUCE_NAMES,
     SUITES,
@@ -155,6 +155,20 @@ def test_hodge_assembles_each_degree_once(monkeypatch):
                   if r.check == "laplacian_assembly")
     assert degrees > 20
     assert calls == {"formula": degrees, "products": degrees}
+
+
+def test_yi_builds_each_missing_layer_once(monkeypatch):
+    # check_complement_identity and missing_top_eigenvalue share the layer
+    # kept on the complex: one build per (trial complex, dimension).  Seed
+    # 0 draws a few complexes in more than one trial, so its 111 builds
+    # hold 102 distinct layers.
+    built = []
+    build = complexes._layer_complex
+    monkeypatch.setattr(complexes, "_layer_complex",
+                        lambda x, i: built.append((x.n, x.missing_masks, i)) or build(x, i))
+    rep = run_suite("yi", seed=0)
+    assert len(rep.records) == len(built) == 111
+    assert len(set(built)) == 102
 
 
 def test_hodge_records_an_assembly_disagreement_as_a_failure(monkeypatch):

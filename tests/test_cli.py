@@ -100,6 +100,43 @@ def test_non_integer_vertex_in_complex_file_is_parse_failure(tmp_path, capsys):
     assert "vertex 1.5 is not an integer" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (("betti", "{path}", "--dim", "0"), '{"n":3,"missing_faces":[1]}',
+     "'missing_faces' must be a list"),
+    (("spectrum", "{path}", "--dim", "0"), '{"n":3,"missing_faces":[1]}',
+     "'missing_faces' must be a list"),
+    (("betti", "{path}", "--dim", "0"), '{"n":3,"facets":[[0,1],2]}', "'facets' must be a list"),
+    (("matroid", "hall", "--matroid", "builtin:AG23", "--partition", "{path}"),
+     '{"classes":[1,2]}', "'classes' must be a list"),
+    (("matroid", "hall", "--matroid", "builtin:AG23", "--partition", "{path}"),
+     '{"classes":5}', "'classes' must be a list"),
+    (("matroid", "phi", "--matroid", "{path}"), '{"kind":"uniform"}', "needs a 'rank' field"),
+    (("matroid", "phi", "--matroid", "{path}"), '{"kind":"linear","p":3,"columns":5}',
+     "'columns' must be a list"),
+    (("matroid", "phi", "--matroid", "{path}"), '[1,2]', "needs a 'kind' field"),
+])
+def test_malformed_json_shapes_are_parse_failures(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (("spectrum", "pg33", "--dim", "2"), "9360 x 9360"),
+    (("betti", "{path}", "--dim", "0"), "244649 x 700"),
+])
+def test_dense_matrices_over_budget_are_refused(tmp_path, capsys, argv, shape):
+    path = tmp_path / "k700_minus_edge.json"
+    path.write_text('{"n":700,"missing_faces":[[0,1]]}')
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 4
+    assert out == ""
+    assert f"dense {shape} matrix exceeds the budget of 33554432 entries" in err
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     code, out1, err = run_cli(capsys, "verify", "fp", "--trials", "2")
     assert code == 0
@@ -309,6 +346,26 @@ def test_matroid_hall_builtin_partition(capsys):
     checks = {r["check"] for r in doc["records"]}
     assert checks == {"fractional_gp_hall", "gp_hall"}
     assert doc["passed"] is True
+
+
+# pinned stdout: the general-position search and Hall sweep must keep it
+# byte for byte
+MATROID_HALL_AG23 = (
+    '{"n_records":2,"params":{"matroid":"builtin:AG23"},"passed":true,"records":['
+    '{"check":"fractional_gp_hall","details":{"found":[0,3,7],"values":{"0":["3",0],'
+    '"0,1":["6",2],"0,1,2":["9",8],"0,2":["6",2],"1":["3",0],"1,2":["6",2],"2":["3",0]}},'
+    '"inputs":"1bad4db4c0f1","lhs":null,"margin":null,"note":"","passed":true,"rhs":null},'
+    '{"check":"gp_hall","details":{"found":[0,3,7],"values":{"0":[2,0],"0,1":[4,1],'
+    '"0,1,2":[4,2],"0,2":[4,1],"1":[2,0],"1,2":[4,1],"2":[2,0]}},"inputs":"1bad4db4c0f1",'
+    '"lhs":null,"margin":null,"note":"","passed":true,"rhs":null}],"seed":0,'
+    '"suite":"matroid-hall"}\n')
+
+
+def test_matroid_hall_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "matroid", "hall", "--matroid", "builtin:AG23",
+                           "--partition", "3-parallel-lines")
+    assert code == 0
+    assert out == MATROID_HALL_AG23
 
 
 def test_matroid_hall_partition_file_matches_builtin(tmp_path, capsys):

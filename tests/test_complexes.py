@@ -12,6 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import scx.complexes as complexes
 from scx.complexes import (
     Complex,
     Partition,
@@ -344,6 +345,23 @@ def test_missing_complex_graph_layer():
     assert y.faces(1) == ((0, 1), (2, 3))
     assert y.faces(0) == ((0,), (1,), (2,), (3,))
     assert y.dim == 1
+
+
+def test_missing_complex_is_built_once_per_dimension():
+    x = from_missing_faces(6, [(0, 1), (2, 3, 4), (2, 3, 5)])
+    for i in (1, 2):
+        assert x.missing_complex(i) is x.missing_complex(i)
+    assert x.missing_complex(1) is not x.missing_complex(2)
+    with pytest.raises(ValueError, match="no missing faces of dimension 0"):
+        x.missing_complex(0)
+
+
+def test_vertices_of_lists_the_set_bits_ascending():
+    rng = random.Random(12)
+    for _ in range(200):
+        mask = rng.getrandbits(rng.randint(0, 70))
+        assert complexes._vertices_of(mask) == tuple(
+            v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 # -- blow-ups ---------------------------------------------------------

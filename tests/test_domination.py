@@ -6,13 +6,16 @@ covering LPs.  The octahedron boundary drives the Hall checks: three
 antipodal classes, colorful triangles everywhere.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import scx.randomgen as randomgen
 from scx.complexes import Complex, Partition, from_missing_faces
 from scx.domination import (
     VectorRepresentation,
@@ -460,6 +463,29 @@ def test_colorful_search_guards():
         colorful_simplex_search(from_missing_faces(2, [(0, 1)]), Partition([(5,)]))
 
 
+def _first_face_by_product(z, partition):
+    """The first transversal in product order that is a face, sorted."""
+    return next((tuple(sorted(p)) for p in product(*partition.classes) if z.contains(p)), None)
+
+
+def test_colorful_search_matches_the_product_scan():
+    # classes cover a random part of the vertices; every 20th pair has no class
+    rng = random.Random(410)
+    seen = {"no classes": 0, "one class": 0, "none found": 0, "found": 0}
+    for t in range(240):
+        z = random_complex(rng, n_max=7)
+        verts = rng.sample(range(z.n), rng.randint(1, z.n))
+        m = 0 if t % 20 == 0 else rng.randint(1, len(verts))
+        cuts = [0] + sorted(rng.sample(range(1, len(verts)), m - 1)) + [len(verts)] if m else []
+        part = Partition([verts[a:b] for a, b in zip(cuts, cuts[1:])])
+        found = colorful_simplex_search(z, part)
+        assert found == _first_face_by_product(z, part)
+        seen["no classes"] += m == 0
+        seen["one class"] += m == 1
+        seen["none found" if found is None else "found"] += 1
+    assert all(seen.values()), seen
+
+
 def test_colorful_hall_octahedron():
     rec = check_colorful_hall(octahedron(), Partition([(0, 1), (2, 3), (4, 5)]))
     assert rec.passed
@@ -495,6 +521,44 @@ def test_representation_hall_octahedron_not_applicable():
     rec = check_representation_hall(octahedron(), Partition([(0, 1), (2, 3), (4, 5)]))
     assert rec.passed
     assert "not applicable" in rec.note
+
+
+def _representation_hall_records():
+    """Canonical JSON of check_representation_hall on fixed cases: the two
+    above and 80 seeded random (complex, partition) pairs, every third
+    with a random representation supplied for each union of classes."""
+    cases = [(octahedron(), Partition([(0, 1), (2, 3), (4, 5)]), False),
+             (from_missing_faces(3, [(0, 1, 2)]), Partition([(0, 1, 2)]), False)]
+    for t in range(80):
+        rng = randomgen.trial_rng(7, t)
+        x = randomgen.random_complex(rng, 7, 3)
+        part = randomgen.random_partition(rng, x.n, rng.randint(1, min(4, x.n)))
+        cases.append((x, part, t % 3 == 0))
+    out = []
+    for x, part, with_reps in cases:
+        reps = None
+        if with_reps:
+            rng = randomgen.trial_rng(11, len(out))
+            reps = {frozenset(which): randomgen.random_representation(
+                        rng, x.induced(part.union_of(which)))
+                    for size in range(1, part.m + 1)
+                    for which in combinations(range(part.m), size)}
+        rec = check_representation_hall(x, part, reps)
+        out.append(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
+    return out
+
+
+def test_representation_hall_records_are_pinned():
+    # pinned records: the search and Hall sweep must keep them byte for byte
+    records = _representation_hall_records()
+    assert records[0] == (
+        '{"check":"representation_hall","details":{"values":{"0":["1",0],"0,1":["1",1],'
+        '"1":["1",0],"2":["1",0]}},"inputs":"c9524b465bb5","lhs":null,"margin":null,'
+        '"note":"not applicable: value 1 <= threshold 1 for classes (0, 1)",'
+        '"passed":true,"rhs":null}')
+    assert sum('"note":""' in r for r in records) == 39
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == (
+        "06e4f2f02dfec7c5f417dc4eb38c78dda8d2dad47918f9d5ed3b9a460cbf1cc8")
 
 
 def test_domination_summary():

@@ -569,3 +569,23 @@ def test_intersection_helper():
         intersection([])
     with pytest.raises(ValueError):
         intersection([a, from_missing_faces(3, [])])
+
+
+# -- dense size guard ---------------------------------------------------
+
+
+def test_dense_budget_refuses_before_allocating(monkeypatch):
+    assert homology._DENSE_ENTRIES == 1 << 25
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    for shape in ((1 << 25) + 1, 1), (4097, 8192):
+        with pytest.raises(ValueError, match=f"dense {shape[0]} x {shape[1]} matrix exceeds"):
+            homology._zeros(*shape)
+
+
+def test_dense_budget_guards_the_coboundary_and_both_assemblies():
+    x = pg33_complex()
+    for build in (laplacian_from_formula, laplacian_from_products):
+        with pytest.raises(ValueError, match="dense 9360 x 9360 matrix"):
+            build(x, 2)
+    with pytest.raises(ValueError, match="dense 72540 x 9360 matrix"):
+        coboundary_matrix(x, 2)

@@ -9,7 +9,7 @@ phi-star >= phi inequality.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +44,7 @@ from scx.matroids import (
     phi_star,
     phi_star_weighting,
 )
+from scx.randomgen import random_matroid, random_partition
 
 
 def random_linear(rng, n_max=8, p=3, height=3, min_rank=2):
@@ -362,6 +363,19 @@ def test_colorful_gp_search_guards():
 
 def test_colorful_gp_search_single_class():
     assert colorful_gp_search(ag23_matroid(), Partition([(3, 4)])) == (3,)
+
+
+def test_colorful_gp_search_matches_a_brute_force_scan():
+    rng = random.Random(411)
+    found = 0
+    for _ in range(150):
+        m = random_matroid(rng, n_max=9)
+        part = random_partition(rng, m.n, rng.randint(1, min(6, m.n)))
+        brute = next((tuple(sorted(p)) for p in product(*part.classes)
+                      if is_general_position(m, p)), None)
+        assert colorful_gp_search(m, part) == brute
+        found += brute is not None
+    assert 0 < found < 150
 
 
 def test_gp_hall_ag23():
