@@ -22,8 +22,10 @@ from pathlib import Path
 
 from .campaigns import REPRODUCE_NAMES, SUITES, run_reproduce, run_suite
 from .complexes import Partition, complex_from_json, from_missing_faces, partition_from_json
+from .domination import _check_partition
 from .homology import betti_exact, spectrum
 from .matroids import (
+    MAX_GP_CLASSES,
     check_fractional_gp_hall,
     check_gp_hall,
     matroid_from_json,
@@ -189,6 +191,8 @@ def cmd_matroid(args):
         partition = _load_partition(args.partition) if args.partition else None
         if args.operation == "hall" and partition is None:
             raise ValueError("the hall operation needs --partition")
+        if partition is not None:
+            _check_partition(partition, MAX_GP_CLASSES, m.n, "ground set")
     except ValueError as exc:
         return _fail(PARSE_FAILURE, exc)
     t0 = time.perf_counter()

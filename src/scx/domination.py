@@ -54,8 +54,6 @@ __all__ = [
     "colorful_simplex_search",
     "check_colorful_hall",
     "check_representation_hall",
-    "representation_to_json",
-    "representation_from_json",
 ]
 
 #: Largest class count accepted by the 2^m Hall sweeps.
@@ -229,7 +227,9 @@ def rep_value(p: VectorRepresentation):
     """The value |P|: exact optimum of the covering LP.
 
     Solves the primal (one nonnegative weight vector per index set,
-    weighted Gram rows covering every vertex) once, exactly.  Its dual
+    weighted Gram rows covering every vertex) once, exactly.  Every
+    cost is positive, so the all-slack basis is dual feasible and
+    ``lp_solve`` runs its dual simplex from there.  Its dual
     y is the single-vector packing optimum (y >= 0, y G_sigma <= 1 for
     every sigma, sum y = |P|); ``lp_solve`` certifies x and y as a pair
     before returning, so no second solve is needed.  With no index sets
@@ -409,9 +409,13 @@ def check_rep_eigen_bound(x: Complex, p: VectorRepresentation | None = None,
 # -- colorful simplices ------------------------------------------------
 
 
-def _check_cap(partition: Partition, cap: int) -> None:
+def _check_partition(partition: Partition, cap: int, n: int, ground: str) -> None:
+    """Refuse a partition with more than ``cap`` classes or a vertex
+    outside 0..n-1 (the ``ground``)."""
     if partition.m > cap:
         raise ValueError(f"more than {cap} classes")
+    if any(v < 0 or v >= n for cl in partition.classes for v in cl):
+        raise ValueError(f"partition vertex outside the {ground}")
 
 
 def _transversal(partition: Partition, cap: int, n: int, ground: str, accepts):
@@ -420,11 +424,8 @@ def _transversal(partition: Partition, cap: int, n: int, ground: str, accepts):
     None if there is none.  The walk follows ``product(*classes)`` order,
     so for a property closed under subsets (a face, a general-position
     set) it returns the first transversal in that order having it."""
-    _check_cap(partition, cap)
+    _check_partition(partition, cap, n, ground)
     classes = partition.classes
-    for cl in classes:
-        if any(v < 0 or v >= n for v in cl):
-            raise ValueError(f"partition vertex outside the {ground}")
 
     def walk(chosen):
         if len(chosen) == len(classes):
@@ -439,13 +440,14 @@ def _transversal(partition: Partition, cap: int, n: int, ground: str, accepts):
     return walk(())
 
 
-def _hall_sweep(partition: Partition, cap: int, name: str, inputs: str, label: str,
-                union, search) -> CheckRecord:
+def _hall_sweep(partition: Partition, cap: int, n: int, ground: str, name: str,
+                inputs: str, label: str, union, search) -> CheckRecord:
     """Every union of classes, by size then lexicographically, needs
     ``union(which)`` = (value, threshold) with the value above the
     threshold; the first that is not makes the check not applicable.
-    Otherwise ``search()`` must find a colorful transversal."""
-    _check_cap(partition, cap)
+    Otherwise ``search()`` must find a colorful transversal.  The
+    partition is checked before any union is evaluated."""
+    _check_partition(partition, cap, n, ground)
     values = {}
     for size in range(1, partition.m + 1):
         for which in combinations(range(partition.m), size):
@@ -470,7 +472,7 @@ def colorful_simplex_search(z: Complex, partition: Partition):
 def check_colorful_hall(z: Complex, partition: Partition) -> CheckRecord:
     """If every union of classes is connected one step deeper than the
     number of classes joined, a colorful simplex must exist."""
-    _check_cap(partition, MAX_PARTITION_CLASSES)
+    _check_partition(partition, MAX_PARTITION_CLASSES, z.n, "complex")
     name = "colorful_hall"
     inputs = digest(z.n, z.missing_masks, partition.classes)
     m = partition.m
@@ -511,33 +513,6 @@ def check_representation_hall(x: Complex, partition: Partition, reps=None) -> Ch
         value = rep_value(p if p is not None else all_ones_representation(sub))
         return value, sum(r * comb(len(which) - 1, r) for r in sub.missing_dims() if r >= 1)
 
-    return _hall_sweep(partition, MAX_PARTITION_CLASSES, "representation_hall",
+    return _hall_sweep(partition, MAX_PARTITION_CLASSES, x.n, "complex", "representation_hall",
                        digest(x.n, x.missing_masks, partition.classes), "value", union,
                        lambda: colorful_simplex_search(x, partition))
-
-
-# -- JSON boundary -----------------------------------------------------
-
-
-def representation_to_json(p: VectorRepresentation) -> str:
-    import json
-
-    doc = {
-        "sets": [
-            {
-                "sigma": list(sigma),
-                "matrix": [[str(e) for e in row] for row in p.matrices[sigma]],
-            }
-            for sigma in sorted(p.matrices, key=lambda s: (len(s), s))
-        ]
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def representation_from_json(text, x: Complex) -> VectorRepresentation:
-    import json
-
-    doc = json.loads(text)
-    # entries go in as parsed, so a JSON true is refused like a Python True
-    mats = {tuple(entry["sigma"]): entry["matrix"] for entry in doc["sets"]}
-    return VectorRepresentation(x, mats)

@@ -481,7 +481,7 @@ def check_gp_hall(m, partition: Partition) -> CheckRecord:
         threshold = size - 1 if size <= d + 1 else _gp_threshold(d, size)
         return phi(m, partition.union_of(which)), threshold
 
-    return _hall_sweep(partition, MAX_GP_CLASSES, "gp_hall",
+    return _hall_sweep(partition, MAX_GP_CLASSES, m.n, "ground set", "gp_hall",
                        digest(matroid_to_json(m), partition.classes), "phi", union,
                        lambda: colorful_gp_search(m, partition))
 
@@ -495,7 +495,7 @@ def check_fractional_gp_hall(m, partition: Partition) -> CheckRecord:
     def union(which):
         return phi_star(m, partition.union_of(which)), _gp_threshold(d, len(which))
 
-    return _hall_sweep(partition, MAX_GP_CLASSES, "fractional_gp_hall",
+    return _hall_sweep(partition, MAX_GP_CLASSES, m.n, "ground set", "fractional_gp_hall",
                        digest(matroid_to_json(m), partition.classes), "phi-star", union,
                        lambda: colorful_gp_search(m, partition))
 

@@ -1,10 +1,15 @@
 """Exact rational linear programming with duality certificates.
 
-Solves  min c.x  s.t.  A x >= b, x >= 0  by a two-phase primal simplex
-on the standard-form tableau with Bland's anti-cycling rule (always on;
-no performance pivoting).  Every optimal solve returns both a primal and
-a dual vector and certifies them, exactly, before returning: primal
-feasibility, dual feasibility, complementary slackness and c.x = b.y.
+Solves  min c.x  s.t.  A x >= b, x >= 0  by a simplex method started
+from the slack basis of  -A x + s = -b, with Bland's anti-cycling rule
+(always on; no performance pivoting).  The library poses two shapes,
+and each is feasible at that basis: with c >= 0 (every covering LP) the
+basis is dual feasible and a dual simplex runs; with b <= 0 (the
+packing LPs of ``lp_solve_max``) it is primal feasible and a primal
+simplex runs.  Any other sign pattern is refused with a ValueError.
+Every optimal solve returns both a primal and a dual vector and
+certifies them, exactly, before returning: primal feasibility, dual
+feasibility, complementary slackness and c.x = b.y.
 
 The columns, the right-hand side and the objective are first scaled to
 integers.  The tableau is kept as integer numerators over one common
@@ -86,13 +91,13 @@ def _pivot(N, den, basis, r, j):
     return p
 
 
-def _run_simplex(N, den, basis, limit):
-    """Bland's rule on columns [0, limit); N[-1] is the cost row.
-    Returns (status, den)."""
+def _run_simplex(N, den, basis):
+    """Primal simplex by Bland's rule from a primal-feasible basis;
+    N[-1] is the cost row.  Returns (status, den)."""
     m = len(basis)
     while True:
         cost = N[-1]
-        enter = next((j for j in range(limit) if cost[j] < 0), None)
+        enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if enter is None:
             return "optimal", den
         leave = None
@@ -111,78 +116,65 @@ def _run_simplex(N, den, basis, limit):
         den = _pivot(N, den, basis, leave, enter)
 
 
+def _run_dual_simplex(N, den, basis):
+    """Dual simplex by Bland's rule from a dual-feasible basis (cost
+    row >= 0).  Returns (status, den)."""
+    m = len(basis)
+    while True:
+        leave = min((i for i in range(m) if N[i][-1] < 0), key=basis.__getitem__,
+                    default=None)
+        if leave is None:
+            return "optimal", den
+        row, cost = N[leave], N[-1]
+        enter = None
+        for j, t in enumerate(row[:-1]):
+            if t < 0:
+                # ratios cost/|t| compared by cross-multiplying, ties
+                # broken by the smaller column
+                if enter is None or cost[j] * et > cost[enter] * t:
+                    enter, et = j, t
+        if enter is None:
+            return "infeasible", den
+        den = _pivot(N, den, basis, leave, enter)
+
+
 def _lcm_of_denominators(values) -> int:
     return math.lcm(*[v.denominator for v in values])
 
 
 def lp_solve(p: LpProblem) -> LpSolution:
-    """Two-phase exact simplex; see module docstring for guarantees."""
+    """Exact simplex from the slack basis; see module docstring."""
     m = len(p.b)
     n = len(p.c)
+    dual = all(cj >= 0 for cj in p.c)
+    if not dual and any(bi > 0 for bi in p.b):
+        raise ValueError("lp_solve needs c >= 0 or b <= 0")
     # scaled problem on integers: column j of A times kappa[j], b times
     # beta, c times mu (and kappa).  Positive scalings keep every Bland
-    # entering choice and every ratio-test argmin, so the pivot path is
-    # that of the unscaled tableau.
+    # choice and every ratio-test argmin, so the pivot path is that of
+    # the unscaled tableau.
     kappa = [_lcm_of_denominators(col) for col in zip(*p.A)] if m else [1] * n
     beta = _lcm_of_denominators(p.b)
     mu = _lcm_of_denominators(cj * k for cj, k in zip(p.c, kappa))
     A = [[a.numerator * (k // a.denominator) for a, k in zip(row, kappa)] for row in p.A]
     b = [bi.numerator * (beta // bi.denominator) for bi in p.b]
     c = [cj.numerator * (mu * k // cj.denominator) for cj, k in zip(p.c, kappa)]
-    pos_rhs = [bi > 0 for bi in b]  # rows kept as-is; the rest are negated
-    # equality form: rows with b>0 keep  A x - s = b  (artificial basic),
-    # rows with b<=0 are negated to  -A x + s = -b  (slack basic).
-    art_rows = [i for i in range(m) if pos_rhs[i]]
-    art_start = n + m
-    ncols = n + m + len(art_rows)
-    N = []
-    art_of = {}
-    basis = [0] * m
-    for i in range(m):
-        sgn = 1 if pos_rhs[i] else -1
-        row = [sgn * a for a in A[i]] + [0] * (ncols + 1 - n)
-        row[n + i] = -sgn
-        row[-1] = sgn * b[i]
-        if pos_rhs[i]:
-            art_of[i] = basis[i] = art_start + len(art_of)
-            row[basis[i]] = 1
-        else:
-            basis[i] = n + i
-        N.append(row)
-    # phase 1: minimize the sum of artificials (den is 1 on the identity basis)
-    cost = [0] * (ncols + 1)
-    for i in art_rows:
-        cost[art_of[i]] = 1
-        cost = [u - v for u, v in zip(cost, N[i])]
-    N.append(cost)
-    status, den = _run_simplex(N, 1, basis, ncols)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise RuntimeError("phase-1 simplex reported unbounded")
-    if N[-1][-1] != 0:
-        return LpSolution("infeasible", None, None, None)
-    # drive artificials out of the basis where possible, then bar them
-    for r in range(m):
-        if basis[r] >= art_start:
-            j = next((j for j in range(art_start) if N[r][j] != 0), None)
-            if j is not None:
-                den = _pivot(N, den, basis, r, j)
-    # phase 2: the real objective, reduced as den*c - sum c[bv]*N[r]
-    cost = [den * cj for cj in c] + [0] * (ncols + 1 - n)
-    for r, bv in enumerate(basis):
-        if bv < n and c[bv]:
-            f = c[bv]
-            cost = [u - f * v for u, v in zip(cost, N[r])]
-    N[-1] = cost
-    status, den = _run_simplex(N, den, basis, art_start)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, None)
+    # the slack tableau  -A x + s = -b  with s basic and den = 1: dual
+    # feasible when c >= 0, primal feasible when b <= 0
+    N = [[-a for a in row] + [0] * i + [1] + [0] * (m - 1 - i) + [-bi]
+         for i, (row, bi) in enumerate(zip(A, b))]
+    N.append(c + [0] * (m + 1))
+    basis = list(range(n, n + m))
+    status, den = (_run_dual_simplex if dual else _run_simplex)(N, 1, basis)
+    if status != "optimal":
+        return LpSolution(status, None, None, None)
     cost = N[-1]
     X = [0] * n
     for r, bv in enumerate(basis):
         if bv < n:
             X[bv] = N[r][-1]
-    # duals read off the reduced costs of each row's initial identity column
-    Y = [-cost[art_of[i]] if pos_rhs[i] else cost[n + i] for i in range(m)]
+    # duals read off the reduced costs of the slack columns
+    Y = cost[n:n + m]
     V = -cost[-1]
     _certify(A, b, c, den, X, Y, V)
     x = tuple(Fraction(k * e, den * beta) for k, e in zip(kappa, X))
@@ -229,7 +221,8 @@ def _certify(A, b, c, den, X, Y, V) -> None:
 def lp_solve_max(c, A, b) -> LpSolution:
     """max c.x  s.t.  A x <= b, x >= 0, with the same exact guarantees.
 
-    Solved as min (-c).x s.t. (-A) x >= (-b); the returned value and
+    Solved as min (-c).x s.t. (-A) x >= (-b), so it needs b >= 0 or
+    c <= 0 (the packing LPs have b >= 0); the returned value and
     duals are re-oriented for the maximization problem (y >= 0 with
     y.A >= c certificates become  value = b.y  by the same strong
     duality identity).

@@ -30,8 +30,6 @@ from scx.domination import (
     domination_summary,
     index_sets,
     rep_value,
-    representation_from_json,
-    representation_to_json,
     total_domination,
     validate_representation,
 )
@@ -167,9 +165,6 @@ def test_representation_rejects_bool_entries():
         rows = [(1, 0), (1, bad), (1, 0)]
         with pytest.raises(ValueError, match=rf"sigma=\(1,\): entry {bad} is a bool"):
             VectorRepresentation(x, {(0,): ones, (1,): rows, (2,): ones})
-    text = representation_to_json(all_ones_representation(x)).replace('["1"]', "[true]", 1)
-    with pytest.raises(ValueError, match=r"sigma=\(0,\): entry True is a bool"):
-        representation_from_json(text, x)
 
 
 def test_representation_rejects_non_integer_index_sets():
@@ -178,9 +173,6 @@ def test_representation_rejects_non_integer_index_sets():
     for bad in (0.0, True, 1.5):
         with pytest.raises(ValueError, match="vertex"):
             VectorRepresentation(x, {(bad,): rows, (1,): rows, (2,): rows})
-    text = representation_to_json(all_ones_representation(x)).replace('"sigma":[0]', '"sigma":[0.0]')
-    with pytest.raises(ValueError, match="vertex"):
-        representation_from_json(text, x)
 
 
 def test_rep_value_all_ones_is_one():
@@ -259,7 +251,9 @@ def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch)
     # rep_value's integer LP (column G[v] and cost d**2 over their gcd)
     # against the rational covering LP with all-ones cost, built here
     # from the Fraction rows: same value, same (row, column) pivots and
-    # the same basis determinant after each, so the same integer tableau
+    # the same basis determinant after each, so the same integer tableau.
+    # The dual simplex from the slack basis takes 62 pivots over the 30
+    # draws; a phase 1 that first reaches a feasible basis takes 365.
     import scx.numerics.lp as lp
     from scx.randomgen import random_representation as fractional_representation
 
@@ -274,6 +268,7 @@ def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch)
     monkeypatch.setattr(lp, "_pivot", recording)
     rng = random.Random(58)
     fractional = 0
+    total = 0
     for _ in range(30):
         x = random_complex(rng)
         p = fractional_representation(rng, x)
@@ -281,6 +276,7 @@ def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch)
         pivots.clear()
         value = rep_value(p)
         path = list(pivots)
+        total += len(path)
         sets = sorted(p.matrices, key=lambda s: (len(s), s))
         rows = [
             [sum((a * b for a, b in zip(p.matrices[s][v], p.matrices[s][w])), Fraction(0))
@@ -291,6 +287,7 @@ def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch)
         ref = lp_solve(LpProblem([1] * len(rows[0]), rows, [1] * x.n))
         assert path and (value, path) == (ref.value, pivots)
     assert fractional >= 20
+    assert total == 62
 
 
 def test_rep_value_invariant_under_relabeling():
@@ -312,16 +309,6 @@ def test_rep_value_invariant_under_relabeling():
             mats[new_sigma] = new_rows
         pm = VectorRepresentation(xm, mats)
         assert rep_value(p) == rep_value(pm)
-
-
-def test_representation_json_round_trip():
-    rng = random.Random(54)
-    x = random_complex(rng)
-    p = random_representation(rng, x)
-    text = representation_to_json(p)
-    q = representation_from_json(text, x)
-    assert q.matrices == p.matrices
-    assert representation_to_json(q) == text
 
 
 # -- the explicit dominating family -----------------------------------

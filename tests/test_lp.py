@@ -74,8 +74,19 @@ def test_max_form():
 
 
 def test_max_form_statuses():
-    assert lp_solve_max([1], [[-1]], [-1]).status == "unbounded"  # max x, x >= 1
-    assert lp_solve_max([1], [[1], [-1]], [1, -2]).status == "infeasible"
+    # each reached through a supported shape: b >= 0 runs the primal
+    # simplex, c <= 0 the dual simplex
+    assert lp_solve_max([1], [[-1]], [1]).status == "unbounded"  # max x, x >= -1
+    assert lp_solve_max([-1], [[1]], [-1]).status == "infeasible"  # x <= -1
+
+
+def test_mixed_signs_are_refused():
+    # some c < 0 and some b > 0: the slack basis is neither primal nor
+    # dual feasible, and no caller poses such a problem
+    with pytest.raises(ValueError, match=r"c >= 0 or b <= 0"):
+        lp_solve(LpProblem([-1], [[1]], [1]))
+    with pytest.raises(ValueError, match=r"c >= 0 or b <= 0"):
+        lp_solve_max([1], [[-1]], [-1])
 
 
 def test_exactness_no_float_drift():
@@ -88,16 +99,21 @@ def test_exactness_no_float_drift():
 
 
 def test_random_instances_match_scipy():
+    # each draw has one of the two supported shapes: c >= 0 with b of
+    # any sign (dual simplex; bounded, maybe infeasible) or b <= 0 with
+    # c of any sign (primal simplex; feasible, maybe unbounded)
     rng = random.Random(2024)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {(shape, s): 0 for shape in ("dual", "primal")
+                for s in ("optimal", "infeasible", "unbounded")}
     for _ in range(50):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        c = [rng.randint(-3, 5) for _ in range(n)]
+        shape = rng.choice(("dual", "primal"))
+        c = [rng.randint(0 if shape == "dual" else -3, 5) for _ in range(n)]
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        b = [rng.randint(-4, 4) for _ in range(m)]
+        b = [rng.randint(-4, 4 if shape == "dual" else 0) for _ in range(m)]
         sol = lp_solve(LpProblem(c, A, b))
-        statuses[sol.status] += 1
+        statuses[shape, sol.status] += 1
         ref = linprog(
             c,
             A_ub=[[-e for e in row] for row in A],
@@ -125,7 +141,10 @@ def test_random_instances_match_scipy():
             # (HiGHS may label such instances either unbounded or infeasible)
             assert feas.status == 0
             assert ref.status in (2, 3, 4)
-    assert statuses["optimal"] >= 10  # the campaign actually exercises the solver
+    # the campaign exercises every exit of both loops, and no other
+    assert statuses["dual", "optimal"] + statuses["primal", "optimal"] >= 10
+    assert statuses["dual", "infeasible"] >= 1 and statuses["primal", "unbounded"] >= 1
+    assert statuses["dual", "unbounded"] == statuses["primal", "infeasible"] == 0
 
 
 def test_problem_validation():
@@ -137,9 +156,10 @@ def test_problem_validation():
 
 
 # Exact answers of the rational (Fraction-tableau) Bland solver on data
-# with non-integer A, b and c and mixed-sign b (slack-basic rows).  The
-# "ties" and "degenerate" optima are not unique, so the pinned vertex and
-# duals lock the pivot path, not only the value.
+# with non-integer A, b and c >= 0 and mixed-sign b, so the dual simplex
+# from the slack basis solves each.  The "ties" and "degenerate" optima
+# are not unique, so the pinned vertex and duals lock the pivot path,
+# not only the value.
 F = Fraction
 PINNED = {
     "mixed": (
@@ -169,22 +189,22 @@ PINNED = {
          [F(5, 4), F(-1, 6), F(-3, 8)]),
         (F(5, 6), (F(11, 10), F(7, 10), 0), (F(2, 3), 0, 0)),
     ),
-    # mirrored and repeated rows leave artificials basic after phase 1;
-    # driving them out pivots on negative entries (once here, twice in
-    # the two "redundant" cases)
+    # mirrored and repeated rows make degenerate optima; the two
+    # "redundant" cases have alternative duals (row 3 is twice row 1),
+    # so their pinned y is the one the dual simplex ends at
     "equality": (
         ([5], [[F(1, 2)], [F(-1, 2)]], [2, -2]),
         (20, (4,), (10, 0)),
     ),
     "redundant_integer": (
         ([1, 1], [[1, 1], [-1, -1], [2, 2]], [1, -1, 2]),
-        (1, (1, 0), (0, 0, F(1, 2))),
+        (1, (1, 0), (1, 0, 0)),
     ),
     "redundant": (
         ([F(1, 2), 1, F(1, 3)],
          [[F(1, 2), F(1, 3), 1], [F(-1, 2), F(-1, 3), -1], [1, F(2, 3), 2], [0, 1, F(1, 4)]],
          [F(3, 4), F(-3, 4), F(3, 2), F(1, 5)]),
-        (F(173, 660), (0, F(3, 220), F(41, 55)), (0, 0, F(1, 22), F(32, 33))),
+        (F(173, 660), (0, F(3, 220), F(41, 55)), (F(1, 11), 0, 0, F(32, 33))),
     ),
 }
 

@@ -359,6 +359,10 @@ def test_colorful_gp_search_guards():
         colorful_gp_search(UniformMatroid(3, 13), Partition([(v,) for v in range(13)]))
     with pytest.raises(ValueError, match="outside"):
         colorful_gp_search(m, Partition([(11,)]))
+    # the Hall sweeps refuse before evaluating any union
+    for check in (check_gp_hall, check_fractional_gp_hall):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            check(m, Partition([(0,), (99,)]))
 
 
 def test_colorful_gp_search_single_class():
