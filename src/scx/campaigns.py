@@ -171,7 +171,7 @@ def _duality(rng, n_max, d_max):
     objectives and complementary slackness, and raises on any failure."""
     x = random_complex(rng, n_max, d_max)
     p = random_representation(rng, x)
-    inputs = digest(x.n, x.missing_masks, sorted(p.matrices))
+    inputs = digest(x.n, x.missing_masks, sorted(p.scaled))
     try:
         value = rep_value(p)
     except RuntimeError as exc:  # pragma: no cover - duality never breaks

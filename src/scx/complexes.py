@@ -168,7 +168,8 @@ class Complex:
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
         self._layers: dict[int, Complex] = {}
-        # results of scx.homology on this complex; only that module knows the keys
+        # results of scx.homology and scx.domination on this complex; only
+        # those modules know their keys
         self._memo: dict[tuple, object] = {}
 
     # -- basic queries ------------------------------------------------

@@ -6,14 +6,20 @@ some missing face contains v and otherwise sits inside S.  The vector
 side assigns to each index set sigma (one cardinality below each
 missing dimension) a nonnegative rational matrix of vertex vectors,
 constrained so that pairs completing sigma to a missing face have inner
-product at least one.  Each index set's rows are scaled to integers once,
-at construction, by the lcm d of their denominators; inner products are
-then integer Gram entries over d**2, so validation, the eigenvalue bound
-and the covering LP run on integers.  The representation's value |P| is
-that covering LP, solved exactly; the one solve also returns its
-single-vector packing dual, and the solver's certificate checks the two
-as a pair (both feasible, complementary slackness, the value equal to
-both objectives).  Everything downstream (domination bounds,
+product at least one.  Integer rows are the stored form: each index
+set's rows times the lcm d of their denominators.  The constructor
+scales the int and Fraction rows it is given; the in-library builders
+(``all_ones_representation``, ``randomgen.random_representation``,
+``matroids.flat_representation``) hand over integer rows directly; the
+Fraction rows are only a view, built when asked for.  Inner products
+are integer Gram entries over d**2, each Gram matrix built once, so
+validation, the covering check of the dominating family, the
+eigenvalue bound and the covering LP all run on integers.  The
+representation's value |P| is that covering LP, solved exactly, with
+one column per distinct (cost, column) pair; the one solve also
+returns its single-vector packing dual, and the solver's certificate
+checks the two as a pair (both feasible, complementary slackness, the
+value equal to both objectives).  Everything downstream (domination bounds,
 connectivity bounds, Hall-type colorful-simplex conditions) consumes
 that exact rational value.
 
@@ -25,6 +31,7 @@ over the unions of classes.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,53 +119,81 @@ def index_sets(x: Complex) -> tuple:
 
     For every missing dimension i >= 1 this contributes all subsets of
     cardinality i-1; two extra vertices then complete such a set to a
-    candidate missing face.
+    candidate missing face.  Listed once per complex.
     """
-    out = []
-    for i in sorted(x.missing_dims()):
-        if i < 1:
-            continue
-        out.extend(combinations(range(x.n), i - 1))
-    return tuple(sorted(set(out), key=lambda s: (len(s), s)))
+    key = ("index-sets",)
+    if key not in x._memo:
+        out = []
+        for i in sorted(x.missing_dims()):
+            if i < 1:
+                continue
+            out.extend(combinations(range(x.n), i - 1))
+        x._memo[key] = tuple(sorted(set(out), key=lambda s: (len(s), s)))
+    return x._memo[key]
 
 
 def _entry(e, sigma) -> Fraction:
-    if type(e) is Fraction:
-        return e
     if isinstance(e, bool):
         raise ValueError(f"sigma={sigma}: entry {e!r} is a bool, not a number")
+    if not isinstance(e, numbers.Rational):
+        raise ValueError(f"sigma={sigma}: entry {e!r} is not an int or a Fraction")
     return Fraction(e)
+
+
+def _scale(rows, sigma) -> tuple:
+    """(integer rows, d): the rows times d, the lcm of their denominators."""
+    rows = [[_entry(e, sigma) for e in row] for row in rows]
+    d = math.lcm(*(e.denominator for row in rows for e in row))
+    return tuple(tuple(e.numerator * (d // e.denominator) for e in row) for row in rows), d
 
 
 class VectorRepresentation:
     """Nonnegative rational vertex vectors for each index set of a complex.
 
-    ``matrices`` holds each index set's rows as Fractions; ``scaled``
-    holds the same rows times d as integers, with d the lcm of their
-    denominators, so inner products are exact integers over d**2.
+    ``scaled`` is the stored form: each index set's rows times d as
+    integers, with d the lcm of their denominators, so inner products
+    are exact integers over d**2.  ``matrices`` is the Fraction view of
+    the same rows, built when first asked for.  The constructor scales
+    rows of ints and Fractions; the in-library builders hand over
+    integer rows directly through ``_from_scaled``.  Either way the
+    representation is validated before it is returned.
     """
 
-    __slots__ = ("complex", "matrices", "scaled", "_gram")
+    __slots__ = ("complex", "scaled", "_gram", "_matrices")
 
     def __init__(self, x: Complex, matrices) -> None:
-        self.complex = x
-        mats = {}
         scaled = {}
         for sigma, rows in matrices.items():
             key = tuple(sorted(as_vertex(v) for v in sigma))
-            rows = tuple(tuple(_entry(e, key) for e in row) for row in rows)
-            d = math.lcm(*(e.denominator for row in rows for e in row))
-            mats[key] = rows
-            scaled[key] = (
-                tuple(tuple(e.numerator * (d // e.denominator) for e in row) for row in rows),
-                d,
-            )
-        self.matrices = mats
+            scaled[key] = _scale(rows, key)
+        self._init(x, scaled)
+
+    @classmethod
+    def _from_scaled(cls, x: Complex, scaled: dict) -> VectorRepresentation:
+        """From ``{sigma: (integer rows, d)}`` in the stored form: sigma
+        sorted, d the lcm of the denominators of the rows over d."""
+        p = cls.__new__(cls)
+        p._init(x, scaled)
+        return p
+
+    def _init(self, x: Complex, scaled: dict) -> None:
+        self.complex = x
         self.scaled = scaled
         self._gram = {}
+        self._matrices = None
         ok, violations = validate_representation(self, x)
         if not ok:
             raise ValueError("invalid representation: " + "; ".join(violations[:5]))
+
+    @property
+    def matrices(self) -> dict:
+        """Each index set's rows as Fractions."""
+        if self._matrices is None:
+            self._matrices = {
+                sigma: tuple(tuple(Fraction(e, d) for e in row) for row in rows)
+                for sigma, (rows, d) in self.scaled.items()
+            }
+        return self._matrices
 
     def vector(self, sigma, v) -> tuple:
         return self.matrices[tuple(sigma)][v]
@@ -170,15 +205,31 @@ class VectorRepresentation:
         g = self._gram.get(sigma)
         if g is None:
             rows, d = self.scaled[sigma]
-            g = self._gram[sigma] = (
-                tuple(tuple(sum(map(operator.mul, a, b)) for b in rows) for a in rows),
-                d,
-            )
+            # the upper triangle, mirrored
+            full = [[0] * len(rows) for _ in rows]
+            for i, a in enumerate(rows):
+                gi = full[i]
+                for j in range(i, len(rows)):
+                    gi[j] = full[j][i] = sum(map(operator.mul, a, rows[j]))
+            g = self._gram[sigma] = (tuple(map(tuple, full)), d)
         return g
 
     def gram_entry(self, sigma, v, w) -> Fraction:
         g, d = self.gram(sigma)
         return Fraction(g[v][w], d * d)
+
+
+def _completions(x: Complex) -> tuple:
+    """(sigma, pairs): each index set sigma with the pairs v < w that
+    complete it to a missing face; listed once per complex."""
+    key = ("completions",)
+    if key not in x._memo:
+        pairs = {}
+        for mu in x.missing_faces:
+            for sigma in combinations(mu, len(mu) - 2):
+                pairs.setdefault(sigma, []).append(tuple(sorted(set(mu) - set(sigma))))
+        x._memo[key] = tuple((sigma, tuple(vw)) for sigma, vw in pairs.items())
+    return x._memo[key]
 
 
 def validate_representation(p: VectorRepresentation, x: Complex):
@@ -188,7 +239,7 @@ def validate_representation(p: VectorRepresentation, x: Complex):
     violations)."""
     violations = []
     expected = index_sets(x)
-    got = tuple(sorted(p.matrices, key=lambda s: (len(s), s)))
+    got = tuple(sorted(p.scaled, key=lambda s: (len(s), s)))
     if got != expected:
         return False, [f"index sets mismatch: expected {expected}, got {got}"]
     for sigma, (rows, _) in p.scaled.items():
@@ -201,26 +252,21 @@ def validate_representation(p: VectorRepresentation, x: Complex):
             violations.append(f"sigma={sigma}: negative entry")
     if violations:
         return False, violations
-    for mu in x.missing_faces:
-        card = len(mu)
-        for sigma in combinations(mu, card - 2):
-            if sigma not in p.scaled:
-                continue
-            v, w = sorted(set(mu) - set(sigma))
-            g, d = p.gram(sigma)
-            if g[v][w] < d * d:
+    for sigma, pairs in _completions(x):
+        g, d = p.gram(sigma)
+        dd = d * d
+        for v, w in pairs:
+            if g[v][w] < dd:
                 violations.append(
-                    f"sigma={sigma}: vectors {v},{w} have product "
-                    f"{Fraction(g[v][w], d * d)} < 1"
+                    f"sigma={sigma}: vectors {v},{w} have product {Fraction(g[v][w], dd)} < 1"
                 )
     return not violations, violations
 
 
 def all_ones_representation(x: Complex) -> VectorRepresentation:
     """One-dimensional vectors, every entry 1 — valid on any complex."""
-    return VectorRepresentation(
-        x, {sigma: [(1,)] * x.n for sigma in index_sets(x)}
-    )
+    ones = ((1,),) * x.n
+    return VectorRepresentation._from_scaled(x, {sigma: (ones, 1) for sigma in index_sets(x)})
 
 
 def rep_value(p: VectorRepresentation):
@@ -239,22 +285,29 @@ def rep_value(p: VectorRepresentation):
     that its column is G[v] and its cost d**2, both divided by their
     gcd.  That is the column the solver's own scaling makes of the
     rational column G[v] / d**2 with cost 1, so the tableau, the pivot
-    path and the value are those of the rational covering LP.
+    path and the value are those of the rational covering LP.  Only the
+    first copy of each (cost, column) pair is kept: a later copy has the
+    same tableau column and reduced cost, so Bland's rule, which breaks
+    ties to the smaller column, never lets it enter.  The pivot path
+    (columns renamed), the duals and the value are unchanged, and an
+    all-ones or width-1 representation leaves one column per index set
+    at most.
     """
-    if not p.matrices:
+    if not p.scaled:
         return math.inf
     # primal: min sum alpha  s.t.  sum_sigma G_sigma^T alpha_sigma >= 1,
     # column (sigma, v) being row v of the symmetric G_sigma
-    cost = []
-    cols = []
-    for sigma in sorted(p.matrices, key=lambda s: (len(s), s)):
+    columns = {}
+    for sigma in sorted(p.scaled, key=lambda s: (len(s), s)):
         g, d = p.gram(sigma)
         dd = d * d
         for col in g:
             k = math.gcd(dd, *col)
-            cost.append(dd // k)
-            cols.append([e // k for e in col])
-    primal = lp_solve(LpProblem(cost, list(zip(*cols)), [1] * p.complex.n))
+            pair = (dd // k, tuple(e // k for e in col)) if k > 1 else (dd, col)
+            columns.setdefault(pair, None)
+    cost = [c for c, _ in columns]
+    primal = lp_solve(LpProblem(cost, list(zip(*(col for _, col in columns))),
+                                [1] * p.complex.n))
     if primal.status != "optimal":  # pragma: no cover - all-ones scaling is feasible
         raise RuntimeError(f"covering LP {primal.status}; representation invalid?")
     return primal.value
@@ -279,27 +332,27 @@ def dominating_alpha_from_tds(s, p: VectorRepresentation):
     if not _dominates(x, s):
         raise ValueError(f"{s} is not totally dominating")
     sset = set(s)
+    # the vertices of S minus sigma, for each index set sigma inside S
+    support = {sigma: [v for v in s if v not in sigma]
+               for sigma in index_sets(x) if sset.issuperset(sigma)}
+    weighted = sum(map(len, support.values()))
+    if weighted != d * comb(len(s), d):
+        raise RuntimeError(f"weight {Fraction(weighted, d)} != C({len(s)},{d})")
+    # vertex w is covered when the sum of G_sigma[v][w] / (d scale**2)
+    # over the family is at least 1; summed in integers over d * big,
+    # big the lcm of the squared scales
+    grams = [(support[sigma], *p.gram(sigma)) for sigma in support]
+    big = math.lcm(*(scale * scale for _, _, scale in grams))
+    for w in range(x.n):
+        cover = sum(big // (scale * scale) * sum(g[v][w] for v in vs)
+                    for vs, g, scale in grams)
+        if cover < d * big:
+            raise RuntimeError(f"constructed family fails to dominate vertex {w}")
+    one, zero = Fraction(1, d), Fraction(0)
     alpha = {}
     for sigma in index_sets(x):
-        if set(sigma) <= sset:
-            alpha[sigma] = tuple(
-                Fraction(1, d) if (v in sset and v not in sigma) else Fraction(0)
-                for v in range(x.n)
-            )
-        else:
-            alpha[sigma] = tuple(Fraction(0) for _ in range(x.n))
-    total = sum(sum(a) for a in alpha.values())
-    if total != comb(len(s), d):
-        raise RuntimeError(f"weight {total} != C({len(s)},{d})")
-    for w in range(x.n):
-        cover = sum(
-            a[v] * p.gram_entry(sigma, v, w)
-            for sigma, a in alpha.items()
-            for v in range(x.n)
-            if a[v]
-        )
-        if cover < 1:
-            raise RuntimeError(f"constructed family fails to dominate vertex {w}")
+        vs = support.get(sigma, ())
+        alpha[sigma] = tuple(one if v in vs else zero for v in range(x.n))
     return alpha
 
 
@@ -413,7 +466,7 @@ def _check_partition(partition: Partition, cap: int, n: int, ground: str) -> Non
     """Refuse a partition with more than ``cap`` classes or a vertex
     outside 0..n-1 (the ``ground``)."""
     if partition.m > cap:
-        raise ValueError(f"more than {cap} classes")
+        raise ValueError(f"{partition.m} classes, more than {cap}")
     if any(v < 0 or v >= n for cl in partition.classes for v in cl):
         raise ValueError(f"partition vertex outside the {ground}")
 

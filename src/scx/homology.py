@@ -15,9 +15,11 @@ kernel dimension of the full Laplacian (harmonic representatives).  The
 exact ranks are taken modulo primes below 2**31 and certified over Q:
 a rank found modulo some prime is a lower bound, and once the product
 of the primes used exceeds the Hadamard bound on the next-larger minors
-no larger rank is possible (see numerics.rational).  The
-homological connectivity eta is one more than the first index with a
-nonvanishing reduced Betti number, or infinity when none exists.
+no larger rank is possible (see numerics.rational).  When the two ranks
+modulo the first prime already sum to the dimension of the cochain
+space, both are exact and the Betti number is 0, with no second prime.
+The homological connectivity eta is one more than the first index with
+a nonvanishing reduced Betti number, or infinity when none exists.
 
 The top eigenvalue of a missing layer is solved on the smaller of two
 matrices with the same nonzero spectrum: the layer's upper Laplacian
@@ -29,9 +31,9 @@ Every dense coboundary or Laplacian passes one size guard first: above
 2**25 entries it is refused with a ValueError giving its shape.
 
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
-coboundary ranks are remembered on the complex (its ``_memo``, whose
-keys only this module knows), so a Betti vector ranks each coboundary
-once.
+coboundary ranks are remembered on the complex (in its ``_memo``,
+under keys of this module's own), so a Betti vector ranks each
+coboundary once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import Complex
-from .numerics import eigenvalues_sym, rank_exact
+from .numerics import eigenvalues_sym, rank_exact, rank_first_prime
 
 __all__ = [
     "LaplacianSet",
@@ -346,12 +348,27 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
 # -- cohomology -------------------------------------------------------
 
 
+def _coboundary_rank_mod(x: Complex, k: int) -> int:
+    """Rank of the degree-k coboundary modulo the first prime, a lower
+    bound on its rank over Q; memoized on the complex."""
+    key = ("coboundary-rank-mod", k)
+    if key not in x._memo:
+        x._memo[key] = rank_first_prime(coboundary_matrix(x, k))
+    return x._memo[key]
+
+
 def _coboundary_rank(x: Complex, k: int) -> int:
     """Rank over Q of the degree-k coboundary, memoized on the complex:
-    the Betti numbers of degrees k and k+1 both need it."""
+    the Betti numbers of degrees k and k+1 both need it.  A modular rank
+    equal to the smaller side is already exact; otherwise ``rank_exact``
+    goes on from the second prime."""
     key = ("coboundary-rank", k)
     if key not in x._memo:
-        x._memo[key] = rank_exact(coboundary_matrix(x, k))
+        first = _coboundary_rank_mod(x, k)
+        if first == min(x.n_faces(k), x.n_faces(k + 1)):
+            x._memo[key] = first
+        else:
+            x._memo[key] = rank_exact(coboundary_matrix(x, k), first=first)
     return x._memo[key]
 
 
@@ -359,10 +376,19 @@ def betti_exact(x: Complex, k: int) -> int:
     """Reduced Betti number from exact rational ranks.
 
     dim C^k minus the ranks of the coboundaries out of and into degree
-    k, each certified over Q by primes and a Hadamard bound.
+    k.  Both are first taken modulo one prime.  Over Q the two ranks sum
+    to at most f_k (the coboundary squares to zero) and each is at least
+    its modular rank, so when the modular ranks sum to f_k both are
+    exact and the Betti number is 0.  Otherwise each rank is certified
+    over Q by more primes and a Hadamard bound.
     """
     nk = x.n_faces(k)
     if nk == 0:
+        return 0
+    up, down = _coboundary_rank_mod(x, k), _coboundary_rank_mod(x, k - 1)
+    if up + down == nk:
+        x._memo[("coboundary-rank", k)] = up
+        x._memo[("coboundary-rank", k - 1)] = down
         return 0
     return nk - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
 

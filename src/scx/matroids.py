@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -401,7 +402,7 @@ def flat_representation(m, u=None) -> VectorRepresentation:
     """
     verts = tuple(sorted(set(u))) if u is not None else tuple(range(m.n))
     x = gp_complex(m, verts)
-    mats = {}
+    scaled = {}
     for sigma in index_sets(x):
         r = len(sigma) + 1
         layer = flats(m, r).flats
@@ -412,12 +413,12 @@ def flat_representation(m, u=None) -> VectorRepresentation:
         rows = []
         for vd in range(x.n):
             mask = smask | (1 << verts[vd])
-            row = [Fraction(0)] * len(layer)
+            row = [0] * len(layer)
             if m.rank_mask(mask) == r:
-                row[col[_vertices_of(_closure_mask(m, mask))]] = Fraction(1)
+                row[col[_vertices_of(_closure_mask(m, mask))]] = 1
             rows.append(tuple(row))
-        mats[sigma] = rows
-    return VectorRepresentation(x, mats)
+        scaled[sigma] = (tuple(rows), 1)
+    return VectorRepresentation._from_scaled(x, scaled)
 
 
 def check_flat_rep_bound(m, u=None) -> CheckRecord:
@@ -438,16 +439,13 @@ def check_flat_rep_bound(m, u=None) -> CheckRecord:
     if isinstance(value, float) and math.isinf(value):
         return CheckRecord(name, inputs, target, value, math.inf, True,
                            note="representation value infinite (no index sets)")
+    # y = w / d is alpha-feasible when y G_sigma <= 1 for every sigma:
+    # in integers, yn G[v] <= den scale**2 with y = yn / den
     y = [w.as_dict()[v] / d for v in verts]
-    alpha_ok = True
-    for sigma in p.matrices:
-        for wv in range(x_n := p.complex.n):
-            total = sum(
-                (y[v] * p.gram_entry(sigma, v, wv) for v in range(x_n)),
-                Fraction(0),
-            )
-            if total > 1:
-                alpha_ok = False
+    den = math.lcm(*(f.denominator for f in y))
+    yn = [f.numerator * (den // f.denominator) for f in y]
+    alpha_ok = all(sum(map(operator.mul, yn, row)) <= den * scale * scale
+                   for g, scale in map(p.gram, p.scaled) for row in g)
     rhs = d * value
     passed = alpha_ok and target <= rhs
     return CheckRecord(name, inputs, target, rhs, rhs - target, passed,

@@ -2,7 +2,7 @@
 
 from .eigen import EigenError, eigenvalues_sym
 from .lp import LpProblem, LpSolution, lp_solve, lp_solve_max
-from .rational import rank_exact
+from .rational import rank_exact, rank_first_prime
 
 __all__ = [
     "EigenError",
@@ -12,4 +12,5 @@ __all__ = [
     "lp_solve",
     "lp_solve_max",
     "rank_exact",
+    "rank_first_prime",
 ]

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["rank_exact"]
+__all__ = ["rank_exact", "rank_first_prime"]
 
 
 def _is_prime(q: int) -> bool:
@@ -136,26 +136,45 @@ def _rank_mod(a: np.ndarray, p: int) -> int:
     return r
 
 
-def rank_exact(mat) -> int:
+def _oriented(mat) -> np.ndarray:
+    """The integer matrix, transposed if need be to have no more columns
+    than rows: elimination runs along the shorter side."""
+    a = _as_int_matrix(mat)
+    if a.shape[1] > a.shape[0]:
+        a = a.T
+    return np.ascontiguousarray(a)
+
+
+def rank_first_prime(mat) -> int:
+    """Rank modulo the first prime of ``rank_exact`` (2**31 - 1): a lower
+    bound on the rank over Q, which ``rank_exact`` accepts as ``first``."""
+    a = _oriented(mat)
+    if 0 in a.shape:
+        return 0
+    p = next(_primes())
+    return _rank_mod((a % p).astype(np.int64, copy=False), p)
+
+
+def rank_exact(mat, first: int | None = None) -> int:
     """Rank over the rationals, certified by primes and a Hadamard bound.
 
     Integer ndarrays are reduced modulo each prime in numpy; any other
     input (nested lists, float or object arrays) must
     hold integers, Fractions or integral floats, and its rows are
     cleared of denominators first.  Anything else (1.5, nan, inf)
-    raises ValueError.
+    raises ValueError.  ``first``, when given, is ``rank_first_prime``
+    of the same matrix, and that elimination is not repeated.
     """
-    a = _as_int_matrix(mat)
-    m, n = a.shape
-    full = min(m, n)
+    a = _oriented(mat)
+    full = min(a.shape)
     if full == 0:
         return 0
-    if n > m:  # eliminate along the shorter side
-        a = a.T
-    a = np.ascontiguousarray(a)
     rank, product, rows, cols = 0, 1, None, None
-    for p in _primes():
-        rank = max(rank, _rank_mod((a % p).astype(np.int64, copy=False), p))
+    for i, p in enumerate(_primes()):
+        if i == 0 and first is not None:
+            rank = first
+        else:
+            rank = max(rank, _rank_mod((a % p).astype(np.int64, copy=False), p))
         if rank == full:
             return rank
         if rows is None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .complexes import Complex, Partition, from_missing_faces
@@ -97,22 +96,20 @@ def random_single_layer_complex(rng: random.Random, n_max: int = 6,
 def random_representation(rng: random.Random, x: Complex) -> VectorRepresentation:
     """Valid by construction: the anchor coordinate of every vector is a
     shared rational >= 1, so constrained inner products stay >= 1; the
-    remaining coordinates are arbitrary nonnegative noise."""
+    remaining coordinates are arbitrary nonnegative noise.  Entries are
+    drawn as (numerator, denominator) pairs and handed over as integer
+    rows times the lcm of their reduced denominators."""
     width = rng.randint(1, 3)
-    mats = {}
+    scaled = {}
     for sigma in index_sets(x):
-        anchor = Fraction(rng.randint(2, 6), rng.randint(1, 2))
-        if anchor < 1:  # pragma: no cover - bounds above keep anchor >= 1
-            anchor = 1 / anchor
-        rows = []
-        for _ in range(x.n):
-            row = [anchor] + [
-                Fraction(rng.randint(0, 6), rng.randint(1, 4))
-                for _ in range(width - 1)
-            ]
-            rows.append(tuple(row))
-        mats[sigma] = rows
-    return VectorRepresentation(x, mats)
+        anchor = (rng.randint(2, 6), rng.randint(1, 2))
+        rows = [
+            [anchor] + [(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(width - 1)]
+            for _ in range(x.n)
+        ]
+        d = math.lcm(*{q // math.gcd(p, q) for row in rows for p, q in row})
+        scaled[sigma] = (tuple(tuple(p * d // q for p, q in row) for row in rows), d)
+    return VectorRepresentation._from_scaled(x, scaled)
 
 
 def random_partition(rng: random.Random, n: int, m: int) -> Partition:

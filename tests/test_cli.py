@@ -116,6 +116,9 @@ def test_non_integer_vertex_in_complex_file_is_parse_failure(tmp_path, capsys):
     (("matroid", "phi", "--matroid", "{path}"), '[1,2]', "needs a 'kind' field"),
     (("matroid", "hall", "--matroid", "builtin:AG23", "--partition", "{path}"),
      '{"classes":[[0],[99]]}', "partition vertex outside the ground set"),
+    (("matroid", "hall", "--matroid", "builtin:AG23", "--partition", "{path}"),
+     '{"classes":[[0],[1],[2],[3],[4],[5],[6],[7],[8],[9],[10],[11],[12]]}',
+     "13 classes, more than 12"),
 ])
 def test_malformed_json_shapes_are_parse_failures(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"

@@ -167,6 +167,22 @@ def test_representation_rejects_bool_entries():
             VectorRepresentation(x, {(0,): ones, (1,): rows, (2,): ones})
 
 
+def test_representation_rejects_entries_that_are_not_rational():
+    x = from_missing_faces(2, [(0, 1)])
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match=r"entry .* is not an int or a Fraction"):
+            VectorRepresentation(x, {(): [(1,), (bad,)]})
+
+
+def test_representation_stores_integer_rows_and_views_them_as_fractions():
+    x = from_missing_faces(2, [(0, 1)])
+    p = VectorRepresentation(x, {(): [(Fraction(3, 2), 1), (2, Fraction(1, 3))]})
+    assert p.scaled == {(): (((9, 6), (12, 2)), 6)}
+    assert p.matrices == {(): ((Fraction(3, 2), 1), (2, Fraction(1, 3)))}
+    assert p.vector((), 1) == (2, Fraction(1, 3))
+    assert p.gram(()) == (((117, 120), (120, 148)), 6)
+
+
 def test_representation_rejects_non_integer_index_sets():
     x = from_missing_faces(3, [(0, 1, 2)])
     rows = [(1,)] * 3
@@ -247,13 +263,28 @@ def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
         assert packing.status == "optimal" and packing.value == v
 
 
+def _full_covering_lp(p):
+    """The rational covering LP with all-ones cost and one column per
+    (sigma, v), no column dropped, built from the Fraction rows."""
+    n = p.complex.n
+    cols = [
+        tuple(sum((a * b for a, b in zip(p.matrices[s][v], p.matrices[s][w])), Fraction(0))
+              for w in range(n))
+        for s in sorted(p.matrices, key=lambda s: (len(s), s)) for v in range(n)
+    ]
+    return cols, LpProblem([1] * len(cols), list(zip(*cols)), [1] * n)
+
+
 def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch):
-    # rep_value's integer LP (column G[v] and cost d**2 over their gcd)
-    # against the rational covering LP with all-ones cost, built here
-    # from the Fraction rows: same value, same (row, column) pivots and
-    # the same basis determinant after each, so the same integer tableau.
-    # The dual simplex from the slack basis takes 62 pivots over the 30
-    # draws; a phase 1 that first reaches a feasible basis takes 365.
+    # rep_value's integer LP (column G[v] and cost d**2 over their gcd,
+    # first copy of each column only) against the full rational covering
+    # LP with all-ones cost, built here from the Fraction rows: same
+    # value, and the same (row, column) pivots with the same basis
+    # determinant after each once the kept columns are mapped to their
+    # first copies in the full LP (and the slacks shifted), so the same
+    # integer tableau.  The dual simplex from the slack basis takes 62
+    # pivots over the 30 draws; a phase 1 that first reaches a feasible
+    # basis takes 365.
     import scx.numerics.lp as lp
     from scx.randomgen import random_representation as fractional_representation
 
@@ -268,6 +299,7 @@ def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch)
     monkeypatch.setattr(lp, "_pivot", recording)
     rng = random.Random(58)
     fractional = 0
+    dropped = 0
     total = 0
     for _ in range(30):
         x = random_complex(rng)
@@ -277,17 +309,55 @@ def test_rep_value_takes_the_pivot_path_of_the_rational_covering_lp(monkeypatch)
         value = rep_value(p)
         path = list(pivots)
         total += len(path)
-        sets = sorted(p.matrices, key=lambda s: (len(s), s))
-        rows = [
-            [sum((a * b for a, b in zip(p.matrices[s][v], p.matrices[s][w])), Fraction(0))
-             for s in sets for v in range(x.n)]
-            for w in range(x.n)
-        ]
+        cols, full = _full_covering_lp(p)
+        first = {}
+        for j, col in enumerate(cols):
+            first.setdefault(col, j)
+        kept = sorted(first.values())
+        dropped += len(cols) - len(kept)
+        mapped = [(r, kept[j] if j < len(kept) else j - len(kept) + len(cols), den)
+                  for r, j, den in path]
         pivots.clear()
-        ref = lp_solve(LpProblem([1] * len(rows[0]), rows, [1] * x.n))
-        assert path and (value, path) == (ref.value, pivots)
+        ref = lp_solve(full)
+        assert path and (value, mapped) == (ref.value, pivots)
     assert fractional >= 20
+    assert dropped > 0
     assert total == 62
+
+
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_rep_value_equals_the_full_lp_without_dropped_columns(monkeypatch, width):
+    # all-ones (width None), width-1 and width-3 draws: the value of the
+    # deduplicated LP is the value of the full rational covering LP, and
+    # all-ones and width-1 keep at most one column per index set
+    import scx.domination as domination
+
+    solved = []
+
+    def recording(problem):
+        solved.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(domination, "lp_solve", recording)
+    rng = random.Random(59)
+    for _ in range(15):
+        x = random_complex(rng)
+        if width is None:
+            p = all_ones_representation(x)
+        else:
+            # one anchor per index set, as randomgen draws them, plus noise
+            mats = {}
+            for sigma in index_sets(x):
+                anchor = Fraction(rng.randint(2, 6), rng.randint(1, 2))
+                mats[sigma] = [(anchor,) + tuple(Fraction(rng.randint(0, 6), rng.randint(1, 4))
+                                                 for _ in range(width - 1))
+                               for _ in range(x.n)]
+            p = VectorRepresentation(x, mats)
+        solved.clear()
+        value = rep_value(p)
+        assert value == lp_solve(_full_covering_lp(p)[1]).value
+        if width != 3:
+            assert len(solved[0].c) <= len(p.scaled)
 
 
 def test_rep_value_invariant_under_relabeling():

@@ -474,6 +474,49 @@ def test_betti_agreement_and_euler_characteristic():
         assert betti_exact(x, -3) == 0
 
 
+def test_one_prime_certificate_matches_the_certified_ranks():
+    # betti_exact against f_k minus both ranks from rank_exact (primes
+    # and a Hadamard bound) on a fresh copy of each complex, and its
+    # Betti vector against the reduced Euler characteristic; both the
+    # one-prime path (beta 0) and the fallback are taken
+    rng = random.Random(21)
+    vanishing = nonvanishing = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        x = from_missing_faces(n, random_antichain(rng, n))
+        fresh = Complex(x.n, x.missing_masks)
+        bettis = [betti_exact(x, k) for k in range(-1, x.dim + 1)]
+        for k, b in zip(range(-1, x.dim + 1), bettis):
+            ranks = rank_exact(coboundary_matrix(fresh, k)) + rank_exact(coboundary_matrix(fresh, k - 1))
+            assert b == x.n_faces(k) - ranks
+            assert x._memo[("coboundary-rank", k)] == rank_exact(coboundary_matrix(fresh, k))
+            vanishing += b == 0
+            nonvanishing += b != 0
+        chi = sum((-1) ** k * x.n_faces(k) for k in range(-1, x.dim + 1))
+        assert chi == sum((-1) ** k * b for k, b in zip(range(-1, x.dim + 1), bettis))
+    assert vanishing >= 40 and nonvanishing >= 5
+
+
+def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
+    # ranks 741 + 39 = 780 = f_1 modulo the first prime certify both
+    # ranks and beta_1 = 0 with no second prime
+    import scx.numerics.rational as rational
+
+    calls = []
+    real = rational._rank_mod
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(rational, "_rank_mod", counting)
+    pg33 = pg33_complex()
+    x = Complex(pg33.n, pg33.missing_masks)
+    assert betti_exact(x, 1) == 0
+    assert sorted(calls) == [(780, 40), (9360, 780)]
+    assert (x._memo[("coboundary-rank", 1)], x._memo[("coboundary-rank", 0)]) == (741, 39)
+
+
 @st.composite
 def any_complex(draw, n_max=7):
     """A complex on n <= n_max vertices, half the time generated by random

@@ -1,11 +1,13 @@
 """The instance generators: determinism, recipe shape, validity."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from scx.complexes import Partition
-from scx.domination import rep_value, total_domination
+from scx.domination import index_sets, rep_value, total_domination
 from scx.matroids import LinearMatroid, UniformMatroid
 from scx.randomgen import (
     random_complex,
@@ -70,6 +72,35 @@ def test_random_representation_is_valid_and_positive():
         rep = random_representation(rng, x)
         v = rep_value(rep)
         assert v > 0
+
+
+def test_random_representation_matches_a_fraction_per_entry_oracle():
+    # the recipe drawn with one Fraction per entry from the same rng
+    # calls, in the same order: the same rows, the same scale d (the lcm
+    # of their denominators) and the rng left in the same state
+    widths = set()
+    for t in range(40):
+        rng = trial_rng(17, t)
+        x = random_complex(rng)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        rep = random_representation(rng, x)
+        width = twin.randint(1, 3)
+        widths.add(width)
+        oracle = {}
+        for sigma in index_sets(x):
+            anchor = Fraction(twin.randint(2, 6), twin.randint(1, 2))
+            oracle[sigma] = tuple(
+                (anchor,) + tuple(Fraction(twin.randint(0, 6), twin.randint(1, 4))
+                                  for _ in range(width - 1))
+                for _ in range(x.n)
+            )
+        assert rep.matrices == oracle
+        for sigma, rows in oracle.items():
+            d = math.lcm(*(e.denominator for row in rows for e in row))
+            assert rep.scaled[sigma] == (tuple(tuple(e * d for e in row) for row in rows), d)
+        assert rng.getstate() == twin.getstate()
+    assert widths == {1, 2, 3}
 
 
 def test_random_partition_covers_ground_set():
