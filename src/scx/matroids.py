@@ -70,6 +70,12 @@ def _as_mask(s, n: int) -> int:
     return mask
 
 
+def _subset(m, s) -> tuple:
+    """The distinct elements of s in increasing order, each checked
+    against the ground set; all of it when s is None."""
+    return tuple(range(m.n)) if s is None else _vertices_of(_as_mask(s, m.n))
+
+
 class LinearMatroid:
     """Columns of a matrix over F_p; rank = rank of the chosen columns."""
 
@@ -77,6 +83,11 @@ class LinearMatroid:
 
     def __init__(self, p: int, columns, label: str | None = None) -> None:
         p = as_int(p, "modulus")
+        # refused before the trial-division primality test, which would
+        # run for about sqrt(p) steps; numerics.rational's primes are
+        # below 2**31 too
+        if p >= 2**31:
+            raise ValueError(f"modulus {p} is not below 2**31")
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ValueError(f"modulus {p} is not prime")
         cols = tuple(tuple(as_int(e, "column entry") % p for e in c) for c in columns)
@@ -270,7 +281,7 @@ def _extends(m, d: int, chosen, v: int) -> bool:
 
 def phi(m, s=None) -> int:
     """Largest general-position subset, by branch and bound."""
-    elems = sorted(set(s)) if s is not None else list(range(m.n))
+    elems = _subset(m, s)
     if len(elems) > MAX_PHI_GROUND:
         raise ValueError(f"ground set of {len(elems)} exceeds cap {MAX_PHI_GROUND}")
     d = m.full_rank - 1
@@ -351,11 +362,17 @@ def fractional_gp_violations(m, w: GpWeighting) -> list:
 
 
 def phi_star_weighting(m, s=None) -> GpWeighting:
-    """Optimal fractional general-position weighting, by exact LP."""
-    elems = tuple(sorted(set(s))) if s is not None else tuple(range(m.n))
+    """Optimal fractional general-position weighting, by exact LP.
+
+    The flat constraints start at rank 1, so a loop's weight would be
+    unbounded; a loop in the subset is refused."""
+    elems = _subset(m, s)
     d = m.full_rank - 1
     if d < 1:
         raise ValueError("matroid rank must be at least 2")
+    loop = next((v for v in elems if m.rank_mask(1 << v) == 0), None)
+    if loop is not None:
+        raise ValueError(f"element {loop} is a loop; phi_star needs a loopless subset")
     pos = {v: i for i, v in enumerate(elems)}
     supports = _gp_constraint_supports(m, elems)
     rows = []
@@ -364,13 +381,6 @@ def phi_star_weighting(m, s=None) -> GpWeighting:
         for v in support:
             row[pos[v]] = 1
         rows.append(row)
-    if not rows:
-        # no flat meets two of the chosen vertices; each weight is only
-        # capped by the rank-1 constraints, which are absent exactly when
-        # elems is empty
-        if elems:  # pragma: no cover - rank-1 flats always constrain
-            raise RuntimeError("unconstrained fractional weighting")
-        return GpWeighting((), ())
     sol = lp_solve_max([1] * len(elems), rows, [d] * len(rows))
     if sol.status != "optimal":
         raise RuntimeError(f"fractional weighting LP ended {sol.status}")
@@ -383,7 +393,7 @@ def phi_star_weighting(m, s=None) -> GpWeighting:
 
 def phi_star(m, s=None) -> Fraction:
     """Maximum total weight over fractional general-position weightings."""
-    elems = tuple(sorted(set(s))) if s is not None else tuple(range(m.n))
+    elems = _subset(m, s)
     if not elems:
         return Fraction(0)
     return phi_star_weighting(m, elems).total

@@ -1,15 +1,17 @@
 """Exact rational linear programming with duality certificates.
 
-Solves  min c.x  s.t.  A x >= b, x >= 0  by a simplex method started
-from the slack basis of  -A x + s = -b, with Bland's anti-cycling rule
-(always on; no performance pivoting).  The library poses two shapes,
-and each is feasible at that basis: with c >= 0 (every covering LP) the
-basis is dual feasible and a dual simplex runs; with b <= 0 (the
-packing LPs of ``lp_solve_max``) it is primal feasible and a primal
-simplex runs.  Any other sign pattern is refused with a ValueError.
-Every optimal solve returns both a primal and a dual vector and
-certifies them, exactly, before returning: primal feasibility, dual
-feasibility, complementary slackness and c.x = b.y.
+One dual simplex solves every LP, in covering form:  min c.x  s.t.
+A x >= b, x >= 0  with c >= 0 (``lp_solve``; b may have any sign).  It
+starts from the slack basis of  -A x + s = -b, which c >= 0 makes dual
+feasible, and pivots by Bland's anti-cycling rule (always on; no
+performance pivoting).  A packing LP  max c.x  s.t.  A x <= b, x >= 0
+with b >= 0 (``lp_solve_max``) is solved as its covering dual
+min b.y  s.t.  A^T y >= c, y >= 0, and the two vectors swap roles.  A
+negative cost (or, for ``lp_solve_max``, a negative right-hand side) is
+refused with a ValueError.  Every optimal solve returns both a primal
+and a dual vector and certifies them, exactly, before returning: primal
+feasibility, dual feasibility, complementary slackness and c.x = b.y;
+the covering certificate is the packing one read the other way.
 
 The columns, the right-hand side and the objective are first scaled to
 integers.  The tableau is kept as integer numerators over one common
@@ -91,64 +93,16 @@ def _pivot(N, den, basis, r, j):
     return p
 
 
-def _run_simplex(N, den, basis):
-    """Primal simplex by Bland's rule from a primal-feasible basis;
-    N[-1] is the cost row.  Returns (status, den)."""
-    m = len(basis)
-    while True:
-        cost = N[-1]
-        enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
-        if enter is None:
-            return "optimal", den
-        leave = None
-        for i in range(m):
-            t = N[i][enter]
-            if t > 0:
-                rhs = N[i][-1]
-                # ratios rhs/t compared by cross-multiplying (t > 0),
-                # ties broken by the smaller basic index
-                if leave is None or rhs * lt < lrhs * t or (
-                    rhs * lt == lrhs * t and basis[i] < basis[leave]
-                ):
-                    leave, lrhs, lt = i, rhs, t
-        if leave is None:
-            return "unbounded", den
-        den = _pivot(N, den, basis, leave, enter)
-
-
-def _run_dual_simplex(N, den, basis):
-    """Dual simplex by Bland's rule from a dual-feasible basis (cost
-    row >= 0).  Returns (status, den)."""
-    m = len(basis)
-    while True:
-        leave = min((i for i in range(m) if N[i][-1] < 0), key=basis.__getitem__,
-                    default=None)
-        if leave is None:
-            return "optimal", den
-        row, cost = N[leave], N[-1]
-        enter = None
-        for j, t in enumerate(row[:-1]):
-            if t < 0:
-                # ratios cost/|t| compared by cross-multiplying, ties
-                # broken by the smaller column
-                if enter is None or cost[j] * et > cost[enter] * t:
-                    enter, et = j, t
-        if enter is None:
-            return "infeasible", den
-        den = _pivot(N, den, basis, leave, enter)
-
-
 def _lcm_of_denominators(values) -> int:
     return math.lcm(*[v.denominator for v in values])
 
 
 def lp_solve(p: LpProblem) -> LpSolution:
-    """Exact simplex from the slack basis; see module docstring."""
+    """Exact dual simplex from the slack basis; see module docstring."""
     m = len(p.b)
     n = len(p.c)
-    dual = all(cj >= 0 for cj in p.c)
-    if not dual and any(bi > 0 for bi in p.b):
-        raise ValueError("lp_solve needs c >= 0 or b <= 0")
+    if any(cj < 0 for cj in p.c):
+        raise ValueError("lp_solve needs c >= 0 (a covering LP)")
     # scaled problem on integers: column j of A times kappa[j], b times
     # beta, c times mu (and kappa).  Positive scalings keep every Bland
     # choice and every ratio-test argmin, so the pivot path is that of
@@ -159,15 +113,31 @@ def lp_solve(p: LpProblem) -> LpSolution:
     A = [[a.numerator * (k // a.denominator) for a, k in zip(row, kappa)] for row in p.A]
     b = [bi.numerator * (beta // bi.denominator) for bi in p.b]
     c = [cj.numerator * (mu * k // cj.denominator) for cj, k in zip(p.c, kappa)]
-    # the slack tableau  -A x + s = -b  with s basic and den = 1: dual
-    # feasible when c >= 0, primal feasible when b <= 0
+    # the slack tableau  -A x + s = -b  with s basic and den = 1, dual
+    # feasible because c >= 0
     N = [[-a for a in row] + [0] * i + [1] + [0] * (m - 1 - i) + [-bi]
          for i, (row, bi) in enumerate(zip(A, b))]
     N.append(c + [0] * (m + 1))
     basis = list(range(n, n + m))
-    status, den = (_run_dual_simplex if dual else _run_simplex)(N, 1, basis)
-    if status != "optimal":
-        return LpSolution(status, None, None, None)
+    den = 1
+    # dual simplex by Bland's rule: the row with a negative right-hand
+    # side and the smallest basic index leaves
+    while True:
+        leave = min((i for i in range(m) if N[i][-1] < 0), key=basis.__getitem__,
+                    default=None)
+        if leave is None:
+            break
+        row, cost = N[leave], N[-1]
+        enter = None
+        for j, t in enumerate(row[:-1]):
+            if t < 0:
+                # ratios cost/|t| compared by cross-multiplying, ties
+                # broken by the smaller column
+                if enter is None or cost[j] * et > cost[enter] * t:
+                    enter, et = j, t
+        if enter is None:
+            return LpSolution("infeasible", None, None, None)
+        den = _pivot(N, den, basis, leave, enter)
     cost = N[-1]
     X = [0] * n
     for r, bv in enumerate(basis):
@@ -219,18 +189,19 @@ def _certify(A, b, c, den, X, Y, V) -> None:
 
 
 def lp_solve_max(c, A, b) -> LpSolution:
-    """max c.x  s.t.  A x <= b, x >= 0, with the same exact guarantees.
+    """max c.x  s.t.  A x <= b, x >= 0, for b >= 0 (a packing LP), with
+    the same exact guarantees.
 
-    Solved as min (-c).x s.t. (-A) x >= (-b), so it needs b >= 0 or
-    c <= 0 (the packing LPs have b >= 0); the returned value and
-    duals are re-oriented for the maximization problem (y >= 0 with
-    y.A >= c certificates become  value = b.y  by the same strong
-    duality identity).
+    Solved by ``lp_solve`` as its covering dual  min b.y  s.t.
+    A^T y >= c, y >= 0 (cost b >= 0); that solve's certified y is
+    returned as x and its x as y, with the same value.  x = 0 is always
+    feasible here, so an infeasible covering dual means the packing LP
+    is unbounded.
     """
-    neg_c = [-_rational(e) for e in c]
-    neg_A = [[-_rational(e) for e in row] for row in A]
-    neg_b = [-_rational(e) for e in b]
-    sol = lp_solve(LpProblem(neg_c, neg_A, neg_b))
+    p = LpProblem(c, A, b)
+    if any(bi < 0 for bi in p.b):
+        raise ValueError("lp_solve_max needs b >= 0 (a packing LP)")
+    sol = lp_solve(LpProblem(p.b, [[row[j] for row in p.A] for j in range(len(p.c))], p.c))
     if sol.status != "optimal":
-        return sol
-    return LpSolution("optimal", -sol.value, sol.x, sol.y)
+        return LpSolution("unbounded", None, None, None)
+    return LpSolution("optimal", sol.value, sol.y, sol.x)

@@ -119,6 +119,9 @@ def test_non_integer_vertex_in_complex_file_is_parse_failure(tmp_path, capsys):
     (("matroid", "hall", "--matroid", "builtin:AG23", "--partition", "{path}"),
      '{"classes":[[0],[1],[2],[3],[4],[5],[6],[7],[8],[9],[10],[11],[12]]}',
      "13 classes, more than 12"),
+    (("matroid", "phi", "--matroid", "{path}"),
+     '{"kind":"linear","p":2305843009213693951,"columns":[[1,0],[0,1]]}',
+     "modulus 2305843009213693951 is not below 2**31"),
 ])
 def test_malformed_json_shapes_are_parse_failures(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"
@@ -303,6 +306,16 @@ def test_matroid_phistar_is_exact_rational(capsys):
     code, out, _ = run_cli(capsys, "matroid", "phistar", "--matroid", "uniform:2,4")
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_matroid_phistar_refuses_a_loop(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"kind":"linear","p":3,"columns":[[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,1]]}')
+    code, out, err = run_cli(capsys, "matroid", "phistar", "--matroid", str(path))
+    assert (code, out) == (4, "")
+    assert "element 0 is a loop" in err
+    code, out, _ = run_cli(capsys, "matroid", "phi", "--matroid", str(path))
+    assert (code, out.strip()) == (0, "4")
 
 
 def test_matroid_subset_restriction(capsys):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from scipy.optimize import linprog
 
 import scx.randomgen as randomgen
 from scx.complexes import Complex, Partition, from_missing_faces
@@ -33,7 +34,7 @@ from scx.domination import (
     total_domination,
     validate_representation,
 )
-from scx.numerics.lp import LpProblem, lp_solve, lp_solve_max
+from scx.numerics.lp import LpProblem, lp_solve
 
 
 def ag23():
@@ -234,9 +235,8 @@ def test_rep_value_duality_on_random_representations():
 
 def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
     # one covering solve per value; the packing LP max sum y s.t.
-    # y G_sigma <= 1, solved on its own, is the independent oracle
+    # y G_sigma <= 1, solved by scipy's HiGHS, is the independent oracle
     import scx.domination as domination
-    import scx.numerics.lp as lp
 
     calls = []
 
@@ -244,9 +244,7 @@ def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
         calls.append(problem)
         return lp_solve(problem)
 
-    # lp_solve_max reaches the module's lp_solve, so patch both names
     monkeypatch.setattr(domination, "lp_solve", counting)
-    monkeypatch.setattr(lp, "lp_solve", counting)
     rng = random.Random(57)
     for _ in range(10):
         x = random_complex(rng)
@@ -255,12 +253,13 @@ def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
         v = domination.rep_value(p)
         assert len(calls) == 1
         rows = [
-            [p.gram_entry(sigma, w, v_) for w in range(x.n)]
+            [float(p.gram_entry(sigma, w, v_)) for w in range(x.n)]
             for sigma in p.matrices
             for v_ in range(x.n)
         ]
-        packing = lp_solve_max([1] * x.n, rows, [1] * len(rows))
-        assert packing.status == "optimal" and packing.value == v
+        ref = linprog([-1] * x.n, A_ub=rows, b_ub=[1] * len(rows), bounds=(0, None),
+                      method="highs")
+        assert ref.status == 0 and abs(-ref.fun - float(v)) < 1e-9
 
 
 def _full_covering_lp(p):

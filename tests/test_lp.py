@@ -1,6 +1,7 @@
 """Exact LP solver: hand-derived optima, Beale's cycling instance, scipy oracle."""
 
 import inspect
+import operator
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,9 @@ import pytest
 from scipy.optimize import linprog
 
 import scx.numerics.lp as lp
+from scx.matroids import phi_star
 from scx.numerics.lp import LpProblem, LpSolution, lp_solve, lp_solve_max
+from scx.randomgen import random_matroid
 
 
 def test_one_variable():
@@ -29,7 +32,9 @@ def test_two_point_cover():
 
 
 def test_beale_cycling_instance():
-    # classic cycling-prone degenerate LP; Bland's rule must terminate.
+    # classic cycling-prone degenerate LP, min c.x s.t. A_ub x <= b_ub,
+    # posed as the packing LP max (-c).x (b_ub >= 0); Bland's rule must
+    # terminate on its covering dual.
     c = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
     A_ub = [
         [Fraction(1, 4), -60, Fraction(-1, 25), 9],
@@ -37,15 +42,14 @@ def test_beale_cycling_instance():
         [0, 0, 1, 0],
     ]
     b_ub = [0, 0, 1]
-    # convert <= rows to the solver's >= form
-    sol = lp_solve(LpProblem(c, [[-e for e in row] for row in A_ub], [-e for e in b_ub]))
+    sol = lp_solve_max([-e for e in c], A_ub, b_ub)
     assert sol.status == "optimal"
-    assert sol.value == Fraction(-1, 20)
+    assert sol.value == Fraction(1, 20)
     assert sol.x == (Fraction(1, 25), 0, 1, 0)
     # float cross-check
     ref = linprog([float(e) for e in c], A_ub=[[float(e) for e in r] for r in A_ub],
                   b_ub=[float(e) for e in b_ub], bounds=(0, None))
-    assert ref.status == 0 and abs(ref.fun - float(sol.value)) < 1e-9
+    assert ref.status == 0 and abs(ref.fun + float(sol.value)) < 1e-9
 
 
 def test_infeasible():
@@ -55,8 +59,11 @@ def test_infeasible():
 
 
 def test_unbounded():
-    sol = lp_solve(LpProblem([-1], [[1]], [0]))  # min -x, x >= 0
+    # max x s.t. -x <= 1: the covering dual  min y s.t. -y >= 1  is
+    # infeasible, so the packing LP is unbounded
+    sol = lp_solve_max([1], [[-1]], [1])
     assert sol.status == "unbounded"
+    assert sol.value is None and sol.x is None and sol.y is None
 
 
 def test_degenerate_zero_rhs():
@@ -74,19 +81,25 @@ def test_max_form():
 
 
 def test_max_form_statuses():
-    # each reached through a supported shape: b >= 0 runs the primal
-    # simplex, c <= 0 the dual simplex
+    # b >= 0 makes x = 0 feasible, so a packing LP is optimal or
+    # unbounded, never infeasible
     assert lp_solve_max([1], [[-1]], [1]).status == "unbounded"  # max x, x >= -1
-    assert lp_solve_max([-1], [[1]], [-1]).status == "infeasible"  # x <= -1
+    assert lp_solve_max([1], [], []).status == "unbounded"  # no constraint at all
+    sol = lp_solve_max([-1, 2], [[1, 1]], [0])  # only x = 0 is feasible
+    assert (sol.status, sol.value, sol.x, sol.y) == ("optimal", 0, (0, 0), (2,))
+    sol = lp_solve_max([-1], [], [])
+    assert (sol.status, sol.value, sol.x, sol.y) == ("optimal", 0, (0,), ())
 
 
 def test_mixed_signs_are_refused():
-    # some c < 0 and some b > 0: the slack basis is neither primal nor
-    # dual feasible, and no caller poses such a problem
-    with pytest.raises(ValueError, match=r"c >= 0 or b <= 0"):
-        lp_solve(LpProblem([-1], [[1]], [1]))
-    with pytest.raises(ValueError, match=r"c >= 0 or b <= 0"):
+    # lp_solve takes only covering LPs (c >= 0, b of any sign) and
+    # lp_solve_max only packing LPs (b >= 0, c of any sign)
+    with pytest.raises(ValueError, match=r"^lp_solve needs c >= 0 \(a covering LP\)$"):
+        lp_solve(LpProblem([-1], [[1]], [-1]))
+    with pytest.raises(ValueError, match=r"^lp_solve_max needs b >= 0 \(a packing LP\)$"):
         lp_solve_max([1], [[-1]], [-1])
+    with pytest.raises(ValueError, match=r"^lp_solve_max needs b >= 0"):
+        lp_solve_max([-1], [[1], [1]], [1, Fraction(-1, 2)])
 
 
 def test_exactness_no_float_drift():
@@ -99,52 +112,56 @@ def test_exactness_no_float_drift():
 
 
 def test_random_instances_match_scipy():
-    # each draw has one of the two supported shapes: c >= 0 with b of
-    # any sign (dual simplex; bounded, maybe infeasible) or b <= 0 with
-    # c of any sign (primal simplex; feasible, maybe unbounded)
+    # each draw has one of the two supported shapes: lp_solve with c >= 0
+    # and b of any sign (a covering LP: bounded, maybe infeasible), or
+    # lp_solve_max with b >= 0 and c of any sign (a packing LP: x = 0 is
+    # feasible, maybe unbounded)
     rng = random.Random(2024)
-    statuses = {(shape, s): 0 for shape in ("dual", "primal")
+    statuses = {(shape, s): 0 for shape in ("covering", "packing")
                 for s in ("optimal", "infeasible", "unbounded")}
-    for _ in range(50):
+    for _ in range(60):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        shape = rng.choice(("dual", "primal"))
-        c = [rng.randint(0 if shape == "dual" else -3, 5) for _ in range(n)]
+        shape = rng.choice(("covering", "packing"))
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        b = [rng.randint(-4, 4 if shape == "dual" else 0) for _ in range(m)]
-        sol = lp_solve(LpProblem(c, A, b))
+        if shape == "covering":
+            c = [rng.randint(0, 5) for _ in range(n)]
+            b = [rng.randint(-4, 4) for _ in range(m)]
+            sol = lp_solve(LpProblem(c, A, b))
+            # as scipy's min c.x s.t. (-A) x <= -b
+            sign, cost, A_ub, b_ub = 1, c, [[-e for e in row] for row in A], [-e for e in b]
+        else:
+            c = [rng.randint(-3, 5) for _ in range(n)]
+            b = [rng.randint(0, 4) for _ in range(m)]
+            sol = lp_solve_max(c, A, b)
+            sign, cost, A_ub, b_ub = -1, [-e for e in c], A, b
         statuses[shape, sol.status] += 1
-        ref = linprog(
-            c,
-            A_ub=[[-e for e in row] for row in A],
-            b_ub=[-e for e in b],
-            bounds=(0, None),
-            method="highs",
-        )
-        feas = linprog(
-            [0] * n,
-            A_ub=[[-e for e in row] for row in A],
-            b_ub=[-e for e in b],
-            bounds=(0, None),
-            method="highs",
-        )
+        ref = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
         if sol.status == "optimal":
             assert ref.status == 0
-            assert abs(ref.fun - float(sol.value)) < 1e-7 * max(1.0, abs(float(sol.value)))
-            # exact feasibility of our primal
-            for row, bi in zip(A, b):
-                assert sum(Fraction(a) * x for a, x in zip(row, sol.x)) >= bi
+            assert abs(sign * ref.fun - float(sol.value)) < 1e-7 * max(1.0, abs(float(sol.value)))
+            # the exact certificate: both vectors feasible, b.y = c.x
+            assert all(e >= 0 for e in (*sol.x, *sol.y))
+            for row, bi in zip(A_ub, b_ub):
+                assert sum(a * x for a, x in zip(row, sol.x)) <= bi
+            for j, cj in enumerate(cost):
+                assert sum(row[j] * y for row, y in zip(A_ub, sol.y)) >= -cj
+            assert sum(map(operator.mul, b_ub, sol.y)) == -sign * sol.value
+            assert sum(map(operator.mul, c, sol.x)) == sol.value
         elif sol.status == "infeasible":
+            feas = linprog([0] * n, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
             assert feas.status == 2
         else:
-            # unbounded: the region is nonempty but no finite optimum exists
+            # unbounded: a ray d >= 0 with A d <= 0 and c.d >= 1 exists
             # (HiGHS may label such instances either unbounded or infeasible)
-            assert feas.status == 0
             assert ref.status in (2, 3, 4)
-    # the campaign exercises every exit of both loops, and no other
-    assert statuses["dual", "optimal"] + statuses["primal", "optimal"] >= 10
-    assert statuses["dual", "infeasible"] >= 1 and statuses["primal", "unbounded"] >= 1
-    assert statuses["dual", "unbounded"] == statuses["primal", "infeasible"] == 0
+            ray = linprog([0] * n, A_ub=[*A, [-e for e in c]], b_ub=[0] * m + [-1],
+                          bounds=(0, None), method="highs")
+            assert ray.status == 0
+    # the campaign reaches both statuses of each shape, and no other
+    assert min(statuses["covering", "optimal"], statuses["packing", "optimal"]) >= 5
+    assert statuses["covering", "infeasible"] >= 1 and statuses["packing", "unbounded"] >= 1
+    assert statuses["covering", "unbounded"] == statuses["packing", "infeasible"] == 0
 
 
 def test_problem_validation():
@@ -224,6 +241,24 @@ def test_pinned_max_form():
                        [F(7, 8), F(1, 2), F(2, 3)])
     assert (sol.status, sol.value, sol.x, sol.y) == (
         "optimal", F(35, 16), (0, 0, F(35, 16)), (F(5, 2), 0, 0))
+
+
+def test_phi_star_pivots_are_pinned(monkeypatch):
+    # phi_star's packing LPs are solved as their covering duals (one row
+    # per element); the pivot total over twelve seeded matroids pins that
+    # path
+    pivots = 0
+    real = lp._pivot
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    values = [phi_star(random_matroid(random.Random(seed))) for seed in range(12)]
+    assert values == [F(17, 3), 12, 5, 14, 18, 6, 9, 14, 9, 9, F(33, 4), F(21, 2)]
+    assert pivots == 107
 
 
 def test_problem_keeps_ints_and_makes_the_rest_fractions():

@@ -75,6 +75,15 @@ def test_construction_guards():
         UniformMatroid(5, 3)
 
 
+def test_modulus_of_2_31_or_more_is_refused_before_the_primality_test():
+    # 2**31 + 11 is prime, and 2**61 - 1 would take about 1.5e9 trial
+    # divisions
+    for p in (2**31 + 11, 2**61 - 1):
+        with pytest.raises(ValueError, match=rf"^modulus {p} is not below 2\*\*31$"):
+            LinearMatroid(p, [(1, 0), (0, 1)])
+    assert LinearMatroid(2**31 - 1, [(1, 0), (0, 1)]).full_rank == 2
+
+
 def test_rank_examples():
     assert ag23_matroid().full_rank == 3
     m = LinearMatroid(3, [(1, 0), (2, 0), (0, 0), (0, 1)])
@@ -286,6 +295,28 @@ def test_phi_star_rechecks_the_lp_weighting(monkeypatch):
         status="optimal", x=[Fraction(3)] * len(c)))
     with pytest.raises(RuntimeError, match="infeasible"):
         phi_star(ag23_matroid())
+
+
+def test_phi_and_phi_star_check_the_subset_against_the_ground_set():
+    m = ag23_matroid()
+    for f in (phi, phi_star, phi_star_weighting):
+        with pytest.raises(ValueError, match=r"^vertex 99 outside ground set of size 9$"):
+            f(m, [0, 99])
+    # the empty subset solves the empty LP
+    assert phi_star_weighting(m, []) == GpWeighting((), ())
+    assert phi_star(m, []) == 0
+
+
+def test_phi_star_refuses_a_loop():
+    # a loop lies in no flat of rank 1 or more, so no flat constraint
+    # would cap its weight; phi counts it out instead
+    cols = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    m = LinearMatroid(3, cols)
+    for s in (None, [0, 1, 2]):
+        with pytest.raises(ValueError, match=r"^element 0 is a loop"):
+            phi_star(m, s)
+    assert phi_star(m, [1, 2, 3, 4]) == phi_star(LinearMatroid(3, cols[1:]))
+    assert phi(m) == 4
 
 
 def test_phi_star_rank_guard():
