@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+#: Most candidates one face-enumeration step may test: above pg33's
+#: 4-faces (518556), below the triangles of 700 vertices (about 5.7e7).
+MAX_STEP_CANDIDATES = 1 << 22
+
+
 def as_int(value, what: str) -> int:
     """An integer field as an int.  Python and numpy integers are
     accepted; bools and anything non-integral (1.5, 1.0, "1") raise a
@@ -220,7 +225,8 @@ class Complex:
         Each k-face is a (k-1)-face f extended by a vertex v above every
         vertex of f, kept unless a missing face with largest vertex v
         lies inside f + v; extending the (k-1)-faces in their order, v
-        ascending, lists the k-faces in lexicographic order.
+        ascending, lists the k-faces in lexicographic order.  A step
+        over ``MAX_STEP_CANDIDATES`` candidates raises ValueError.
         """
         if k < -1 or k >= self.n:
             return ()
@@ -229,12 +235,21 @@ class Complex:
         return self._faces[k]
 
     def _extend(self, k: int) -> None:
-        """Enumerate and cache the k-faces from the cached (k-1)-faces."""
+        """Enumerate and cache the k-faces from the cached (k-1)-faces.
+
+        Each (k-1)-face f is a candidate once for every vertex above its
+        largest; a step with more candidates than the budget is refused
+        with a ValueError before any subset test."""
         n = self.n
+        below = self._masks[k - 1]
+        count = n * len(below) - sum(map(int.bit_length, below))
+        if count > MAX_STEP_CANDIDATES:
+            raise ValueError(f"enumerating the {k}-faces tests {count} candidates, above "
+                             f"the budget of {MAX_STEP_CANDIDATES} per step")
         by_top = self._by_top
         fs: list[tuple[int, ...]] = []
         ms: list[int] = []
-        for f, fm in zip(self._faces[k - 1], self._masks[k - 1]):
+        for f, fm in zip(self._faces[k - 1], below):
             for v in range(fm.bit_length(), n):
                 for r in by_top[v]:
                     if r & fm == r:

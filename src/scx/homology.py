@@ -28,7 +28,12 @@ Jost, Spectra of combinatorial Laplace operators on simplicial
 complexes, 2013).
 
 Every dense coboundary or Laplacian passes one size guard first: above
-2**25 entries it is refused with a ValueError giving its shape.
+2**25 entries it is refused with a ValueError giving its shape.  On the
+way from the Laplacians to a spectrum, at most four dense m x m integer
+matrices are alive at once: the formula pair and the products pair
+until they are compared.  The products pair is dropped before the full
+Laplacian is formed, so the memo keeps three (lower, upper, full), and
+the eigensolver adds its one float working copy.
 
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
 coboundary ranks are remembered on the complex (in its ``_memo``,
@@ -255,7 +260,9 @@ def laplacians(x: Complex, k: int) -> LaplacianSet:
         return x._memo[key]
     fm, fp = laplacian_from_formula(x, k)
     pm, pp = laplacian_from_products(x, k)
-    if not (np.array_equal(fm, pm) and np.array_equal(fp, pp)):
+    agree = np.array_equal(fm, pm) and np.array_equal(fp, pp)
+    del pm, pp  # freed before ``full`` is formed
+    if not agree:
         raise RuntimeError(f"laplacian assemblies disagree in degree {k}; "
                            "entry formulas and coboundary products must match")
     x._memo[key] = LaplacianSet(k, fm, fp, fm + fp)
@@ -297,8 +304,7 @@ def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     key = ("spectrum", k, tol)
     if key in x._memo:
         return x._memo[key]
-    full = laplacians(x, k).full
-    evs = eigenvalues_sym(full.astype(np.float64))
+    evs = eigenvalues_sym(laplacians(x, k).full)
     mu = float(evs[0])
     lam = float(evs[-1])
     if mu < -tol or lam > x.n + tol:
@@ -336,7 +342,7 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
         mat = laplacians(y, i).minus
     else:
         mat = laplacians(y, i - 1).plus
-    lam = float(eigenvalues_sym(mat.astype(np.float64))[-1])
+    lam = float(eigenvalues_sym(mat)[-1])
     tol = _range_tol(x)
     if not -tol <= lam <= x.n + tol:
         raise RuntimeError(

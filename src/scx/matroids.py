@@ -58,6 +58,9 @@ __all__ = [
 
 MAX_PHI_GROUND = 24
 MAX_GP_CLASSES = 12
+#: Most flat supports times elements in one phi_star LP: AG(2,3) has
+#: 45 x 9, PG(3,3) 1080 x 40 (thousands of pivots).
+MAX_PHI_STAR_ENTRIES = 1 << 12
 
 
 def _as_mask(s, n: int) -> int:
@@ -201,6 +204,9 @@ def flats(m, r: int) -> FlatSet:
         masks = set()
         for s in combinations(range(m.n), r):
             mask = _as_mask(s, m.n)
+            # an r-subset of a found rank-r flat is dependent or spans it
+            if any(mask & f == mask for f in masks):
+                continue
             if m.rank_mask(mask) == r:
                 masks.add(_closure_mask(m, mask))
     fs = FlatSet(r, tuple(sorted(_vertices_of(mask) for mask in masks)))
@@ -375,6 +381,10 @@ def phi_star_weighting(m, s=None) -> GpWeighting:
         raise ValueError(f"element {loop} is a loop; phi_star needs a loopless subset")
     pos = {v: i for i, v in enumerate(elems)}
     supports = _gp_constraint_supports(m, elems)
+    if len(supports) * len(elems) > MAX_PHI_STAR_ENTRIES:
+        raise ValueError(f"the phi_star LP over {len(supports)} flat supports x "
+                         f"{len(elems)} elements exceeds the budget of "
+                         f"{MAX_PHI_STAR_ENTRIES} entries")
     rows = []
     for support in supports:
         row = [0] * len(elems)

@@ -9,6 +9,14 @@ below 1e-12 times the Frobenius norm of the input; more than 100 sweeps
 raises EigenError, never a silent wrong answer.  When eigenvectors are
 requested the extremal pairs are certified by a residual check
 ``|M v - lambda v| <= 1e-8 |M|``.
+
+Dense matrices alive at once: the input, never written to, and its
+float64 conversion, the one working copy the sweeps rotate in place (an
+integer Laplacian converts exactly, so it is passed as it is).  The
+eigenvector matrix and a second float copy of the input, which the
+residual check reads, exist only when eigenvectors are requested.  The
+convergence test reads the strict upper triangle through one boolean
+mask and squares that half-size gather in place.
 """
 
 from __future__ import annotations
@@ -29,12 +37,21 @@ class EigenError(RuntimeError):
     """Eigensolver failed to converge or to certify its output."""
 
 
+def _off_norm(a, upper) -> float:
+    """Frobenius norm of the off-diagonal of the symmetric ``a``.  The
+    mask picks the strict upper triangle row by row, the order of
+    ``np.triu_indices``, and the squares are taken in place."""
+    off = a[upper]
+    np.square(off, out=off)
+    return math.sqrt(2.0 * float(np.sum(off)))
+
+
 def _jacobi(a, v, want_v, tol, sweep_limit):
     """Rotate ``a`` (and ``v``) in place; sweeps used, or -1 if not converged."""
     m = a.shape[0]
-    iu = np.triu_indices(m, 1)
+    upper = ~np.tri(m, dtype=bool)  # strictly above the diagonal
     for sweep in range(sweep_limit):
-        if math.sqrt(2.0 * float(np.sum(a[iu] ** 2))) <= tol:
+        if _off_norm(a, upper) <= tol:
             return sweep
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -70,7 +87,7 @@ def _jacobi(a, v, want_v, tol, sweep_limit):
                     vq = v[:, q].copy()
                     v[:, p] = vp - s * (vq + tau * vp)
                     v[:, q] = vq + s * (vp - tau * vq)
-    if math.sqrt(2.0 * float(np.sum(a[iu] ** 2))) <= tol:
+    if _off_norm(a, upper) <= tol:
         return sweep_limit
     return -1
 
@@ -81,7 +98,7 @@ def eigenvalues_sym(mat, vectors: bool = False):
     Returns the sorted eigenvalue array, or a pair (values, columns) when
     ``vectors`` is true; column j matches values[j].
     """
-    a = np.array(mat, dtype=np.float64)
+    a = np.array(mat, dtype=np.float64)  # the one working copy; mat is not touched
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
     if not np.all(np.isfinite(a)):
@@ -92,7 +109,7 @@ def eigenvalues_sym(mat, vectors: bool = False):
     if m == 0:
         w = np.empty(0)
         return (w, np.empty((0, 0))) if vectors else w
-    orig = a.copy()
+    orig = a.copy() if vectors else None  # read only by the residual check
     norm = float(np.linalg.norm(a))
     tol = OFF_TOL * norm
     v = np.eye(m) if vectors else np.empty((0, 0))

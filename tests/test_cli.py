@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ def test_dense_matrices_over_budget_are_refused(tmp_path, capsys, argv, shape):
     assert code == 4
     assert out == ""
     assert f"dense {shape} matrix exceeds the budget of 33554432 entries" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("betti", "{path}", "--dim", "1"),
+     "enumerating the 2-faces tests 56921202 candidates, above the budget of 4194304"),
+    (("matroid", "phistar", "--matroid", "builtin:PG33"),
+     "the phi_star LP over 1080 flat supports x 40 elements exceeds the budget of 4096"),
+])
+def test_size_guards_refuse_within_a_second(tmp_path, capsys, argv, message):
+    # with --dim 0 the same input still lists its 244649 edges and ends at
+    # the dense refusal above
+    path = tmp_path / "k700_minus_edge.json"
+    path.write_text('{"n":700,"missing_faces":[[0,1]]}')
+    t0 = time.process_time()
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert time.process_time() - t0 < 1.0
+    assert code == 4
+    assert out == ""
+    assert message in err
 
 
 def test_verify_passes_and_is_deterministic(capsys):

@@ -522,3 +522,16 @@ def test_numpy_integer_vertices_are_accepted():
     x = from_missing_faces(3, [[np.int64(0), np.int32(1)]])
     assert x.missing_faces == ((0, 1),)
     assert Partition([[np.uint8(2)], [0]]).classes == ((2,), (0,))
+
+
+def test_enumeration_step_budget(monkeypatch):
+    # a step tests each (k-1)-face once per vertex above its largest
+    edges = from_missing_faces(10, [[0, 1]]).face_masks(1)
+    count = sum(10 - m.bit_length() for m in edges)
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count)
+    assert len(from_missing_faces(10, [[0, 1]]).faces(2)) == 112
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count - 1)
+    x = from_missing_faces(10, [[0, 1]])
+    with pytest.raises(ValueError, match=f"the 2-faces tests {count} candidates"):
+        x.faces(2)
+    assert len(x.faces(1)) == 44

@@ -1,5 +1,6 @@
 """Jacobi eigensolver against closed forms and numpy's LAPACK oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -105,3 +106,57 @@ def test_residual_certificate_refuses_unrotated_pairs(monkeypatch):
     monkeypatch.setattr(scx.numerics.eigen, "_jacobi", lambda a, v, want_v, tol, limit: 0)
     with pytest.raises(EigenError, match="residual"):
         eigenvalues_sym([[2.0, 1.0], [1.0, 2.0]], vectors=True)
+
+
+def test_residual_is_checked_against_the_input_not_the_working_copy(monkeypatch):
+    # The kernel overwrites the working copy with the diagonal of some other
+    # matrix; only the untouched input shows that (1, 3) with the identity
+    # are no eigenpairs.
+    def fake(a, v, want_v, tol, limit):
+        a[:] = np.diag([1.0, 3.0])
+        return 0
+
+    monkeypatch.setattr(scx.numerics.eigen, "_jacobi", fake)
+    with pytest.raises(EigenError, match="residual"):
+        eigenvalues_sym(np.array([[2, 1], [1, 2]], dtype=np.int64), vectors=True)
+
+
+def random_symmetric(rng, m, integer):
+    b = rng.integers(-6, 7, size=(m, m)) if integer else rng.normal(size=(m, m))
+    return b + b.T
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_integer_input_matches_its_float_twin_bit_for_bit(vectors):
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        a = random_symmetric(rng, int(rng.integers(1, 16)), integer=True)
+        got = eigenvalues_sym(a, vectors=vectors)
+        want = eigenvalues_sym(a.astype(np.float64), vectors=vectors)
+        for g, w in zip(got, want) if vectors else [(got, want)]:
+            assert g.dtype == np.float64
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_input_is_never_mutated(integer, vectors):
+    rng = np.random.default_rng(5)
+    a = random_symmetric(rng, 12, integer)
+    before = a.copy()
+    eigenvalues_sym(a, vectors=vectors)
+    assert a.dtype == before.dtype
+    assert np.array_equal(a, before)
+
+
+def test_masked_off_norm_is_the_triu_indices_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m = int(rng.integers(1, 60))
+        a = random_symmetric(rng, m, integer=False) * 10.0 ** rng.integers(-150, 150)
+        before = a.copy()
+        iu = np.triu_indices(m, 1)
+        want = math.sqrt(2.0 * float(np.sum(a[iu] ** 2)))
+        got = scx.numerics.eigen._off_norm(a, ~np.tri(m, dtype=bool))
+        assert got == want
+        assert np.array_equal(a, before)

@@ -315,6 +315,22 @@ def test_product_assembly_never_densifies_a_coboundary():
     assert peak < 32e6
 
 
+def test_pg33_spectrum_working_set():
+    # Each dense 780 x 780 copy of pg33's degree-1 Laplacian is 4.9 MB.  The
+    # products pair is dropped before the full Laplacian is formed, and the
+    # eigensolver holds one float copy and no index arrays, so under five
+    # copies are alive at the peak.
+    x = pg33_complex()
+    assert not x._memo
+    tracemalloc.start()
+    try:
+        spectrum(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 780**2 * 8
+
+
 def test_ag23_l1_shape_and_assembly():
     x = ag23()
     ls = laplacians(x, 1)

@@ -264,6 +264,27 @@ def test_phi_ground_cap():
         phi(pg33_matroid())
 
 
+def test_phi_star_lp_budget(monkeypatch):
+    with pytest.raises(ValueError, match="1080 flat supports x 40 elements"):
+        phi_star(pg33_matroid())
+    # AG(2,3) has 45 flat supports over 9 elements
+    monkeypatch.setattr(matroids, "MAX_PHI_STAR_ENTRIES", 45 * 9)
+    assert phi_star(ag23_matroid()) == 9
+    monkeypatch.setattr(matroids, "MAX_PHI_STAR_ENTRIES", 45 * 9 - 1)
+    with pytest.raises(ValueError, match="45 flat supports x 9 elements"):
+        phi_star(ag23_matroid())
+
+
+def test_flats_match_closures_of_every_independent_subset():
+    # flats skips the subsets already inside a found flat; the oracle
+    # takes the closure of every independent r-subset
+    rng = random.Random(4)
+    for m in [ag23_matroid(), UniformMatroid(3, 6)] + [random_matroid(rng) for _ in range(20)]:
+        for r in range(m.full_rank + 1):
+            want = {closure(m, s) for s in combinations(range(m.n), r) if m.rank(s) == r}
+            assert flats(m, r).flats == tuple(sorted(want))
+
+
 def test_phi_star_uniform24():
     assert phi_star(UniformMatroid(2, 4)) == 4
 
