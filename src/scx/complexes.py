@@ -39,8 +39,10 @@ __all__ = [
 
 
 #: Most candidates one face-enumeration step may test: above pg33's
-#: 4-faces (518556), below the triangles of 700 vertices (about 5.7e7).
-MAX_STEP_CANDIDATES = 1 << 22
+#: 4-face step (518556) and the edge step of 700 vertices (244650),
+#: below pg33's 5-face step (2052702), so ``pg33_complex().dim`` is
+#: refused before its 5-faces are listed.
+MAX_STEP_CANDIDATES = 1 << 20
 
 
 def as_int(value, what: str) -> int:

@@ -10,16 +10,14 @@ incidences, and the two integer results must agree entrywise before
 anything downstream sees them.
 
 Betti numbers are computed two independent ways as well: exactly, from
-rational ranks of the coboundary matrices, and numerically, as the
-kernel dimension of the full Laplacian (harmonic representatives).  The
-exact ranks are taken modulo primes below 2**31 and certified over Q:
-a rank found modulo some prime is a lower bound, and once the product
-of the primes used exceeds the Hadamard bound on the next-larger minors
-no larger rank is possible (see numerics.rational).  When the two ranks
-modulo the first prime already sum to the dimension of the cochain
-space, both are exact and the Betti number is 0, with no second prime.
-The homological connectivity eta is one more than the first index with
-a nonvanishing reduced Betti number, or infinity when none exists.
+rational ranks of the coboundaries (sparse eliminations of the incidence
+rows, never of a dense matrix; see numerics.rational), and numerically,
+as the kernel dimension of the full Laplacian (harmonic
+representatives).  When the two ranks modulo the first prime sum to the
+dimension of the cochain space, both are exact and the Betti number is
+0, with no second prime.  The homological connectivity eta is one more
+than the first index with a nonvanishing reduced Betti number, or
+infinity when none exists.
 
 The top eigenvalue of a missing layer is solved on the smaller of two
 matrices with the same nonzero spectrum: the layer's upper Laplacian
@@ -28,12 +26,13 @@ Jost, Spectra of combinatorial Laplace operators on simplicial
 complexes, 2013).
 
 Every dense coboundary or Laplacian passes one size guard first: above
-2**25 entries it is refused with a ValueError giving its shape.  On the
-way from the Laplacians to a spectrum, at most four dense m x m integer
-matrices are alive at once: the formula pair and the products pair
-until they are compared.  The products pair is dropped before the full
-Laplacian is formed, so the memo keeps three (lower, upper, full), and
-the eigensolver adds its one float working copy.
+2**25 entries it is refused with a ValueError giving its shape; ranks
+pass the fill budget of numerics.rational instead.  On the way from the
+Laplacians to a spectrum, at most four dense m x m integer matrices are
+alive at once: the formula pair and the products pair until they are
+compared.  The products pair is dropped before the full Laplacian is
+formed, so the memo keeps three (lower, upper, full), and the
+eigensolver adds its one float working copy.
 
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
 coboundary ranks are remembered on the complex (in its ``_memo``,
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import Complex
-from .numerics import eigenvalues_sym, rank_exact, rank_first_prime
+from .numerics import SparseRows, eigenvalues_sym, rank_exact, rank_first_prime
 
 __all__ = [
     "LaplacianSet",
@@ -354,12 +353,20 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
 # -- cohomology -------------------------------------------------------
 
 
+def _coboundary_rows(x: Complex, k: int) -> SparseRows:
+    """The degree-k coboundary from its incidence: (-1)**i in column inc[r, i] of row r."""
+    inc, signs = _incidence(x, k), [(-1) ** i for i in range(k + 2)]
+    return SparseRows((len(inc), x.n_faces(k)), [(cols, signs) for cols in inc.tolist()])
+
+
 def _coboundary_rank_mod(x: Complex, k: int) -> int:
     """Rank of the degree-k coboundary modulo the first prime, a lower
-    bound on its rank over Q; memoized on the complex."""
+    bound on its rank over Q; memoized on the complex.  With a side of
+    at most one face it is that side: every row holds k+2 signs."""
     key = ("coboundary-rank-mod", k)
     if key not in x._memo:
-        x._memo[key] = rank_first_prime(coboundary_matrix(x, k))
+        side = min(x.n_faces(k), x.n_faces(k + 1))
+        x._memo[key] = side if side < 2 else rank_first_prime(_coboundary_rows(x, k))
     return x._memo[key]
 
 
@@ -371,10 +378,8 @@ def _coboundary_rank(x: Complex, k: int) -> int:
     key = ("coboundary-rank", k)
     if key not in x._memo:
         first = _coboundary_rank_mod(x, k)
-        if first == min(x.n_faces(k), x.n_faces(k + 1)):
-            x._memo[key] = first
-        else:
-            x._memo[key] = rank_exact(coboundary_matrix(x, k), first=first)
+        exact = first == min(x.n_faces(k), x.n_faces(k + 1))
+        x._memo[key] = first if exact else rank_exact(_coboundary_rows(x, k), first=first)
     return x._memo[key]
 
 

@@ -2,7 +2,7 @@
 
 from .eigen import EigenError, eigenvalues_sym
 from .lp import LpProblem, LpSolution, lp_solve, lp_solve_max
-from .rational import rank_exact, rank_first_prime
+from .rational import SparseRows, rank_exact, rank_first_prime
 
 __all__ = [
     "EigenError",
@@ -11,6 +11,7 @@ __all__ = [
     "LpSolution",
     "lp_solve",
     "lp_solve_max",
+    "SparseRows",
     "rank_exact",
     "rank_first_prime",
 ]

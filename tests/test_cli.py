@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scx.homology as homology
+import scx.numerics.rational as rational
 from scx.cli import main
 from scx.matroids import ag23_matroid, matroid_to_json
 
@@ -135,7 +136,6 @@ def test_malformed_json_shapes_are_parse_failures(tmp_path, capsys, argv, text, 
 
 @pytest.mark.parametrize("argv, shape", [
     (("spectrum", "pg33", "--dim", "2"), "9360 x 9360"),
-    (("betti", "{path}", "--dim", "0"), "244649 x 700"),
 ])
 def test_dense_matrices_over_budget_are_refused(tmp_path, capsys, argv, shape):
     path = tmp_path / "k700_minus_edge.json"
@@ -146,15 +146,35 @@ def test_dense_matrices_over_budget_are_refused(tmp_path, capsys, argv, shape):
     assert f"dense {shape} matrix exceeds the budget of 33554432 entries" in err
 
 
+def test_betti_of_700_vertices_missing_one_edge_is_sparse(tmp_path, capsys):
+    # the 244649 x 700 degree-0 coboundary, refused as a dense matrix
+    # before, is ranked from its incidence: it stores under 1400 entries
+    path = tmp_path / "k700_minus_edge.json"
+    path.write_text('{"n":700,"missing_faces":[[0,1]]}')
+    t0 = time.process_time()
+    code, out, _ = run_cli(capsys, "betti", str(path), "--dim", "0")
+    assert time.process_time() - t0 < 5.0
+    assert (code, out) == (0, "0\n")
+
+
+def test_sparse_elimination_over_budget_is_refused(capsys, monkeypatch):
+    # pg33's degree-1 coboundary stores 2223 entries
+    monkeypatch.setattr(rational, "MAX_FILL", 1000)
+    code, out, err = run_cli(capsys, "betti", "pg33", "--dim", "1")
+    assert code == 4
+    assert out == ""
+    assert "sparse elimination of a 9360 x 780 matrix stores more than the budget of 1000 entries" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("betti", "{path}", "--dim", "1"),
-     "enumerating the 2-faces tests 56921202 candidates, above the budget of 4194304"),
+     "enumerating the 2-faces tests 56921202 candidates, above the budget of 1048576"),
     (("matroid", "phistar", "--matroid", "builtin:PG33"),
      "the phi_star LP over 1080 flat supports x 40 elements exceeds the budget of 4096"),
 ])
 def test_size_guards_refuse_within_a_second(tmp_path, capsys, argv, message):
-    # with --dim 0 the same input still lists its 244649 edges and ends at
-    # the dense refusal above
+    # with --dim 0 the same input lists its 244649 edges and is answered
+    # (see above)
     path = tmp_path / "k700_minus_edge.json"
     path.write_text('{"n":700,"missing_faces":[[0,1]]}')
     t0 = time.process_time()

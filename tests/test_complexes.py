@@ -7,6 +7,7 @@ against their definitions element by element.
 """
 
 import random
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -23,6 +24,7 @@ from scx.complexes import (
     is_colorful,
     partition_from_json,
 )
+from scx.matroids import pg33_complex
 
 
 # -- independent constructions ---------------------------------------
@@ -535,3 +537,14 @@ def test_enumeration_step_budget(monkeypatch):
     with pytest.raises(ValueError, match=f"the 2-faces tests {count} candidates"):
         x.faces(2)
     assert len(x.faces(1)) == 44
+
+
+def test_pg33_dim_is_refused_at_the_5_face_step():
+    # the 4-face step (518556 candidates) fits the budget; the 5-face
+    # step is refused before any of its 1010880 faces is listed
+    x = pg33_complex()
+    t0 = time.process_time()
+    with pytest.raises(ValueError, match="enumerating the 5-faces tests 2052702 candidates, "
+                                         "above the budget of 1048576"):
+        x.dim
+    assert time.process_time() - t0 < 2.0

@@ -13,6 +13,7 @@ the Kunneth formula for joins.
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -515,7 +516,8 @@ def test_one_prime_certificate_matches_the_certified_ranks():
 
 def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
     # ranks 741 + 39 = 780 = f_1 modulo the first prime certify both
-    # ranks and beta_1 = 0 with no second prime
+    # ranks and beta_1 = 0 with no second prime: one sparse elimination
+    # of each coboundary's incidence rows
     import scx.numerics.rational as rational
 
     calls = []
@@ -531,6 +533,51 @@ def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
     assert betti_exact(x, 1) == 0
     assert sorted(calls) == [(780, 40), (9360, 780)]
     assert (x._memo[("coboundary-rank", 1)], x._memo[("coboundary-rank", 0)]) == (741, 39)
+
+
+@pytest.mark.parametrize("name, n, missing, k, rank", [
+    ("K200 d0", 200, [(0, 1)], 0, 199),
+    ("pg33 d1", None, None, 1, 741),
+])
+def test_large_coboundary_ranks_are_fast(name, n, missing, k, rank):
+    x = pg33_complex() if n is None else from_missing_faces(n, missing)
+    homology._incidence(x, k)
+    t0 = time.process_time()
+    assert homology._coboundary_rank_mod(x, k) == rank
+    assert time.process_time() - t0 < 0.5, name
+
+
+def test_betti_and_eta_never_build_a_dense_coboundary(monkeypatch):
+    # beta_1 of the hollow triangle, taken first, certifies its d_0
+    # (rank 2 of 3) through rank_exact and its Hadamard bound
+    monkeypatch.setattr(homology, "coboundary_matrix", lambda *a: pytest.fail("dense coboundary"))
+    ranked = []
+    real = homology.rank_exact
+    monkeypatch.setattr(homology, "rank_exact", lambda a, first: ranked.append(a.shape) or real(a, first))
+    hollow = from_facets(3, [{0, 1}, {1, 2}, {0, 2}])
+    assert [betti_exact(hollow, k) for k in (1, 0, -1)] == [1, 0, 0]
+    assert (3, 3) in ranked
+    assert eta(from_missing_faces(3, [(0, 1, 2)])) == 2
+    assert eta(ag23_complex()) == 3
+    assert eta(from_missing_faces(4, [])) == math.inf
+
+
+def dense_rank_mod(mat, p):
+    """Rank modulo p of an integer array by Gaussian elimination, column
+    by column, on rows of Python ints."""
+    a = [[e % p for e in row] for row in mat.tolist()]
+    rank = 0
+    for j in range(mat.shape[1]):
+        piv = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][j], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] * inv % p
+            a[i] = [(e - f * q) % p for e, q in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 @st.composite
@@ -560,6 +607,19 @@ def test_betti_exact_satisfies_the_reduced_euler_characteristic(x):
     chi_betti = sum((-1) ** k * betti_exact(x, k) for k in range(-1, top + 1))
     assert chi_faces == chi_betti
     assert all(betti_exact(x, k) == 0 for k in range(top + 1, x.n + 1))
+
+
+@PROPERTY_SETTINGS
+@given(any_complex())
+def test_sparse_rank_mod_p_matches_dense_elimination(x):
+    import scx.numerics.rational as rational
+
+    for p in (2**31 - 1, 3):
+        for k in range(-1, x.dim + 1):
+            dense = dense_rank_mod(coboundary_matrix(x, k), p)
+            assert rational._rank_mod(homology._coboundary_rows(x, k), p) == dense, (p, k)
+            if p > 3:
+                assert homology._coboundary_rank_mod(x, k) == dense, k
 
 
 def alexander_dual(x):
