@@ -133,8 +133,8 @@ class Complex:
     to share.
     """
 
-    __slots__ = ("n", "_missing", "_by_card", "_by_top", "_faces", "_masks", "_index", "_dim",
-                 "_layers", "_memo")
+    __slots__ = ("n", "_missing", "_by_card", "_by_top", "_faces", "_masks", "_top", "_index",
+                 "_dim", "_layers", "_memo")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
@@ -172,6 +172,7 @@ class Complex:
         self._by_top = tuple(tuple(rs) for rs in by_top)
         self._faces: dict[int, tuple[tuple[int, ...], ...]] = {-1: ((),)}
         self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
+        self._top = -1  # highest degree listed in _faces and _masks
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
         self._layers: dict[int, Complex] = {}
@@ -230,11 +231,12 @@ class Complex:
         ascending, lists the k-faces in lexicographic order.  A step
         over ``MAX_STEP_CANDIDATES`` candidates raises ValueError.
         """
-        if k < -1 or k >= self.n:
-            return ()
-        for j in range(max(self._faces) + 1, k + 1):
-            self._extend(j)
-        return self._faces[k]
+        if k > self._top:
+            if k >= self.n:
+                return ()
+            for j in range(self._top + 1, k + 1):
+                self._extend(j)
+        return self._faces.get(k, ())
 
     def _extend(self, k: int) -> None:
         """Enumerate and cache the k-faces from the cached (k-1)-faces.
@@ -261,10 +263,12 @@ class Complex:
                     ms.append(fm | 1 << v)
         self._faces[k] = tuple(fs)
         self._masks[k] = tuple(ms)
+        self._top = k
 
     def face_masks(self, k: int):
         """Bitmasks of the k-faces, in the order of :meth:`faces`."""
-        self.faces(k)
+        if k > self._top:
+            self.faces(k)
         return self._masks.get(k, ())
 
     def face_index(self, k: int) -> dict[tuple[int, ...], int]:

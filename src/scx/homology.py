@@ -32,7 +32,9 @@ Laplacians to a spectrum, at most four dense m x m integer matrices are
 alive at once: the formula pair and the products pair until they are
 compared.  The products pair is dropped before the full Laplacian is
 formed, so the memo keeps three (lower, upper, full), and the
-eigensolver adds its one float working copy.
+eigensolver adds its one float working copy.  It solves each principal
+block of the nonzero pattern on its own, and each distinct block once:
+pg33's degree-1 Laplacian is 130 identical 6 x 6 blocks, one per line.
 
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
 coboundary ranks are remembered on the complex (in its ``_memo``,

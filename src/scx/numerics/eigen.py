@@ -1,22 +1,42 @@
-"""Dense symmetric eigensolver: cyclic Jacobi sweeps.
+"""Dense symmetric eigensolver: cyclic Jacobi sweeps, block by block.
+
+The matrix is first split into the connected components of its nonzero
+pattern (a union-find over the nonzero entries): with no entry coupling
+two principal blocks, the spectrum is the union of the blocks' spectra,
+and permuting the blocks onto the diagonal is the permutation step of
+Parlett-Reinsch balancing.  A matrix that is one block is rotated in
+place.  Otherwise each block of side 1 is already diagonal, each larger
+block is copied out and rotated alone, and blocks with identical bytes
+are solved once per call.  The eigenvalues go back to their blocks' row
+positions before one stable sort, and the eigenvectors are scattered
+into an m x m identity.  Rotations of different blocks touch disjoint
+entries, so each block ends as it would inside the whole matrix after
+the same number of sweeps.
 
 One numpy kernel applies the rotations with vectorized column updates.
 Jacobi is kept for its accuracy on small eigenvalues relative to the
 matrix norm (Demmel-Veselic), which the kernel dimensions need.
 
-Convergence: sweeps stop once the off-diagonal Frobenius norm drops
-below 1e-12 times the Frobenius norm of the input; more than 100 sweeps
+Convergence: a block's sweeps stop once its off-diagonal Frobenius norm
+drops below 1e-12 times its own Frobenius norm.  The squares of these
+norms sum to the squares of the whole matrix's, so the whole
+off-diagonal meets the same bound.  More than 100 sweeps on a block
 raises EigenError, never a silent wrong answer.  When eigenvectors are
 requested the extremal pairs are certified by a residual check
-``|M v - lambda v| <= 1e-8 |M|``.
+``|M v - lambda v| <= 1e-8 |M|`` against the untouched input.
 
 Dense matrices alive at once: the input, never written to, and its
-float64 conversion, the one working copy the sweeps rotate in place (an
-integer Laplacian converts exactly, so it is passed as it is).  The
-eigenvector matrix and a second float copy of the input, which the
-residual check reads, exist only when eigenvectors are requested.  The
-convergence test reads the strict upper triangle through one boolean
-mask and squares that half-size gather in place.
+float64 conversion (an integer Laplacian converts exactly, so it is
+passed as it is).  One block is rotated in that working copy; several
+leave it untouched and rotate copies of their own, one block at a time,
+keeping only each distinct block's diagonal (and rotations) until the
+call returns.  When eigenvectors are requested, the eigenvector matrix
+and, for a single block, a second float copy of the input, which the
+residual check reads, are alive too.  No m x m mask is built for the
+split: it reads the two index arrays of ``np.nonzero``, a few entries
+per row for the sparse Laplacians of large complexes.  The convergence
+test reads the strict upper triangle of the block it rotates through
+one boolean mask and squares that half-size gather in place.
 """
 
 from __future__ import annotations
@@ -92,6 +112,47 @@ def _jacobi(a, v, want_v, tol, sweep_limit):
     return -1
 
 
+def _blocks(a):
+    """Connected components of the nonzero pattern of the symmetric ``a``.
+
+    A union-find over ``np.nonzero(a)`` that relabels the smaller set on
+    each union and stops once a single set is left.  Returns ascending
+    index arrays, ordered by their smallest index."""
+    m = a.shape[0]
+    label = list(range(m))  # each index's set, named by one of its members
+    members = [[i] for i in range(m)]
+    sets = m
+    rows, cols = np.nonzero(a)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        li, lj = label[i], label[j]
+        if li != lj:
+            if len(members[li]) < len(members[lj]):
+                li, lj = lj, li
+            for k in members[lj]:
+                label[k] = li
+            members[li] += members[lj]
+            sets -= 1
+            if sets == 1:
+                return [np.arange(m)]
+    blocks, seen = [], set()
+    for i in range(m):  # the first index met of each set is its smallest
+        if label[i] not in seen:
+            seen.add(label[i])
+            blocks.append(np.array(sorted(members[label[i]])))
+    return blocks
+
+
+def _solve(b, norm, vectors, m):
+    """Rotate the block ``b`` of Frobenius norm ``norm`` in place; its
+    diagonal and rotations."""
+    k = b.shape[0]
+    v = np.eye(k) if vectors else np.empty((0, 0))
+    if _jacobi(b, v, vectors, OFF_TOL * norm, SWEEP_LIMIT) < 0:
+        raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps "
+                         f"(block side {k} of matrix side {m})")
+    return np.diag(b).copy(), v
+
+
 def eigenvalues_sym(mat, vectors: bool = False):
     """Sorted eigenvalues (and optionally eigenvectors) of a symmetric matrix.
 
@@ -109,14 +170,28 @@ def eigenvalues_sym(mat, vectors: bool = False):
     if m == 0:
         w = np.empty(0)
         return (w, np.empty((0, 0))) if vectors else w
-    orig = a.copy() if vectors else None  # read only by the residual check
     norm = float(np.linalg.norm(a))
-    tol = OFF_TOL * norm
-    v = np.eye(m) if vectors else np.empty((0, 0))
-    sweeps = _jacobi(a, v, vectors, tol, SWEEP_LIMIT)
-    if sweeps < 0:
-        raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps (side {m})")
-    w = np.diag(a).copy()
+    blocks = _blocks(a)
+    if len(blocks) == 1:
+        orig = a.copy() if vectors else None  # read only by the residual check
+        w, v = _solve(a, norm, vectors, m)
+    else:
+        orig = a  # the blocks are copies, so a stays untouched
+        # a block of side 1 is already diagonal: its entry and a unit vector
+        w = np.diag(a).copy()
+        v = np.eye(m) if vectors else None
+        solved = {}
+        for idx in blocks:
+            if len(idx) == 1:
+                continue
+            b = a[np.ix_(idx, idx)]
+            key = b.tobytes()
+            if key not in solved:
+                solved[key] = _solve(b, float(np.linalg.norm(b)), vectors, m)
+            bw, bv = solved[key]
+            w[idx] = bw
+            if vectors:
+                v[np.ix_(idx, idx)] = bv
     order = np.argsort(w, kind="stable")
     w = w[order]
     if not vectors:

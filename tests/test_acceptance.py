@@ -25,7 +25,7 @@ _CAPSYS = None
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # Compile the jitted eigensolver outside any timed section.
+    # Pay the eigensolver's first-call costs outside any timed section.
     eigenvalues_sym(np.eye(4))
     yield
 

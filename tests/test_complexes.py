@@ -548,3 +548,36 @@ def test_pg33_dim_is_refused_at_the_5_face_step():
                                          "above the budget of 1048576"):
         x.dim
     assert time.process_time() - t0 < 2.0
+
+
+def test_listed_degrees_are_lookups(monkeypatch):
+    steps = []
+    extend = Complex._extend
+
+    def counting(self, k):
+        steps.append(k)
+        extend(self, k)
+
+    monkeypatch.setattr(Complex, "_extend", counting)
+    x = from_missing_faces(6, [[0, 1], [2, 3, 4]])
+    assert len(x.faces(2)) == 15
+    assert steps == [0, 1, 2]
+    for k in range(-3, 3):
+        x.faces(k), x.face_masks(k), x.n_faces(k)
+    assert steps == [0, 1, 2]
+    assert x.n_faces(3) == 6 and steps == [0, 1, 2, 3]
+    assert x.faces(6) == () and x.face_masks(7) == ()
+    assert steps == [0, 1, 2, 3]
+
+
+def test_a_refused_step_is_retried_and_refused_again(monkeypatch):
+    edges = from_missing_faces(10, [[0, 1]]).face_masks(1)
+    count = sum(10 - m.bit_length() for m in edges)
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count - 1)
+    x = from_missing_faces(10, [[0, 1]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="the 2-faces tests"):
+            x.n_faces(2)
+        assert x.n_faces(1) == 44
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count)
+    assert x.n_faces(2) == 112

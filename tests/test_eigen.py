@@ -1,4 +1,5 @@
-"""Jacobi eigensolver against closed forms and numpy's LAPACK oracle."""
+"""Jacobi eigensolver against closed forms, numpy's LAPACK oracle and its
+own whole-matrix run on block-diagonal inputs."""
 
 import math
 import warnings
@@ -98,6 +99,11 @@ def test_no_convergence_is_refused(monkeypatch):
     monkeypatch.setattr(scx.numerics.eigen, "SWEEP_LIMIT", 0)
     with pytest.raises(EigenError, match="did not converge"):
         eigenvalues_sym([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(EigenError, match=r"\(block side 2 of matrix side 2\)"):
+        eigenvalues_sym([[2.0, 1.0], [1.0, 2.0]])
+    a = np.array([[2.0, 0, 1, 0], [0, 5, 0, 0], [1, 0, 2, 0], [0, 0, 0, 5]])
+    with pytest.raises(EigenError, match=r"\(block side 2 of matrix side 4\)"):
+        eigenvalues_sym(a)
 
 
 def test_residual_certificate_refuses_unrotated_pairs(monkeypatch):
@@ -138,15 +144,31 @@ def test_integer_input_matches_its_float_twin_bit_for_bit(vectors):
             assert np.array_equal(g, w)
 
 
+def block_diagonal(rng, blocks):
+    """The blocks on the diagonal of a random symmetric permutation that
+    interleaves their rows but keeps the row order within each block."""
+    m = sum(len(b) for b in blocks)
+    a = np.zeros((m, m), dtype=blocks[0].dtype)
+    rows = rng.permutation(m)
+    at = 0
+    for b in blocks:
+        idx = np.sort(rows[at:at + len(b)])
+        a[np.ix_(idx, idx)] = b
+        at += len(b)
+    return a
+
+
 @pytest.mark.parametrize("integer", [False, True])
 @pytest.mark.parametrize("vectors", [False, True])
 def test_input_is_never_mutated(integer, vectors):
     rng = np.random.default_rng(5)
-    a = random_symmetric(rng, 12, integer)
-    before = a.copy()
-    eigenvalues_sym(a, vectors=vectors)
-    assert a.dtype == before.dtype
-    assert np.array_equal(a, before)
+    one = random_symmetric(rng, 12, integer)
+    four = block_diagonal(rng, [random_symmetric(rng, k, integer) for k in (4, 1, 4, 3)])
+    for a in (one, four):
+        before = a.copy()
+        eigenvalues_sym(a, vectors=vectors)
+        assert a.dtype == before.dtype
+        assert np.array_equal(a, before)
 
 
 def test_masked_off_norm_is_the_triu_indices_norm_bit_for_bit():
@@ -160,3 +182,75 @@ def test_masked_off_norm_is_the_triu_indices_norm_bit_for_bit():
         got = scx.numerics.eigen._off_norm(a, ~np.tri(m, dtype=bool))
         assert got == want
         assert np.array_equal(a, before)
+
+
+def test_blocks_are_the_components_of_the_nonzero_pattern():
+    a = np.eye(7)
+    for p, q in [(0, 5), (5, 2), (3, 6)]:
+        a[p, q] = a[q, p] = -1.0
+    a[4, 4] = 0.0  # a zero row is a block of its own
+    got = scx.numerics.eigen._blocks(a)
+    assert [b.tolist() for b in got] == [[0, 2, 5], [1], [3, 6], [4]]
+    assert [b.tolist() for b in scx.numerics.eigen._blocks(np.ones((5, 5)))] == [[0, 1, 2, 3, 4]]
+    assert len(scx.numerics.eigen._blocks(np.diag([1.0, 2.0, 3.0]))) == 3
+
+
+def whole_matrix_run(a, vectors):
+    """The kernel on the whole matrix at once, sorted as eigenvalues_sym sorts."""
+    a = np.array(a, dtype=np.float64)
+    m = a.shape[0]
+    v = np.eye(m) if vectors else np.empty((0, 0))
+    tol = scx.numerics.eigen.OFF_TOL * float(np.linalg.norm(a))
+    assert scx.numerics.eigen._jacobi(a, v, vectors, tol, scx.numerics.eigen.SWEEP_LIMIT) >= 0
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return (w[order], v[:, order]) if vectors else w[order]
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_permuted_block_diagonal_is_the_whole_matrix_run_bit_for_bit(monkeypatch, vectors):
+    # With OFF_TOL = 0 both runs sweep until the off-diagonal is exactly
+    # zero, after which a sweep rotates nothing.  Rotations of different
+    # blocks touch disjoint entries and keep the zeros between blocks +0,
+    # so each block ends the same alone as inside the whole matrix.
+    monkeypatch.setattr(scx.numerics.eigen, "OFF_TOL", 0.0)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        integer = bool(rng.integers(0, 2))
+        blocks = [random_symmetric(rng, int(k), integer) for k in rng.integers(1, 7, size=3)]
+        blocks += [blocks[int(j)] for j in rng.integers(0, 3, size=int(rng.integers(0, 3)))]
+        a = block_diagonal(rng, blocks)
+        got = eigenvalues_sym(a, vectors=vectors)
+        want = whole_matrix_run(a, vectors)
+        for g, w in zip(got, want) if vectors else [(got, want)]:
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_identical_blocks_are_solved_once(monkeypatch, vectors):
+    calls = []
+    kernel = scx.numerics.eigen._jacobi
+
+    def counting(a, v, want_v, tol, limit):
+        calls.append(a.shape[0])
+        return kernel(a, v, want_v, tol, limit)
+
+    monkeypatch.setattr(scx.numerics.eigen, "_jacobi", counting)
+    rng = np.random.default_rng(8)
+    b3, b2 = random_symmetric(rng, 3, False), random_symmetric(rng, 2, False)
+    a = block_diagonal(rng, [b3, b3, b2, b3, b2])
+    got = eigenvalues_sym(a, vectors=vectors)
+    assert sorted(calls) == [2, 3]
+    w = got[0] if vectors else got
+    assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-12 * np.linalg.norm(a))
+
+
+def test_each_block_converges_to_its_own_norm():
+    # Under the whole matrix's bound, 1e-12 * |A| ~ 3e-6, the small block
+    # would be left unrotated with eigenvalues 2e-8, 2e-8.
+    pair = np.array([[2.0, 1.0], [1.0, 2.0]])
+    a = np.zeros((4, 4))
+    a[np.ix_([0, 2], [0, 2])] = 1e6 * pair
+    a[np.ix_([1, 3], [1, 3])] = 1e-8 * pair
+    w = eigenvalues_sym(a)
+    assert np.allclose(w, [1e-8, 3e-8, 1e6, 3e6], rtol=1e-12, atol=0)

@@ -24,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scx.homology as homology
+import scx.numerics.eigen as eigen
 from scx.complexes import Complex, from_facets, from_missing_faces, intersection
 from scx.homology import (
     betti_exact,
@@ -330,6 +331,30 @@ def test_pg33_spectrum_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 780**2 * 8
+
+
+def test_pg33_degree1_laplacian_is_130_identical_blocks(monkeypatch):
+    # Off the diagonal, the entries of two edges cancel when their union
+    # is a face, which leaves the six edges in each of the 130 lines of
+    # PG(3,3) coupled only among themselves; every line gives the same
+    # 6 x 6 block, solved once.
+    full = laplacians(pg33_complex(), 1).full
+    blocks = eigen._blocks(full)
+    assert len(blocks) == 130 and all(len(b) == 6 for b in blocks)
+    first = full[np.ix_(blocks[0], blocks[0])]
+    assert all(np.array_equal(full[np.ix_(b, b)], first) for b in blocks)
+    assert np.allclose(eigenvalues_sym(first), [36, 36, 36, 40, 40, 40], atol=1e-12)
+    calls = []
+    kernel = eigen._jacobi
+
+    def counting(a, v, want_v, tol, limit):
+        calls.append(a.shape[0])
+        return kernel(a, v, want_v, tol, limit)
+
+    monkeypatch.setattr(eigen, "_jacobi", counting)
+    w = eigenvalues_sym(full)
+    assert calls == [6]
+    assert np.array_equal(w, np.repeat(eigenvalues_sym(first), 130))
 
 
 def test_ag23_l1_shape_and_assembly():
