@@ -78,6 +78,9 @@ KERNEL_TOL = 1e-7
 #: are 256 MiB).
 _DENSE_ENTRIES = 1 << 25
 
+#: Incidence rows a rank converts to Python lists at a time.
+_ROW_CHUNK = 4096
+
 
 def _zeros(rows: int, cols: int) -> np.ndarray:
     """An int64 zero matrix; a shape above the dense budget is refused
@@ -355,10 +358,25 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
 # -- cohomology -------------------------------------------------------
 
 
+class _IncidenceRows:
+    """The (columns, signs) rows of an incidence, converted ``_ROW_CHUNK``
+    rows at a time on each pass: an elimination holds one chunk of lists,
+    not one per row, and a rank may pass over them several times."""
+
+    def __init__(self, inc: np.ndarray, signs: list[int]):
+        self.inc, self.signs = inc, signs
+
+    def __iter__(self):
+        for start in range(0, len(self.inc), _ROW_CHUNK):
+            for cols in self.inc[start:start + _ROW_CHUNK].tolist():
+                yield cols, self.signs
+
+
 def _coboundary_rows(x: Complex, k: int) -> SparseRows:
     """The degree-k coboundary from its incidence: (-1)**i in column inc[r, i] of row r."""
-    inc, signs = _incidence(x, k), [(-1) ** i for i in range(k + 2)]
-    return SparseRows((len(inc), x.n_faces(k)), [(cols, signs) for cols in inc.tolist()])
+    inc = _incidence(x, k)
+    return SparseRows((len(inc), x.n_faces(k)),
+                      _IncidenceRows(inc, [(-1) ** i for i in range(k + 2)]))
 
 
 def _coboundary_rank_mod(x: Complex, k: int) -> int:

@@ -14,16 +14,20 @@ entries, so each block ends as it would inside the whole matrix after
 the same number of sweeps.
 
 One numpy kernel applies the rotations with vectorized column updates.
-Jacobi is kept for its accuracy on small eigenvalues relative to the
-matrix norm (Demmel-Veselic), which the kernel dimensions need.
 
 Convergence: a block's sweeps stop once its off-diagonal Frobenius norm
-drops below 1e-12 times its own Frobenius norm.  The squares of these
-norms sum to the squares of the whole matrix's, so the whole
-off-diagonal meets the same bound.  More than 100 sweeps on a block
-raises EigenError, never a silent wrong answer.  When eigenvectors are
-requested the extremal pairs are certified by a residual check
-``|M v - lambda v| <= 1e-8 |M|`` against the untouched input.
+drops below tol = 1e-12 times its own Frobenius norm.  The squares of
+these norms sum to the squares of the whole matrix's, so the whole
+off-diagonal meets the same bound, and by Weyl's inequality every
+eigenvalue is within tol (plus rounding) of the input's: an absolute
+bound, not one relative to each eigenvalue.  A sweep skips the entries
+of magnitude at most tol/m on a block of side m (Rutishauser's
+threshold); were all of them that small, the off-diagonal norm would be
+at most tol * sqrt((m-1)/m) and the sweeps would stop, so the skip
+moves neither the stopping test nor the bound.  More than 100 sweeps
+on a block raises EigenError, never a silent wrong answer.  When
+eigenvectors are requested the extremal pairs are certified by a
+residual check ``|M v - lambda v| <= 1e-8 |M|`` against the input.
 
 Dense matrices alive at once: the input, never written to, and its
 float64 conversion (an integer Laplacian converts exactly, so it is
@@ -48,9 +52,6 @@ import numpy as np
 SWEEP_LIMIT = 100
 OFF_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
-# Beyond this |theta|, theta*theta nears overflow; the kernel then takes
-# t = 1/(2 theta), to which the full formula rounds exactly until it overflows.
-THETA_MAX = 1e150
 
 
 class EigenError(RuntimeError):
@@ -70,22 +71,21 @@ def _jacobi(a, v, want_v, tol, sweep_limit):
     """Rotate ``a`` (and ``v``) in place; sweeps used, or -1 if not converged."""
     m = a.shape[0]
     upper = ~np.tri(m, dtype=bool)  # strictly above the diagonal
+    skip = tol / m  # entries all this small already pass the stopping test
     for sweep in range(sweep_limit):
         if _off_norm(a, upper) <= tol:
             return sweep
         for p in range(m - 1):
             for q in range(p + 1, m):
-                # Python floats: a subnormal apq sends theta to inf without a
-                # numpy overflow warning, and the guard below then gives t = 0.
                 apq = float(a[p, q])
-                if apq == 0.0:
+                if abs(apq) <= skip:
                     continue
                 app = float(a[p, p])
                 aqq = float(a[q, q])
+                # |theta| < m / OFF_TOL past the skip; should it overflow (tol = 0),
+                # it is inf as a Python float, with no warning, and t = 0.
                 theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > THETA_MAX:
-                    t = 0.5 / theta
-                elif theta >= 0.0:
+                if theta >= 0.0:
                     t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
                 else:
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))

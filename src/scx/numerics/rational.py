@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -77,11 +78,12 @@ def _primes():
 
 
 class SparseRows(NamedTuple):
-    """An integer matrix by its nonzero entries: ``rows[r]`` is the pair
-    (columns, values) of row r, and one values list may serve many rows."""
+    """An integer matrix by its nonzero entries: ``rows`` yields the pair
+    (columns, values) of each row in order, on every pass over it, and
+    one values list may serve many rows."""
 
     shape: tuple[int, int]
-    rows: list
+    rows: Iterable
 
     def squared_norms(self) -> tuple[list[int], list[int]]:
         """Exact squared norms of the rows and of the columns, largest first."""

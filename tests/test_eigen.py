@@ -2,13 +2,16 @@
 own whole-matrix run on block-diagonal inputs."""
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 import scx.numerics.eigen
+from scx import homology
 from scx.numerics.eigen import EigenError, eigenvalues_sym
+from scx.randomgen import random_complex
 
 
 def octahedron_l0():
@@ -254,3 +257,42 @@ def test_each_block_converges_to_its_own_norm():
     a[np.ix_([1, 3], [1, 3])] = 1e-8 * pair
     w = eigenvalues_sym(a)
     assert np.allclose(w, [1e-8, 3e-8, 1e6, 3e6], rtol=1e-12, atol=0)
+
+
+def test_entries_below_the_threshold_are_not_rotated():
+    # (2, 3) sits at half the threshold tol/m: the sweep rotates (0, 1),
+    # then the whole off-diagonal, sqrt(2) * tol/(2m), passes the test.
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    a[0, 1] = a[1, 0] = 5.0
+    tol = scx.numerics.eigen.OFF_TOL * float(np.linalg.norm(a))
+    a[2, 3] = a[3, 2] = tol / 8
+    assert scx.numerics.eigen.OFF_TOL * float(np.linalg.norm(a)) == tol
+    before = a.copy()
+    assert scx.numerics.eigen._jacobi(a, np.empty((0, 0)), False, tol, 100) == 1
+    assert a[0, 1] == 0.0 and a[0, 0] != before[0, 0]
+    for p, q in [(2, 3), (3, 2), (2, 2), (3, 3)]:
+        assert a[p, q] == before[p, q]
+
+
+def test_complex_laplacians_against_lapack():
+    # Integer Laplacians of the sides that dominate the spectral suites.
+    # Each eigenvalue is within the off-diagonal's Frobenius norm (Weyl),
+    # at most tol, plus the rounding of the rotations, m * eps * |A|.
+    rng = random.Random(17)
+    sides = set()
+    while len(sides) < 12:
+        x = random_complex(rng, n=rng.choice([7, 8]))
+        for k in range(3):
+            lap = homology.laplacians(x, k).full
+            m = lap.shape[0]
+            if not 17 <= m <= 70:
+                continue
+            sides.add(m)
+            norm = float(np.linalg.norm(lap))
+            tol = scx.numerics.eigen.OFF_TOL * norm
+            ref = np.linalg.eigvalsh(lap.astype(np.float64))
+            w = eigenvalues_sym(lap)
+            assert np.max(np.abs(w - ref)) <= tol + m * np.finfo(np.float64).eps * norm
+            a = lap.astype(np.float64)
+            assert scx.numerics.eigen._jacobi(a, np.empty((0, 0)), False, tol, 100) >= 0
+            assert scx.numerics.eigen._off_norm(a, ~np.tri(m, dtype=bool)) <= tol

@@ -333,6 +333,22 @@ def test_pg33_spectrum_working_set():
     assert peak <= 5.5 * 780**2 * 8
 
 
+def test_coboundary_rank_reads_the_incidence_a_chunk_at_a_time():
+    # 200 vertices minus one edge: d_0 has 19,899 rows, about 2.9 MB as
+    # one list and tuple per row; the elimination stores 199 short rows.
+    x = Complex(200, [0b11])
+    inc = homology._incidence(x, 0)
+    rows = homology._coboundary_rows(x, 0).rows
+    assert list(rows) == list(rows) == [(r, [1, -1]) for r in inc.tolist()]
+    tracemalloc.start()
+    try:
+        assert homology._coboundary_rank_mod(x, 0) == 199
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_pg33_degree1_laplacian_is_130_identical_blocks(monkeypatch):
     # Off the diagonal, the entries of two edges cancel when their union
     # is a face, which leaves the six edges in each of the 130 lines of
