@@ -201,11 +201,6 @@ class Complex:
             raise ValueError("complex has no missing faces; maximal missing dimension undefined")
         return max(self._by_card) - 1
 
-    def missing_layer(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Missing faces of dimension i (cardinality i+1)."""
-        masks = self._by_card.get(i + 1, ())
-        return tuple(_vertices_of(m) for m in masks)
-
     def contains_mask(self, mask: int) -> bool:
         """True iff no missing face lies inside the vertex set ``mask``."""
         by_top = self._by_top

@@ -376,7 +376,7 @@ def _coboundary_rows(x: Complex, k: int) -> SparseRows:
     """The degree-k coboundary from its incidence: (-1)**i in column inc[r, i] of row r."""
     inc = _incidence(x, k)
     return SparseRows((len(inc), x.n_faces(k)),
-                      _IncidenceRows(inc, [(-1) ** i for i in range(k + 2)]))
+                      _IncidenceRows(inc, _signs(k + 2).tolist()))
 
 
 def _coboundary_rank_mod(x: Complex, k: int) -> int:

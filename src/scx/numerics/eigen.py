@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolver: cyclic Jacobi sweeps, block by block.
+"""Eigenvalues of dense symmetric matrices: cyclic Jacobi sweeps, block by block.
 
 The matrix is first split into the connected components of its nonzero
 pattern (a union-find over the nonzero entries): with no entry coupling
@@ -8,10 +8,9 @@ Parlett-Reinsch balancing.  A matrix that is one block is rotated in
 place.  Otherwise each block of side 1 is already diagonal, each larger
 block is copied out and rotated alone, and blocks with identical bytes
 are solved once per call.  The eigenvalues go back to their blocks' row
-positions before one stable sort, and the eigenvectors are scattered
-into an m x m identity.  Rotations of different blocks touch disjoint
-entries, so each block ends as it would inside the whole matrix after
-the same number of sweeps.
+positions before one stable sort.  Rotations of different blocks touch
+disjoint entries, so each block ends as it would inside the whole
+matrix after the same number of sweeps.
 
 One numpy kernel applies the rotations with vectorized column updates.
 
@@ -25,22 +24,18 @@ of magnitude at most tol/m on a block of side m (Rutishauser's
 threshold); were all of them that small, the off-diagonal norm would be
 at most tol * sqrt((m-1)/m) and the sweeps would stop, so the skip
 moves neither the stopping test nor the bound.  More than 100 sweeps
-on a block raises EigenError, never a silent wrong answer.  When
-eigenvectors are requested the extremal pairs are certified by a
-residual check ``|M v - lambda v| <= 1e-8 |M|`` against the input.
+on a block raises EigenError, never a silent wrong answer.
 
 Dense matrices alive at once: the input, never written to, and its
 float64 conversion (an integer Laplacian converts exactly, so it is
 passed as it is).  One block is rotated in that working copy; several
 leave it untouched and rotate copies of their own, one block at a time,
-keeping only each distinct block's diagonal (and rotations) until the
-call returns.  When eigenvectors are requested, the eigenvector matrix
-and, for a single block, a second float copy of the input, which the
-residual check reads, are alive too.  No m x m mask is built for the
-split: it reads the two index arrays of ``np.nonzero``, a few entries
-per row for the sparse Laplacians of large complexes.  The convergence
-test reads the strict upper triangle of the block it rotates through
-one boolean mask and squares that half-size gather in place.
+keeping only each distinct block's diagonal until the call returns.
+No m x m mask is built for the split: it reads the two index arrays of
+``np.nonzero``, a few entries per row for the sparse Laplacians of
+large complexes.  The convergence test reads the strict upper triangle
+of the block it rotates through one boolean mask and squares that
+half-size gather in place.
 """
 
 from __future__ import annotations
@@ -51,11 +46,10 @@ import numpy as np
 
 SWEEP_LIMIT = 100
 OFF_TOL = 1e-12
-RESIDUAL_TOL = 1e-8
 
 
 class EigenError(RuntimeError):
-    """Eigensolver failed to converge or to certify its output."""
+    """Eigensolver failed to converge within its sweep limit."""
 
 
 def _off_norm(a, upper) -> float:
@@ -67,12 +61,13 @@ def _off_norm(a, upper) -> float:
     return math.sqrt(2.0 * float(np.sum(off)))
 
 
-def _jacobi(a, v, want_v, tol, sweep_limit):
-    """Rotate ``a`` (and ``v``) in place; sweeps used, or -1 if not converged."""
+def _jacobi(a, tol):
+    """Rotate ``a`` in place; sweeps used, or -1 if not converged within
+    ``SWEEP_LIMIT`` sweeps."""
     m = a.shape[0]
     upper = ~np.tri(m, dtype=bool)  # strictly above the diagonal
     skip = tol / m  # entries all this small already pass the stopping test
-    for sweep in range(sweep_limit):
+    for sweep in range(SWEEP_LIMIT):
         if _off_norm(a, upper) <= tol:
             return sweep
         for p in range(m - 1):
@@ -102,13 +97,8 @@ def _jacobi(a, v, want_v, tol, sweep_limit):
                 a[q, q] = aqq + t * apq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                if want_v:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = vp - s * (vq + tau * vp)
-                    v[:, q] = vq + s * (vp - tau * vq)
     if _off_norm(a, upper) <= tol:
-        return sweep_limit
+        return SWEEP_LIMIT
     return -1
 
 
@@ -142,23 +132,17 @@ def _blocks(a):
     return blocks
 
 
-def _solve(b, norm, vectors, m):
-    """Rotate the block ``b`` of Frobenius norm ``norm`` in place; its
-    diagonal and rotations."""
-    k = b.shape[0]
-    v = np.eye(k) if vectors else np.empty((0, 0))
-    if _jacobi(b, v, vectors, OFF_TOL * norm, SWEEP_LIMIT) < 0:
+def _solve(b, m):
+    """Rotate the block ``b`` in place against its own Frobenius norm;
+    its diagonal.  ``m`` is the whole matrix's side, for the error."""
+    if _jacobi(b, OFF_TOL * float(np.linalg.norm(b))) < 0:
         raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps "
-                         f"(block side {k} of matrix side {m})")
-    return np.diag(b).copy(), v
+                         f"(block side {b.shape[0]} of matrix side {m})")
+    return np.diag(b).copy()
 
 
-def eigenvalues_sym(mat, vectors: bool = False):
-    """Sorted eigenvalues (and optionally eigenvectors) of a symmetric matrix.
-
-    Returns the sorted eigenvalue array, or a pair (values, columns) when
-    ``vectors`` is true; column j matches values[j].
-    """
+def eigenvalues_sym(mat):
+    """Sorted eigenvalues of a finite, exactly symmetric matrix."""
     a = np.array(mat, dtype=np.float64)  # the one working copy; mat is not touched
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
@@ -168,37 +152,17 @@ def eigenvalues_sym(mat, vectors: bool = False):
         raise ValueError("matrix must be exactly symmetric")
     m = a.shape[0]
     if m == 0:
-        w = np.empty(0)
-        return (w, np.empty((0, 0))) if vectors else w
-    norm = float(np.linalg.norm(a))
+        return np.empty(0)
     blocks = _blocks(a)
     if len(blocks) == 1:
-        orig = a.copy() if vectors else None  # read only by the residual check
-        w, v = _solve(a, norm, vectors, m)
-    else:
-        orig = a  # the blocks are copies, so a stays untouched
-        # a block of side 1 is already diagonal: its entry and a unit vector
-        w = np.diag(a).copy()
-        v = np.eye(m) if vectors else None
-        solved = {}
-        for idx in blocks:
-            if len(idx) == 1:
-                continue
-            b = a[np.ix_(idx, idx)]
+        return np.sort(_solve(a, m), kind="stable")
+    w = np.diag(a).copy()  # a block of side 1 is already diagonal
+    solved = {}
+    for idx in blocks:
+        if len(idx) > 1:
+            b = a[np.ix_(idx, idx)]  # a copy, so a stays untouched
             key = b.tobytes()
             if key not in solved:
-                solved[key] = _solve(b, float(np.linalg.norm(b)), vectors, m)
-            bw, bv = solved[key]
-            w[idx] = bw
-            if vectors:
-                v[np.ix_(idx, idx)] = bv
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if not vectors:
-        return w
-    v = v[:, order]
-    for j in (0, m - 1):
-        resid = float(np.linalg.norm(orig @ v[:, j] - w[j] * v[:, j]))
-        if resid > RESIDUAL_TOL * max(norm, 1e-300):
-            raise EigenError(f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}*|M|")
-    return w, v
+                solved[key] = _solve(b, m)
+            w[idx] = solved[key]
+    return np.sort(w, kind="stable")

@@ -10,24 +10,15 @@ import sys
 import time
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from scx.campaigns import run_reproduce, run_suite
 from scx.homology import betti_exact
 from scx.matroids import ag23_matroid, phi
-from scx.numerics.eigen import eigenvalues_sym
 from scx.randomgen import random_complex, trial_rng
 
 _SUITE_T0 = time.perf_counter()
 _CAPSYS = None
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # Pay the eigensolver's first-call costs outside any timed section.
-    eigenvalues_sym(np.eye(4))
-    yield
 
 
 @pytest.fixture(autouse=True)

@@ -363,14 +363,28 @@ def test_pg33_degree1_laplacian_is_130_identical_blocks(monkeypatch):
     calls = []
     kernel = eigen._jacobi
 
-    def counting(a, v, want_v, tol, limit):
+    def counting(a, tol):
         calls.append(a.shape[0])
-        return kernel(a, v, want_v, tol, limit)
+        return kernel(a, tol)
 
     monkeypatch.setattr(eigen, "_jacobi", counting)
     w = eigenvalues_sym(full)
     assert calls == [6]
     assert np.array_equal(w, np.repeat(eigenvalues_sym(first), 130))
+
+
+def test_pg33_degree1_eigensolve_keeps_one_float_working_copy():
+    # The float64 copy of the 780 x 780 input is the only dense matrix
+    # allocated; the symmetry test's m x m booleans add an eighth of it.
+    full = laplacians(pg33_complex(), 1).full
+    m = full.shape[0]
+    tracemalloc.start()
+    try:
+        eigenvalues_sym(full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * m * m
 
 
 def test_ag23_l1_shape_and_assembly():
