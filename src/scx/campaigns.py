@@ -269,7 +269,9 @@ def run_suite(name, seed=0, trials=None, **params) -> VerificationReport:
 
     Parameters the row does not take, or given as None, are dropped; a
     ``tol`` or ``kernel_tol`` that is nan or infinite is refused, since
-    every comparison against it would pass or fail vacuously.
+    every comparison against it would pass or fail vacuously, and so is
+    a ``kernel_tol`` that is not positive, below which no eigenvalue
+    counts as zero.
     ``trials`` (at least 1) replaces every part's count.  The report's
     params are the parameters used plus ``trials``: a count for one
     part, a list of counts for several.
@@ -283,6 +285,8 @@ def run_suite(name, seed=0, trials=None, **params) -> VerificationReport:
     for key in ("tol", "kernel_tol"):
         if key in used and not isfinite(used[key]):
             raise ValueError(f"{key} must be finite, got {used[key]}")
+    if "kernel_tol" in used and used["kernel_tol"] <= 0:
+        raise ValueError(f"kernel_tol must be positive, got {used['kernel_tol']}")
     counts = [default if trials is None else trials for _, default in parts]
     t0 = time.perf_counter()
     records = []

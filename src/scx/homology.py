@@ -15,8 +15,16 @@ rows, never of a dense matrix; see numerics.rational), and numerically,
 as the kernel dimension of the full Laplacian (harmonic
 representatives).  When the two ranks modulo the first prime sum to the
 dimension of the cochain space, both are exact and the Betti number is
-0, with no second prime.  The homological connectivity eta is one more
-than the first index with a nonvanishing reduced Betti number, or
+0, with no second prime.  The kernel of the full Laplacian
+d_{k-1} d_{k-1}^T + d_k^T d_k has dimension f_k - rank d_{k-1} -
+rank d_k, since the coboundary squares to zero and the two summands
+have orthogonal ranges (Eckmann, Harmonische Funktionen und
+Randwertaufgaben in einem Komplex, 1944).  So the numerical side counts
+each coboundary's rank once, as the eigenvalues at least the kernel
+tolerance of the smaller of d^T d and d d^T, which share their nonzero
+spectrum (Horak and Jost, below): the comparison stays float Gram
+spectra against modular ranks.  The homological connectivity eta is one
+more than the first index with a nonvanishing reduced Betti number, or
 infinity when none exists.
 
 The top eigenvalue of a missing layer is solved on the smaller of two
@@ -37,9 +45,9 @@ block of the nonzero pattern on its own, and each distinct block once:
 pg33's degree-1 Laplacian is 130 identical 6 x 6 blocks, one per line.
 
 Incidences, Laplacians, spectra, missing-layer top eigenvalues and
-coboundary ranks are remembered on the complex (in its ``_memo``,
-under keys of this module's own), so a Betti vector ranks each
-coboundary once.
+coboundary ranks, exact and numerical, are remembered on the complex
+(in its ``_memo``, under keys of this module's own), so a Betti vector
+ranks each coboundary once.
 """
 
 from __future__ import annotations
@@ -292,6 +300,18 @@ def _range_tol(x: Complex) -> float:
     return 1e-8 * max(1.0, float(x.n))
 
 
+def _eigenvalues_in_range(x: Complex, mat: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a coboundary's Gram matrix, which must all
+    lie within the default guard of [0, n] for x's n: the certified
+    range of ``spectrum``.  A RuntimeError otherwise."""
+    evs = eigenvalues_sym(mat)
+    tol = _range_tol(x)
+    if evs[0] < -tol or evs[-1] > x.n + tol:
+        raise RuntimeError(f"eigenvalue outside the certified range [0, n]: "
+                           f"min={float(evs[0])}, max={float(evs[-1])}, n={x.n}")
+    return evs
+
+
 def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     """Eigenvalues of the degree-k full Laplacian, sorted ascending.
 
@@ -333,8 +353,8 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
     per (i-1)-face) and its lower Laplacian in degree i (d d^T, one row
     per missing i-face) share their nonzero eigenvalues, so the smaller
     of the two is solved; both come through ``laplacians`` and so are
-    cross-checked between assemblies.  The value must lie within the
-    guard of [0, n], as in ``spectrum``.
+    cross-checked between assemblies.  Its eigenvalues must lie within
+    the guard of [0, n], as in ``spectrum``.
     """
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
@@ -346,13 +366,8 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
         mat = laplacians(y, i).minus
     else:
         mat = laplacians(y, i - 1).plus
-    lam = float(eigenvalues_sym(mat)[-1])
-    tol = _range_tol(x)
-    if not -tol <= lam <= x.n + tol:
-        raise RuntimeError(
-            f"eigenvalue outside the certified range [0, n]: max={lam}, n={x.n}")
-    x._memo[key] = lam
-    return lam
+    x._memo[key] = float(_eigenvalues_in_range(x, mat)[-1])
+    return x._memo[key]
 
 
 # -- cohomology -------------------------------------------------------
@@ -424,12 +439,42 @@ def betti_exact(x: Complex, k: int) -> int:
     return nk - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
 
 
-def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL) -> int:
-    """Reduced Betti number as the numerical kernel dimension of the Laplacian."""
-    if x.n_faces(k) == 0:
+def _numerical_rank(x: Complex, k: int, tol: float) -> int:
+    """Numerical rank of the degree-k coboundary: the eigenvalues at
+    least tol of the smaller of its Gram matrices d_k^T d_k (side f_k)
+    and d_k d_k^T (side f_{k+1}), which share their nonzero spectrum.
+    Zero when either side is empty (so below degree -1 and out of the
+    top degree); memoized on the complex.  Every eigenvalue must lie
+    within the guard of [0, n], as in ``spectrum``."""
+    lo, hi = x.n_faces(k), x.n_faces(k + 1)
+    if lo == 0 or hi == 0:
         return 0
-    evs = spectrum(x, k).eigenvalues
-    return sum(1 for e in evs if e < tol)
+    key = ("numerical-rank", k, tol)
+    if key not in x._memo:
+        mat = laplacians(x, k + 1).minus if hi < lo else laplacians(x, k).plus
+        x._memo[key] = int(np.count_nonzero(_eigenvalues_in_range(x, mat) >= tol))
+    return x._memo[key]
+
+
+def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL) -> int:
+    """Reduced Betti number as the numerical kernel dimension of the
+    full Laplacian L_k = d_{k-1} d_{k-1}^T + d_k^T d_k.
+
+    The coboundary squares to zero, so the two summands have orthogonal
+    ranges and dim ker L_k = f_k - rank d_{k-1} - rank d_k (Eckmann,
+    Harmonische Funktionen und Randwertaufgaben in einem Komplex, 1944).
+    Each rank is counted on the smaller Gram matrix of its coboundary
+    (Horak and Jost, 2013), as the eigenvalues at least tol, so a Betti
+    vector makes one float eigensolve per coboundary and none of a full
+    Laplacian.  Raises ValueError on a tol that is not finite and
+    positive.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    nk = x.n_faces(k)
+    if nk == 0:
+        return 0
+    return nk - _numerical_rank(x, k - 1, tol) - _numerical_rank(x, k, tol)
 
 
 def eta(x: Complex):

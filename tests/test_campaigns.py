@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scx import complexes, homology
+from scx import campaigns, complexes, homology
 from scx.campaigns import (
     REPRODUCE_NAMES,
     SUITES,
@@ -157,6 +157,29 @@ def test_hodge_assembles_each_degree_once(monkeypatch):
     assert calls == {"formula": degrees, "products": degrees}
 
 
+def test_hodge_solves_each_coboundary_once_on_its_smaller_gram(monkeypatch):
+    # one trial: one eigensolve per coboundary d_k (k = -1 .. dim-1), of
+    # side min(f_k, f_{k+1}) and never a full Laplacian; asking for the
+    # Betti numbers again solves nothing
+    drawn, solved = [], []
+    draw = campaigns.random_complex
+    monkeypatch.setattr(campaigns, "random_complex",
+                        lambda *a, **kw: drawn.append(draw(*a, **kw)) or drawn[-1])
+    solve = homology.eigenvalues_sym
+    monkeypatch.setattr(homology, "eigenvalues_sym", lambda mat: solved.append(mat) or solve(mat))
+    rep = run_suite("hodge", seed=0, trials=1, n_max=8)
+    assert rep.passed
+    [x] = drawn
+    degrees = range(-1, x.dim + 1)
+    fulls = [homology.laplacians(x, k).full for k in degrees]
+    assert not any(mat is full for mat in solved for full in fulls)
+    assert [len(mat) for mat in solved] == [min(x.n_faces(k), x.n_faces(k + 1))
+                                            for k in degrees[:-1]]
+    betti = [homology.betti_hodge(x, k) for k in degrees]
+    assert betti == [homology.betti_exact(x, k) for k in degrees]
+    assert len(solved) == x.dim + 1
+
+
 def test_yi_builds_each_missing_layer_once(monkeypatch):
     # check_complement_identity and missing_top_eigenvalue share the layer
     # kept on the complex: one build per (trial complex, dimension).  Seed
@@ -191,6 +214,12 @@ def test_hodge_records_an_assembly_disagreement_as_a_failure(monkeypatch):
 def test_run_suite_refuses_non_finite_tolerances(name, knob, value):
     with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value}$"):
         run_suite(name, trials=1, **{knob: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, -1e-300])
+def test_run_suite_refuses_a_kernel_tol_that_is_not_positive(value):
+    with pytest.raises(ValueError, match=f"^kernel_tol must be positive, got {value}$"):
+        run_suite("hodge", trials=1, kernel_tol=value)
 
 
 def test_matroid_basics_cross_checks_definitions():

@@ -257,6 +257,8 @@ def test_verify_refuses_options_the_suite_does_not_take(capsys, argv, option):
     (["fp", "--slack-tol=-inf"], "tol must be finite, got -inf"),
     (["hodge", "--kernel-tol", "nan"], "kernel_tol must be finite, got nan"),
     (["hodge", "--kernel-tol", "inf"], "kernel_tol must be finite, got inf"),
+    (["hodge", "--kernel-tol", "0"], "kernel_tol must be positive, got 0.0"),
+    (["hodge", "--kernel-tol=-1"], "kernel_tol must be positive, got -1.0"),
 ])
 def test_verify_refuses_non_finite_tolerances(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv, "--trials", "1")

@@ -8,7 +8,7 @@ against their definitions element by element.
 
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest

@@ -17,7 +17,7 @@ import pytest
 from scipy.optimize import linprog
 
 import scx.randomgen as randomgen
-from scx.complexes import Complex, Partition, from_missing_faces
+from scx.complexes import Partition, from_missing_faces
 from scx.domination import (
     VectorRepresentation,
     all_ones_representation,

@@ -15,8 +15,7 @@ import math
 import random
 import time
 import tracemalloc
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ import scx.homology as homology
 import scx.numerics.eigen as eigen
 from scx.complexes import Complex, from_facets, from_missing_faces, intersection
 from scx.homology import (
+    KERNEL_TOL,
     betti_exact,
     betti_hodge,
     boundary_matrix,
@@ -544,6 +544,39 @@ def test_betti_agreement_and_euler_characteristic():
             assert betti_exact(x, k) == betti_hodge(x, k)
         assert betti_exact(x, x.dim + 1) == 0
         assert betti_exact(x, -3) == 0
+
+
+def test_betti_hodge_matches_the_full_laplacian_kernel():
+    # the Gram-rank count against the kernel dimension of the full
+    # Laplacian, counted on its whole spectrum; degrees -1 through the
+    # top, and both Gram sides of a coboundary, are taken
+    rng = random.Random(22)
+    smaller_side = set()
+    for _ in range(60):
+        x = random_complex(rng, n_max=8)
+        for k in range(-1, x.dim + 1):
+            kernel = sum(e < KERNEL_TOL for e in spectrum(x, k).eigenvalues)
+            assert betti_hodge(x, k) == kernel
+            if x.n_faces(k + 1):
+                smaller_side.add("d^T d" if x.n_faces(k) <= x.n_faces(k + 1) else "d d^T")
+    assert smaller_side == {"d^T d", "d d^T"}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_betti_hodge_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    x = ag23()
+    for k in (1, x.dim + 1):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            betti_hodge(x, k, tol=tol)
+
+
+@pytest.mark.parametrize("value", [-1.0, 10.0])
+def test_betti_hodge_range_guard(monkeypatch, value):
+    x = from_missing_faces(4, [(0, 1, 2)])
+    monkeypatch.setattr(homology, "eigenvalues_sym", lambda mat: np.full(len(mat), value))
+    with pytest.raises(RuntimeError, match="certified range"):
+        betti_hodge(x, 1)
+    assert not any(key[0] == "numerical-rank" for key in x._memo)
 
 
 def test_one_prime_certificate_matches_the_certified_ranks():

@@ -6,7 +6,6 @@ code.  Random linear matroids over F_3 exercise the rank axioms and the
 phi-star >= phi inequality.
 """
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
