@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .reports import json_lists
 
@@ -133,46 +133,51 @@ class Complex:
     to share.
     """
 
-    __slots__ = ("n", "_missing", "_by_card", "_by_top", "_faces", "_masks", "_top", "_index",
-                 "_dim", "_layers", "_memo")
+    __slots__ = ("n", "_missing", "_by_card", "_by_second", "_singles", "_faces", "_masks",
+                 "_top", "_ext", "_index", "_dim", "_layers", "_memo")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canon = sorted(set(int(m) for m in missing_masks), key=lambda m: (m.bit_count(), _vertices_of(m)))
-        for m in canon:
-            if m == 0:
-                raise ValueError("the empty set cannot be a missing face")
-            if m >= (1 << n):
-                raise ValueError("missing face has a vertex out of range")
+        # by size, then lexicographically: the least vertex in which two
+        # sets of one size differ lies in the earlier, whose bits read from
+        # vertex 0 up then form the greater string
+        canon = sorted(set(int(m) for m in missing_masks),
+                       key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+        if 0 in canon:
+            raise ValueError("the empty set cannot be a missing face")
+        if canon and max(canon) >> n:
+            raise ValueError("missing face has a vertex out of range")
         by_card: dict[int, list[int]] = {}
         for m in canon:
             by_card.setdefault(m.bit_count(), []).append(m)
-        cards = sorted(by_card)
-        for ci in cards:
-            for cj in cards:
-                if cj <= ci:
-                    continue
-                for big in by_card[cj]:
-                    for small in by_card[ci]:
-                        if small & big == small:
-                            raise ValueError(
-                                f"missing faces must form an antichain: {_vertices_of(small)} ⊆ {_vertices_of(big)}"
-                            )
+        for ci, cj in combinations(sorted(by_card), 2):
+            for big in by_card[cj]:
+                for small in by_card[ci]:
+                    if small & big == small:
+                        raise ValueError(
+                            f"missing faces must form an antichain: {_vertices_of(small)} ⊆ {_vertices_of(big)}"
+                        )
         self.n = n
         self._missing = tuple(canon)
-        self._by_card = {c: tuple(ms) for c, ms in by_card.items()}
-        # Missing faces grouped by their largest vertex v, each stored
-        # without v: adding v to a face f (v above every vertex of f)
-        # gives a face iff no remainder stored under v lies inside f.
-        by_top: list[list[int]] = [[] for _ in range(n)]
+        self._by_card = by_card
+        # Each missing face minus its top vertex w, with every such w; a
+        # rest of one or more vertices is filed under the bit of its
+        # largest, the missing faces' second-largest vertex.
+        tops_of: dict[int, int] = {}
         for m in canon:
-            v = m.bit_length() - 1
-            by_top[v].append(m & ~(1 << v))
-        self._by_top = tuple(tuple(rs) for rs in by_top)
+            w = 1 << m.bit_length() - 1
+            tops_of[m ^ w] = tops_of.get(m ^ w, 0) | w
+        self._singles = tops_of.pop(0, 0)
+        self._by_second: dict[int, list[tuple[int, int]]] = {}
+        for rest, tops in tops_of.items():
+            self._by_second.setdefault(1 << rest.bit_length() - 1, []).append((rest, tops))
         self._faces: dict[int, tuple[tuple[int, ...], ...]] = {-1: ((),)}
         self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
         self._top = -1  # highest degree listed in _faces and _masks
+        # extension masks of the faces of degree max(_top - 1, -1): the
+        # vertices above a face's largest that extend it to a face
+        self._ext: list[int] = [((1 << n) - 1) & ~self._singles]
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
         self._layers: dict[int, Complex] = {}
@@ -202,14 +207,16 @@ class Complex:
         return max(self._by_card) - 1
 
     def contains_mask(self, mask: int) -> bool:
-        """True iff no missing face lies inside the vertex set ``mask``."""
-        by_top = self._by_top
+        """True iff no missing face lies inside the vertex set ``mask``;
+        one of two or more vertices is filed under its second-largest."""
+        if mask & self._singles:
+            return False
         rest = mask
         while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            for r in by_top[v]:
-                if r & rest == r:
+            low = rest & -rest
+            rest ^= low
+            for r, tops in self._by_second.get(low, ()):
+                if tops & mask and r & mask == r:
                     return False
         return True
 
@@ -220,11 +227,11 @@ class Complex:
     def faces(self, k: int):
         """All k-faces as sorted vertex tuples, in lexicographic order.
 
-        Each k-face is a (k-1)-face f extended by a vertex v above every
-        vertex of f, kept unless a missing face with largest vertex v
-        lies inside f + v; extending the (k-1)-faces in their order, v
-        ascending, lists the k-faces in lexicographic order.  A step
-        over ``MAX_STEP_CANDIDATES`` candidates raises ValueError.
+        Each k-face is a (k-1)-face g extended by a vertex of g's
+        extension mask, the vertices above max(g) that extend g to a
+        face; extending the (k-1)-faces in their order, the vertex
+        ascending, lists the k-faces in lexicographic order.  A step over
+        ``MAX_STEP_CANDIDATES`` candidates raises ValueError.
         """
         if k > self._top:
             if k >= self.n:
@@ -236,29 +243,45 @@ class Complex:
     def _extend(self, k: int) -> None:
         """Enumerate and cache the k-faces from the cached (k-1)-faces.
 
-        Each (k-1)-face f is a candidate once for every vertex above its
-        largest; a step with more candidates than the budget is refused
-        with a ValueError before any subset test."""
-        n = self.n
+        f + v + w (f below v below w) is a face iff f + v and f + w are,
+        and no missing face with top w and second-largest vertex v lies
+        in f + v + w.  So each (k-1)-face f + v takes the vertices above
+        v of its parent f's extension mask, less the tops filed under v
+        with a rest inside f + v; only the (k-2)-faces' masks are kept
+        from the step before.  The budget counts each (k-1)-face once per
+        vertex above its largest, an upper bound on the extensions tested
+        (and is counted only when n per face would exceed it); a step
+        over it is refused before any mask is read."""
         below = self._masks[k - 1]
-        count = n * len(below) - sum(map(int.bit_length, below))
-        if count > MAX_STEP_CANDIDATES:
-            raise ValueError(f"enumerating the {k}-faces tests {count} candidates, above "
-                             f"the budget of {MAX_STEP_CANDIDATES} per step")
-        by_top = self._by_top
-        fs: list[tuple[int, ...]] = []
-        ms: list[int] = []
-        for f, fm in zip(self._faces[k - 1], below):
-            for v in range(fm.bit_length(), n):
-                for r in by_top[v]:
-                    if r & fm == r:
-                        break
-                else:
-                    fs.append(f + (v,))
-                    ms.append(fm | 1 << v)
+        if self.n * len(below) > MAX_STEP_CANDIDATES:
+            count = self.n * len(below) - sum(map(int.bit_length, below))
+            if count > MAX_STEP_CANDIDATES:
+                raise ValueError(f"enumerating the {k}-faces tests {count} candidates, above "
+                                 f"the budget of {MAX_STEP_CANDIDATES} per step")
+        if k == 0:  # the vertices in the empty face's mask
+            ext = self._ext
+            fs = [(v,) for v in range(self.n) if ext[0] >> v & 1]
+            ms = [1 << f[0] for f in fs]
+        else:  # for each (k-1)-face g = f + v: its mask, then g + w for w in it
+            ext, fs, ms = [], [], []
+            below_faces = iter(self._faces[k - 1])
+            for fm, e in zip(self._masks[k - 2], self._ext):
+                while e:
+                    low = e & -e
+                    e ^= low
+                    g, gm, keep = next(below_faces), fm | low, e
+                    for r, tops in self._by_second.get(low, ()):
+                        if r & gm == r:
+                            keep &= ~tops
+                    ext.append(keep)
+                    while keep:
+                        wb = keep & -keep
+                        keep ^= wb
+                        fs.append(g + (wb.bit_length() - 1,))
+                        ms.append(gm | wb)
         self._faces[k] = tuple(fs)
         self._masks[k] = tuple(ms)
-        self._top = k
+        self._ext, self._top = ext, k
 
     def face_masks(self, k: int):
         """Bitmasks of the k-faces, in the order of :meth:`faces`."""
@@ -356,11 +379,7 @@ class Complex:
             raise ValueError("need one multiplicity per vertex")
         if any(a < 1 for a in counts):
             raise ValueError("multiplicities must be >= 1")
-        offset = [0] * self.n
-        run = 0
-        for v in range(self.n):
-            offset[v] = run
-            run += counts[v]
+        offset = list(accumulate(counts, initial=0))  # clones of v from offset[v] on
         lifts = []
         for m in self._missing:
             vs = _vertices_of(m)
@@ -369,7 +388,7 @@ class Complex:
                 for v, j in zip(vs, choice):
                     mm |= 1 << (offset[v] + j)
                 lifts.append(mm)
-        return Complex(run, lifts)
+        return Complex(offset[-1], lifts)
 
     def relaxation(self, i: int) -> "Complex":
         """Complex whose only missing faces are this one's i-dimensional ones."""
@@ -445,30 +464,19 @@ def from_facets(n: int, facets) -> Complex:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    fmasks = _minimalize(~m & ((1 << n) - 1) for m in (_mask_of(f, n) for f in facets))
-    fmasks = [~m & ((1 << n) - 1) for m in fmasks]  # maximal sets via complement trick
-    faces_by_card: dict[int, set] = {0: {()}}
-    for fm in fmasks:
-        vs = _vertices_of(fm)
-        for c in range(1, len(vs) + 1):
-            faces_by_card.setdefault(c, set()).update(combinations(vs, c))
-    top = max(faces_by_card)
-    missing = []
-    for c in range(1, top + 2):
-        here = faces_by_card.get(c, set())
-        below = faces_by_card.get(c - 1, set())
-        cands = set()
-        for f in below:
-            fset = set(f)
-            for v in range(n):
-                if v not in fset:
-                    cands.add(tuple(sorted(fset | {v})))
-        for mu in cands:
-            if mu in here:
-                continue
-            if all(sub in below for sub in combinations(mu, c - 1)):
-                missing.append(_mask_of(mu, n))
-    return Complex(n, missing)
+    full = (1 << n) - 1
+    # the maximal input sets (minimal complements), then all their subsets
+    faces = {0}
+    for fm in (full & ~m for m in _minimalize(full & ~_mask_of(f, n) for f in facets)):
+        sub = fm
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & fm
+    # f + v is a minimal non-face iff it is not a face and f + v - u is
+    # one for every u in f
+    return Complex(n, {f | 1 << v for f in faces for v in range(n)
+                       if not f >> v & 1 and f | 1 << v not in faces
+                       and all(f ^ 1 << u | 1 << v in faces for u in _vertices_of(f))})
 
 
 def intersection(complexes) -> Complex:

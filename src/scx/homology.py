@@ -4,60 +4,46 @@ Cochains are represented in the standard basis indexed by faces in
 ascending vertex order; all signs come from permutation parity.  Each
 degree's coboundary is held once, as a signed incidence from which the
 dense coboundary and boundary matrices are scattered.  The lower and
-upper Laplacians are assembled twice, from the entry formulas over each
-face's one-vertex swaps and as products scatter-added from the
-incidences, and the two integer results must agree entrywise before
-anything downstream sees them.
+upper Laplacians are assembled twice, from the entry formulas (which
+read the cofaces off the missing faces, never off the faces one degree
+up) and as products scatter-added from the incidences, and the two
+integer results must agree entrywise before anything downstream sees
+them.
 
 Betti numbers are computed two independent ways as well: exactly, from
 rational ranks of the coboundaries (sparse eliminations of the incidence
-rows, never of a dense matrix; see numerics.rational), and numerically,
-as the kernel dimension of the full Laplacian (harmonic
-representatives).  When the two ranks modulo the first prime sum to the
-dimension of the cochain space, both are exact and the Betti number is
-0, with no second prime.  The kernel of the full Laplacian
-d_{k-1} d_{k-1}^T + d_k^T d_k has dimension f_k - rank d_{k-1} -
-rank d_k, since the coboundary squares to zero and the two summands
-have orthogonal ranges (Eckmann, Harmonische Funktionen und
-Randwertaufgaben in einem Komplex, 1944).  So the numerical side counts
-each coboundary's rank once, as the eigenvalues at least the kernel
-tolerance of the smaller of d^T d and d d^T, which share their nonzero
-spectrum (Horak and Jost, below): the comparison stays float Gram
-spectra against modular ranks.  The homological connectivity eta is one
-more than the first index with a nonvanishing reduced Betti number, or
-infinity when none exists.
-
-The top eigenvalue of a missing layer is solved on the smaller of two
-matrices with the same nonzero spectrum: the layer's upper Laplacian
-d^T d in degree i-1 or its lower Laplacian d d^T in degree i (Horak and
-Jost, Spectra of combinatorial Laplace operators on simplicial
-complexes, 2013).
+rows; see numerics.rational), and numerically, from the float spectra of
+each coboundary's smaller Gram matrix (see betti_hodge).  When the two
+ranks modulo the first prime sum to the dimension of the cochain space,
+both are exact and the Betti number is 0, with no second prime.  The
+homological connectivity eta is one more than the first index with a
+nonvanishing reduced Betti number, or infinity when none exists.  The
+top eigenvalue of a missing layer is solved on the smaller of two
+matrices with the same nonzero spectrum (Horak and Jost, Spectra of
+combinatorial Laplace operators on simplicial complexes, 2013).
 
 Every dense coboundary or Laplacian passes one size guard first: above
 2**25 entries it is refused with a ValueError giving its shape; ranks
-pass the fill budget of numerics.rational instead.  On the way from the
-Laplacians to a spectrum, at most four dense m x m integer matrices are
-alive at once: the formula pair and the products pair until they are
-compared.  The products pair is dropped before the full Laplacian is
-formed, so the memo keeps three (lower, upper, full), and the
-eigensolver adds its one float working copy.  It solves each principal
-block of the nonzero pattern on its own, and each distinct block once:
-pg33's degree-1 Laplacian is 130 identical 6 x 6 blocks, one per line.
-
-Incidences, Laplacians, spectra, missing-layer top eigenvalues and
-coboundary ranks, exact and numerical, are remembered on the complex
-(in its ``_memo``, under keys of this module's own), so a Betti vector
-ranks each coboundary once.
+pass the fill budget of numerics.rational instead.  At most four dense
+m x m integer matrices are alive at once: the formula pair and the
+products pair until they are compared.  The full Laplacian is formed
+only when first read, after the products pair is gone; the eigensolver
+adds one float working copy, and solves each distinct principal block
+of the nonzero pattern once (pg33's degree-1 Laplacian is 130 identical
+6 x 6 blocks).  Incidences, Laplacians, spectra, missing-layer top
+eigenvalues and coboundary ranks are remembered on the complex (in its
+``_memo``, under keys of this module's own).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .complexes import Complex
+from .complexes import Complex, _vertices_of
 from .numerics import SparseRows, eigenvalues_sym, rank_exact, rank_first_prime
 
 __all__ = [
@@ -197,34 +183,43 @@ def laplacian_from_formula(x: Complex, k: int):
     vertex u, add a vertex w outside.  The sign is the product of the
     two reorder signs, read off the positions of u and w; the upper
     entry is set when the union is a face.  The diagonal holds k+1 and
-    the number of faces one dimension up.
+    the number of faces one dimension up.  The cofaces are read from the
+    missing faces alone: f + w is a face iff no missing face minus w
+    lies inside f, so a face's coface vertices are those outside it
+    that complete none of its subsets.
     """
     if k < -1:
         raise ValueError("cochain spaces vanish below degree -1")
     faces = x.faces(k)
     masks = x.face_masks(k)
     pos = {m: i for i, m in enumerate(masks)}
+    completing: dict[int, int] = {}  # missing face minus w -> every such w
+    for mu in x.missing_masks:
+        for v in _vertices_of(mu):
+            completing[mu ^ 1 << v] = completing.get(mu ^ 1 << v, 0) | 1 << v
+    present = ((1 << x.n) - 1) & ~completing.get(0, 0)  # no missing vertex
     m = len(faces)
     minus = _zeros(m, m)
     np.fill_diagonal(minus, k + 1)
     plus = _zeros(m, m)
     for i, (f, mi) in enumerate(zip(faces, masks)):
-        degree = 0
+        cofaces, sub = present & ~mi, mi
+        while sub:  # the nonempty subsets of f
+            cofaces &= ~completing.get(sub, 0)
+            sub = (sub - 1) & mi
+        plus[i, i] = cofaces.bit_count()
         for w in range(x.n):
             wb = 1 << w
             if mi & wb:
                 continue
-            up = x.contains_mask(mi | wb)
-            degree += up
             below = (mi & (wb - 1)).bit_count()
             for t, u in enumerate(f):
                 j = pos.get(mi ^ 1 << u | wb)
                 if j is not None:
                     s = -1 if (t + below - (u < w)) % 2 else 1
                     minus[i, j] = s
-                    if up:
+                    if cofaces & wb:
                         plus[i, j] = -s
-        plus[i, i] = degree
     return minus, plus
 
 
@@ -257,27 +252,29 @@ def laplacian_from_products(x: Complex, k: int):
 
 @dataclass(frozen=True)
 class LaplacianSet:
-    """Lower, upper and full Laplacian in one cochain degree."""
+    """Lower and upper Laplacian in one cochain degree; the full one,
+    their sum, is formed the first time it is read and then kept."""
 
     k: int
     minus: np.ndarray
     plus: np.ndarray
-    full: np.ndarray
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        return self.minus + self.plus
 
 
 def laplacians(x: Complex, k: int) -> LaplacianSet:
-    """All three degree-k Laplacians, cross-checked between assemblies."""
+    """The degree-k Laplacians, cross-checked between assemblies."""
     key = ("laplacians", k)
     if key in x._memo:
         return x._memo[key]
     fm, fp = laplacian_from_formula(x, k)
     pm, pp = laplacian_from_products(x, k)
-    agree = np.array_equal(fm, pm) and np.array_equal(fp, pp)
-    del pm, pp  # freed before ``full`` is formed
-    if not agree:
+    if not (np.array_equal(fm, pm) and np.array_equal(fp, pp)):
         raise RuntimeError(f"laplacian assemblies disagree in degree {k}; "
                            "entry formulas and coboundary products must match")
-    x._memo[key] = LaplacianSet(k, fm, fp, fm + fp)
+    x._memo[key] = LaplacianSet(k, fm, fp)
     return x._memo[key]
 
 
@@ -300,12 +297,12 @@ def _range_tol(x: Complex) -> float:
     return 1e-8 * max(1.0, float(x.n))
 
 
-def _eigenvalues_in_range(x: Complex, mat: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of a coboundary's Gram matrix, which must all
-    lie within the default guard of [0, n] for x's n: the certified
-    range of ``spectrum``.  A RuntimeError otherwise."""
+def _eigenvalues_in_range(x: Complex, mat: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Sorted eigenvalues of a Laplacian or Gram matrix of x, which must
+    all lie within the guard tol (default ``_range_tol``) of [0, n], the
+    certified range.  A RuntimeError otherwise."""
     evs = eigenvalues_sym(mat)
-    tol = _range_tol(x)
+    tol = _range_tol(x) if tol is None else tol
     if evs[0] < -tol or evs[-1] > x.n + tol:
         raise RuntimeError(f"eigenvalue outside the certified range [0, n]: "
                            f"min={float(evs[0])}, max={float(evs[-1])}, n={x.n}")
@@ -326,15 +323,10 @@ def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     key = ("spectrum", k, tol)
-    if key in x._memo:
-        return x._memo[key]
-    evs = eigenvalues_sym(laplacians(x, k).full)
-    mu = float(evs[0])
-    lam = float(evs[-1])
-    if mu < -tol or lam > x.n + tol:
-        raise RuntimeError(
-            f"eigenvalue outside the certified range [0, n]: mu={mu}, max={lam}, n={x.n}")
-    x._memo[key] = SpectrumReport(k, tuple(float(e) for e in evs), mu, lam, tol)
+    if key not in x._memo:
+        evs = _eigenvalues_in_range(x, laplacians(x, k).full, tol)
+        x._memo[key] = SpectrumReport(k, tuple(float(e) for e in evs), float(evs[0]),
+                                      float(evs[-1]), tol)
     return x._memo[key]
 
 

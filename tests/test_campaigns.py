@@ -180,6 +180,23 @@ def test_hodge_solves_each_coboundary_once_on_its_smaller_gram(monkeypatch):
     assert len(solved) == x.dim + 1
 
 
+def test_hodge_trial_forms_no_full_laplacian(monkeypatch):
+    # Betti numbers come from Gram ranks, so a hodge trial assembles
+    # every degree's lower and upper Laplacians and never their sum; it
+    # is formed, and kept, only when read
+    drawn = []
+    draw = campaigns.random_complex
+    monkeypatch.setattr(campaigns, "random_complex",
+                        lambda *a, **kw: drawn.append(draw(*a, **kw)) or drawn[-1])
+    assert run_suite("hodge", seed=0, trials=1, n_max=8).passed
+    [x] = drawn
+    sets = [v for key, v in x._memo.items() if key[0] == "laplacians"]
+    assert len(sets) == x.dim + 2
+    assert not any("full" in ls.__dict__ for ls in sets)
+    full = sets[0].full
+    assert sets[0].full is full and (full == sets[0].minus + sets[0].plus).all()
+
+
 def test_yi_builds_each_missing_layer_once(monkeypatch):
     # check_complement_identity and missing_top_eigenvalue share the layer
     # kept on the complex: one build per (trial complex, dimension).  Seed

@@ -201,6 +201,40 @@ def test_faces_match_definition_on_random_complexes():
             assert x.n_faces(k) == len(want)  # 1 in degree -1, the empty face
         for m in range(1 << n):
             assert x.contains_mask(m) == is_face(m), (n, masks, m)
+    # the same with missing vertices and edges drawn on purpose: a
+    # singleton masks the empty face's extensions, an edge {v, w} is
+    # filed under v with nothing below it
+    rng = random.Random(4243)
+    kinds = set()
+    for trial in range(150):
+        n = rng.randint(1, 10)
+        fam = set(random_missing_masks(rng, n))
+        fam |= {1 << rng.randrange(n) for _ in range(rng.randint(0, 2))}
+        fam |= {1 << rng.randrange(n) | 1 << rng.randrange(n) for _ in range(rng.randint(0, 4))}
+        masks = [m for m in fam if not any(o != m and o & m == o for o in fam)]
+        kinds |= {m.bit_count() for m in masks}
+        x = Complex(n, masks)
+        levels = list(range(-1, n + 1))
+        rng.shuffle(levels)
+        for k in levels:
+            want = () if k < -1 else tuple(
+                f for f in combinations(range(n), k + 1)
+                if not any(mu & sum(1 << v for v in f) == mu for mu in masks))
+            assert x.faces(k) == want, (n, masks, k)
+        for m in range(1 << n):
+            assert x.contains_mask(m) == (not any(mu & m == mu for mu in masks)), (n, masks, m)
+    assert {1, 2, 3} <= kinds
+
+
+def test_pg33_keeps_extension_masks_one_degree_below_the_top():
+    # after the 3-faces are listed, one mask per 2-face is kept (9360),
+    # not one per 3-face (72540); each holds the vertices above the
+    # face's largest that extend it to a 3-face
+    x = pg33_complex()
+    assert x.n_faces(3) == 72540
+    assert len(x._ext) == x.n_faces(2) == 9360
+    for g, gm, e in list(zip(x.faces(2), x.face_masks(2), x._ext))[::97]:
+        assert e == sum(1 << w for w in range(g[-1] + 1, x.n) if x.contains_mask(gm | 1 << w))
 
 
 def test_contains():
@@ -568,6 +602,19 @@ def test_listed_degrees_are_lookups(monkeypatch):
     assert x.n_faces(3) == 6 and steps == [0, 1, 2, 3]
     assert x.faces(6) == () and x.face_masks(7) == ()
     assert steps == [0, 1, 2, 3]
+
+
+def test_a_refused_step_leaves_the_stored_masks_usable(monkeypatch):
+    missing = [[0, 1], [2, 3, 4], [1, 5, 6], [4, 6, 7]]
+    masks = from_missing_faces(10, missing).face_masks(1)
+    count = sum(10 - m.bit_length() for m in masks)
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count - 1)
+    x = from_missing_faces(10, missing)
+    with pytest.raises(ValueError, match="the 2-faces tests"):
+        x.faces(2)
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", 1 << 20)
+    fresh = from_missing_faces(10, missing)
+    assert [x.faces(k) for k in range(5)] == [fresh.faces(k) for k in range(5)]
 
 
 def test_a_refused_step_is_retried_and_refused_again(monkeypatch):

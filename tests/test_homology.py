@@ -257,6 +257,51 @@ def test_assemblies_agree_on_random_complexes():
             assert np.array_equal(ls.full, ls.full.T)
 
 
+def test_formula_lists_no_faces_one_degree_up(monkeypatch):
+    # the formula reads each face's cofaces off the missing faces: it
+    # lists no (k+1)-face and tests no vertex set for membership
+    extended, tested = [], []
+    extend, contains = Complex._extend, Complex.contains_mask
+    monkeypatch.setattr(Complex, "_extend", lambda self, j: extended.append(j) or extend(self, j))
+    monkeypatch.setattr(Complex, "contains_mask",
+                        lambda self, m: tested.append(m) or contains(self, m))
+    rng = random.Random(23)
+    cases = [(pg33_complex, 1), (lambda: from_missing_faces(6, [[0, 1]]), 3)]
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        missing = random_antichain(rng, n)
+        cases += [(lambda n=n, missing=missing: from_missing_faces(n, missing), k)
+                  for k in range(-1, from_missing_faces(n, missing).dim + 1)]
+    for build, k in cases:
+        x = build()
+        extended.clear()
+        laplacian_from_formula(x, k)
+        assert max(extended, default=-1) <= k
+        assert np.array_equal(laplacians(x, k).plus, laplacian_from_products(x, k)[1])
+    assert not tested
+
+
+@pytest.mark.parametrize("build, k", [
+    (lambda: from_missing_faces(5, [[0, 1, 2]]), 0),
+    (lambda: from_missing_faces(5, [[0, 1, 2]]), 1),
+    (lambda: from_missing_faces(6, [[0, 1], [2, 3, 4]]), 2),
+    (pg33_complex, 1),
+])
+def test_cross_check_catches_a_face_lost_by_the_enumeration(monkeypatch, build, k):
+    # the formula does not read the (k+1)-faces, so an enumeration that
+    # drops one of them makes the two assemblies disagree
+    extend = Complex._extend
+
+    def dropping(self, j):
+        extend(self, j)
+        if j == k + 1:
+            self._faces[j], self._masks[j] = self._faces[j][:-1], self._masks[j][:-1]
+
+    monkeypatch.setattr(Complex, "_extend", dropping)
+    with pytest.raises(RuntimeError, match="assemblies disagree in degree"):
+        laplacians(build(), k)
+
+
 # sha256 over (dtype, shape, bytes) of the lower and upper Laplacians
 # and the coboundary in one degree: any change to an assembly, a sign or
 # the face order changes these integer matrices
