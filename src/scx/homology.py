@@ -38,13 +38,15 @@ eigenvalues and coboundary ranks are remembered on the complex (in its
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .complexes import Complex, _vertices_of
 from .numerics import SparseRows, eigenvalues_sym, rank_exact, rank_first_prime
+
+np = lazy_import("numpy")
 
 __all__ = [
     "LaplacianSet",
@@ -473,8 +475,12 @@ def eta(x: Complex):
     """Homological connectivity: first nonvanishing reduced Betti index plus one.
 
     Returns math.inf when every reduced Betti number through the top
-    dimension vanishes.
+    dimension vanishes.  A vertex in no missing face lies in every
+    facet, so the complex is a cone, contractible, and answered without
+    any rank.  The complex on zero vertices (beta_-1 = 1) is no cone.
     """
+    if reduce(operator.or_, x.missing_masks, 0) != (1 << x.n) - 1:
+        return math.inf
     for k in range(-1, x.dim + 1):
         if betti_exact(x, k) != 0:
             return k + 1

@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from .._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 SWEEP_LIMIT = 100
 OFF_TOL = 1e-12

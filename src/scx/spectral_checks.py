@@ -16,8 +16,7 @@ import math
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .complexes import Complex, intersection
 from .homology import (
     betti_exact,
@@ -28,6 +27,8 @@ from .homology import (
     spectral_gap,
 )
 from .reports import CheckRecord, digest
+
+np = lazy_import("numpy")
 
 __all__ = [
     "SLACK_TOL",

@@ -171,6 +171,11 @@ def test_sparse_elimination_over_budget_is_refused(capsys, monkeypatch):
      "enumerating the 2-faces tests 56921202 candidates, above the budget of 1048576"),
     (("matroid", "phistar", "--matroid", "builtin:PG33"),
      "the phi_star LP over 1080 flat supports x 40 elements exceeds the budget of 4096"),
+    (("matroid", "phistar", "--matroid", "uniform:6,30"),
+     "listing the flats of ranks 1..5 on 30 elements scans 30 + 435 + 4060 + 27405 + 142506 "
+     "= 174436 subsets, above the budget of 16384"),
+    (("matroid", "phistar", "--matroid", "uniform:10,40"),
+     "= 373585603 subsets, above the budget of 16384"),
 ])
 def test_size_guards_refuse_within_a_second(tmp_path, capsys, argv, message):
     # with --dim 0 the same input lists its 244649 edges and is answered

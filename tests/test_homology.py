@@ -577,6 +577,40 @@ def test_empty_complex_eta_zero():
     assert eta(x) == 0
 
 
+def full_betti_eta(x):
+    """eta read off the whole reduced Betti vector, -1 through the top."""
+    nonzero = [k for k in range(-1, x.dim + 1) if betti_exact(x, k)]
+    return nonzero[0] + 1 if nonzero else math.inf
+
+
+def test_eta_of_a_cone_matches_the_full_betti_vector():
+    # an apex joined to a random complex: the apex lies in no missing
+    # face, and every reduced Betti number of the cone vanishes
+    rng = random.Random(31)
+    for _ in range(80):
+        base = random_complex(rng, n_max=7)
+        apex = rng.randrange(base.n + 1)
+        relabel = [v + (v >= apex) for v in range(base.n)]
+        cone = from_missing_faces(base.n + 1, [[relabel[v] for v in f] for f in base.missing_faces])
+        assert eta(cone) == math.inf
+        assert full_betti_eta(from_missing_faces(cone.n, cone.missing_faces)) == math.inf
+        assert eta(base) == full_betti_eta(from_missing_faces(base.n, base.missing_faces))
+
+
+def test_eta_of_a_cone_runs_no_rank(monkeypatch):
+    ranked = []
+    real = homology._coboundary_rank_mod
+    monkeypatch.setattr(homology, "_coboundary_rank_mod",
+                        lambda x, k: ranked.append(k) or real(x, k))
+    cone = from_missing_faces(10, [(0, 1, 2), (3, 4), (5, 6, 7, 8)])  # apex 9
+    assert eta(cone) == math.inf
+    assert ranked == [] and cone._memo == {}
+    # the zero-vertex complex is no cone: beta_-1 = 1 is ranked
+    assert eta(Complex(0, [])) == 0
+    assert eta(from_missing_faces(3, [(0, 1, 2)])) == 2
+    assert ranked
+
+
 def test_betti_agreement_and_euler_characteristic():
     rng = random.Random(20)
     for _ in range(30):

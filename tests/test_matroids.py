@@ -7,6 +7,7 @@ phi-star >= phi inequality.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -271,6 +272,34 @@ def test_phi_star_lp_budget(monkeypatch):
     assert phi_star(ag23_matroid()) == 9
     monkeypatch.setattr(matroids, "MAX_PHI_STAR_ENTRIES", 45 * 9 - 1)
     with pytest.raises(ValueError, match="45 flat supports x 9 elements"):
+        phi_star(ag23_matroid())
+
+
+@pytest.mark.parametrize("r, n, message", [
+    (6, 30, "ranks 1..5 on 30 elements scans 30 + 435 + 4060 + 27405 + 142506 = 174436 subsets"),
+    (10, 40, "ranks 1..9 on 40 elements scans 40 + 780 + "),
+])
+def test_phi_star_refuses_the_flat_scans_before_listing_a_flat(monkeypatch, r, n, message):
+    monkeypatch.setattr(matroids, "flats", lambda *a: pytest.fail("flats listed"))
+    m = UniformMatroid(r, n)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phi_star(m)
+    # the fractional Hall sweep reaches the same guard on each union
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_fractional_gp_hall(m, Partition([tuple(range(n // 2)), tuple(range(n // 2, n))]))
+
+
+def test_flat_scan_budget_admits_todays_answers(monkeypatch):
+    # uniform:4,30 scans 4525 subsets and uniform:5,20 6195 (both answered
+    # elsewhere); PG(3,3) scans 10700 and meets the LP budget instead
+    assert matroids.MAX_FLAT_SCAN >= 10700
+    with pytest.raises(ValueError, match="1080 flat supports x 40 elements"):
+        phi_star(pg33_matroid())
+    # AG(2,3) scans 9 + 36 subsets
+    monkeypatch.setattr(matroids, "MAX_FLAT_SCAN", 45)
+    assert phi_star(ag23_matroid()) == 9
+    monkeypatch.setattr(matroids, "MAX_FLAT_SCAN", 44)
+    with pytest.raises(ValueError, match=re.escape("9 + 36 = 45 subsets, above the budget of 44")):
         phi_star(ag23_matroid())
 
 
