@@ -193,10 +193,10 @@ def _connectivity(rng, n_max, d_max):
     return [check_connectivity_bound(random_complex(rng, n_max, d_max))]
 
 
-def _eigenrep(rng, n_max, d_max, tol=SLACK_TOL):
+def _eigenrep(rng, n_max, d_max):
     """Missing-layer top eigenvalues against the representation bound."""
     x = random_complex(rng, n_max, d_max)
-    return [check_rep_eigen_bound(x, random_representation(rng, x), tol=tol)]
+    return [check_rep_eigen_bound(x, random_representation(rng, x))]
 
 
 def _hall(rng, n_max, d_max, m_max):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -47,14 +46,12 @@ from .reports import CheckRecord, digest, jsonable
 
 __all__ = [
     "VectorRepresentation",
-    "DominationReport",
     "total_domination",
     "index_sets",
     "validate_representation",
     "all_ones_representation",
     "rep_value",
     "dominating_alpha_from_tds",
-    "domination_summary",
     "check_domination_bound",
     "check_connectivity_bound",
     "check_rep_eigen_bound",
@@ -65,6 +62,8 @@ __all__ = [
 
 #: Largest class count accepted by the 2^m Hall sweeps.
 MAX_PARTITION_CLASSES = 20
+#: Most vertices the total domination search accepts.
+MAX_DOMINATION_VERTICES = 22
 
 
 # -- total domination --------------------------------------------------
@@ -91,7 +90,7 @@ def _dominating_sets(x: Complex, size: int):
     return (s for s in combinations(range(x.n), size) if _dominates(x, s))
 
 
-def total_domination(x: Complex, cap: int = 22):
+def total_domination(x: Complex):
     """Minimum size of a totally dominating set, or inf when none exists.
 
     A set S works iff every vertex v has a face sigma inside S with
@@ -103,8 +102,8 @@ def total_domination(x: Complex, cap: int = 22):
         union |= m
     if union != (1 << x.n) - 1:
         return math.inf
-    if x.n > cap:
-        raise ValueError(f"vertex count {x.n} above search cap {cap}")
+    if x.n > MAX_DOMINATION_VERTICES:
+        raise ValueError(f"vertex count {x.n} above search cap {MAX_DOMINATION_VERTICES}")
     for size in range(1, x.n + 1):
         if next(_dominating_sets(x, size), None) is not None:
             return size
@@ -354,30 +353,6 @@ def dominating_alpha_from_tds(s, p: VectorRepresentation):
         vs = support.get(sigma, ())
         alpha[sigma] = tuple(one if v in vs else zero for v in range(x.n))
     return alpha
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Total domination number plus representation values seen so far."""
-
-    gamma_tilde: object
-    rep_values: tuple
-    gamma_lower: object
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_tilde": self.gamma_tilde,
-            "rep_values": [[label, v] for label, v in self.rep_values],
-            "gamma_lower": self.gamma_lower,
-        }
-
-
-def domination_summary(x: Complex, reps) -> DominationReport:
-    """Bundle gamma-tilde with |P| for each labelled representation."""
-    values = tuple((label, rep_value(p)) for label, p in reps)
-    finite = [v for _, v in values if not (isinstance(v, float) and math.isinf(v))]
-    lower = max(finite) if finite else (values[0][1] if values else Fraction(0))
-    return DominationReport(total_domination(x), values, lower)
 
 
 # -- theorem checkers --------------------------------------------------

@@ -1,6 +1,7 @@
 """Matroids with exact rank oracles and general-position machinery.
 
-Linear matroids over a prime field (rank by Gaussian elimination,
+Linear matroids over a prime field (modulus checked and columns ranked
+by the primality test and modular elimination of ``numerics.rational``,
 memoized per vertex-subset bitmask) and uniform matroids, plus the two
 finite geometries used as stock examples.  On top of the rank oracle:
 closures and flats, circuits, general-position complexes, the integer
@@ -24,6 +25,7 @@ from math import comb
 from .complexes import Complex, Partition, _vertices_of, as_int, as_vertex, from_missing_faces
 from .domination import VectorRepresentation, _hall_sweep, _transversal, index_sets, rep_value
 from .numerics.lp import lp_solve_max
+from .numerics.rational import SparseRows, _is_prime, _rank_mod
 from .reports import CheckRecord, digest, json_field, json_lists
 
 __all__ = [
@@ -90,12 +92,10 @@ class LinearMatroid:
 
     def __init__(self, p: int, columns, label: str | None = None) -> None:
         p = as_int(p, "modulus")
-        # refused before the trial-division primality test, which would
-        # run for about sqrt(p) steps; numerics.rational's primes are
-        # below 2**31 too
+        # the shared primality test and primes stop below 2**31
         if p >= 2**31:
             raise ValueError(f"modulus {p} is not below 2**31")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         cols = tuple(tuple(as_int(e, "column entry") % p for e in c) for c in columns)
         if not cols:
@@ -114,19 +114,9 @@ class LinearMatroid:
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        p = self.p
-        pivots = []  # echelon rows, each with leading coefficient 1
-        for v in _vertices_of(mask):
-            vec = list(self.columns[v])
-            for lead, prow in pivots:
-                f = vec[lead]
-                if f:
-                    vec = [(a - f * b) % p for a, b in zip(vec, prow)]
-            lead = next((i for i, e in enumerate(vec) if e), None)
-            if lead is not None:
-                inv = pow(vec[lead], p - 2, p)
-                pivots.append((lead, [(e * inv) % p for e in vec]))
-        r = len(pivots)
+        height = len(self.columns[0])
+        rows = [(range(height), self.columns[v]) for v in _vertices_of(mask)]
+        r = _rank_mod(SparseRows((len(rows), height), rows), self.p)
         self._rank_cache[mask] = r
         return r
 
@@ -206,13 +196,16 @@ def flats(m, r: int) -> FlatSet:
         masks = {_closure_mask(m, 0)}
     else:
         masks = set()
-        for s in combinations(range(m.n), r):
-            mask = _as_mask(s, m.n)
+        inside = set()  # the r-subsets of the flats found so far
+        # a sum of distinct powers of two is their union
+        for mask in map(sum, combinations([1 << v for v in range(m.n)], r)):
             # an r-subset of a found rank-r flat is dependent or spans it
-            if any(mask & f == mask for f in masks):
+            if mask in inside:
                 continue
             if m.rank_mask(mask) == r:
-                masks.add(_closure_mask(m, mask))
+                flat = _closure_mask(m, mask)
+                masks.add(flat)
+                inside.update(map(sum, combinations([1 << v for v in _vertices_of(flat)], r)))
     fs = FlatSet(r, tuple(sorted(_vertices_of(mask) for mask in masks)))
     m._flat_cache[r] = fs
     return fs

@@ -1,8 +1,10 @@
 """Certified multi-modular rank of exact rational matrices, by sparse elimination.
 
-A matrix is ranked as ``SparseRows`` (each row's nonzero columns and
-integer values): ``homology`` reads coboundaries off their signed
-incidences, and other input (rows or arrays of integers, Fractions or
+A matrix is ranked as ``SparseRows`` (each row's columns and integer
+values, zeros optional): ``homology`` reads coboundaries off their
+signed incidences, ``matroids.LinearMatroid`` hands over its chosen
+columns to rank modulo its own prime (checked by the same primality
+test), and other input (rows or arrays of integers, Fractions or
 integral floats) is converted, each row cleared of denominators.
 
 Modulo a prime p < 2**31, each incoming row is reduced on its largest
@@ -35,8 +37,13 @@ MAX_FILL = 1 << 20
 
 
 def _is_prime(q: int) -> bool:
-    """Miller-Rabin for odd q > 7 with bases 2, 3, 5, 7, which is
-    deterministic below 3.2e9."""
+    """Whether q is prime: Miller-Rabin with bases 2, 3, 5 and 7, which
+    is deterministic below 3,215,031,751 (Jaeschke 1993)."""
+    if q < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if q % a == 0:
+            return q == a
     d, s = q - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -78,9 +85,9 @@ def _primes():
 
 
 class SparseRows(NamedTuple):
-    """An integer matrix by its nonzero entries: ``rows`` yields the pair
-    (columns, values) of each row in order, on every pass over it, and
-    one values list may serve many rows."""
+    """An integer matrix by its entries, zeros optional: ``rows`` yields
+    the pair (columns, values) of each row in order, on every pass over
+    it, and one values list may serve many rows."""
 
     shape: tuple[int, int]
     rows: Iterable

@@ -38,6 +38,10 @@ __all__ = [
     "random_matroid",
 ]
 
+#: Random linear matroids are over F_3 and rerolled below rank 2.
+LINEAR_MODULUS = 3
+LINEAR_MIN_RANK = 2
+
 
 def trial_rng(seed: int, trial: int) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{trial}".encode()).digest()
@@ -126,10 +130,8 @@ def random_partition(rng: random.Random, n: int, m: int) -> Partition:
     return Partition(classes)
 
 
-def random_linear_matroid(rng: random.Random, n_max: int = 9, p: int = 3,
-                          min_rank: int = 2) -> LinearMatroid:
-    """Nonzero random columns over F_p (loopless), rerolled until the
-    rank reaches min_rank."""
+def random_linear_matroid(rng: random.Random, n_max: int = 9) -> LinearMatroid:
+    """Nonzero random columns over F_3 (loopless), rerolled below rank 2."""
     _at_least("n_max", n_max, 5)
     while True:
         n = rng.randint(5, n_max)
@@ -138,10 +140,10 @@ def random_linear_matroid(rng: random.Random, n_max: int = 9, p: int = 3,
         for _ in range(n):
             c = (0,) * height
             while not any(c):
-                c = tuple(rng.randrange(p) for _ in range(height))
+                c = tuple(rng.randrange(LINEAR_MODULUS) for _ in range(height))
             cols.append(c)
-        m = LinearMatroid(p, cols)
-        if m.full_rank >= min_rank:
+        m = LinearMatroid(LINEAR_MODULUS, cols)
+        if m.full_rank >= LINEAR_MIN_RANK:
             return m
 
 

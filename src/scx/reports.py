@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-__all__ = ["CheckRecord", "VerificationReport", "report_from_json", "digest", "jsonable",
-           "json_field", "json_lists"]
+__all__ = ["CheckRecord", "VerificationReport", "digest", "jsonable", "json_field", "json_lists"]
 
 
 def digest(*parts) -> str:
@@ -138,25 +137,3 @@ def _short(v) -> str:
     if v is None:
         return "-"
     return str(v)
-
-
-def report_from_json(text) -> VerificationReport:
-    """Parse a canonical report document; to_json on the result gives
-    back the input byte-for-byte.
-
-    Values that were rendered to strings on the way out (rationals,
-    infinities) stay strings; the derived fields are cross-checked.
-    """
-    doc = json.loads(text) if isinstance(text, (str, bytes)) else text
-    if not isinstance(doc, dict) or "suite" not in doc or "records" not in doc:
-        raise ValueError("report JSON needs 'suite' and 'records' fields")
-    records = [
-        CheckRecord(r["check"], r["inputs"], r["lhs"], r["rhs"], r["margin"],
-                    bool(r["passed"]), r.get("note", ""), r.get("details", {}))
-        for r in doc["records"]
-    ]
-    rep = VerificationReport(doc["suite"], int(doc["seed"]),
-                             doc.get("params", {}), records)
-    if doc.get("n_records") != len(records) or doc.get("passed") != rep.passed:
-        raise ValueError("report JSON is internally inconsistent")
-    return rep

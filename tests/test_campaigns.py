@@ -17,7 +17,6 @@ from scx.campaigns import (
     run_reproduce,
     run_suite,
 )
-from scx.reports import report_from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,22 +83,6 @@ def test_suite_json_is_byte_identical_across_reruns():
         b = run_suite(name, seed=4, trials=3).to_json()
         assert a == b
         assert "wall" not in a
-
-
-def test_report_json_round_trips_byte_for_byte():
-    for name in ("fp", "duality", "matroid-hall"):
-        text = run_suite(name, seed=2, trials=3).to_json()
-        assert report_from_json(text).to_json() == text
-
-
-def test_report_from_json_rejects_inconsistent_documents():
-    text = run_suite("countdeg", trials=2).to_json()
-    doc = json.loads(text)
-    doc["passed"] = False
-    with pytest.raises(ValueError, match="inconsistent"):
-        report_from_json(json.dumps(doc))
-    with pytest.raises(ValueError, match="needs 'suite'"):
-        report_from_json("{}")
 
 
 def test_suite_seed_changes_the_records():

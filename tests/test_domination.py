@@ -28,7 +28,6 @@ from scx.domination import (
     check_representation_hall,
     colorful_simplex_search,
     dominating_alpha_from_tds,
-    domination_summary,
     index_sets,
     rep_value,
     total_domination,
@@ -616,10 +615,3 @@ def test_representation_hall_records_are_pinned():
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == (
         "06e4f2f02dfec7c5f417dc4eb38c78dda8d2dad47918f9d5ed3b9a460cbf1cc8")
 
-
-def test_domination_summary():
-    x = ag23()
-    rep = domination_summary(x, [("ones", all_ones_representation(x))])
-    assert rep.gamma_tilde == 5
-    assert rep.gamma_lower == 1
-    assert rep.to_dict()["rep_values"] == [["ones", Fraction(1)]]

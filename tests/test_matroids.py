@@ -8,6 +8,7 @@ phi-star >= phi inequality.
 
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -76,12 +77,41 @@ def test_construction_guards():
 
 
 def test_modulus_of_2_31_or_more_is_refused_before_the_primality_test():
-    # 2**31 + 11 is prime, and 2**61 - 1 would take about 1.5e9 trial
-    # divisions
+    # 2**31 + 11 and 2**61 - 1 are prime, but the shared primality test
+    # and primes stop below 2**31
     for p in (2**31 + 11, 2**61 - 1):
         with pytest.raises(ValueError, match=rf"^modulus {p} is not below 2\*\*31$"):
             LinearMatroid(p, [(1, 0), (0, 1)])
     assert LinearMatroid(2**31 - 1, [(1, 0), (0, 1)]).full_rank == 2
+
+
+def test_modulus_must_be_prime():
+    for p in (-3, 0, 1, 4, 9, 561):
+        with pytest.raises(ValueError, match=rf"^modulus {p} is not prime$"):
+            LinearMatroid(p, [(1, 0), (0, 1)])
+    for p in (2, 3, 5, 7, 11):
+        assert LinearMatroid(p, [(1, 0), (0, 1), (1, 1)]).full_rank == 2
+
+
+def span_rank(m, vs):
+    """log_p of the number of distinct combinations of the columns vs."""
+    span = {tuple(sum(c * m.columns[v][i] for c, v in zip(cs, vs)) % m.p
+                  for i in range(len(m.columns[0])))
+            for cs in product(range(m.p), repeat=len(vs))}
+    r = 0
+    while m.p**r < len(span):
+        r += 1
+    assert m.p**r == len(span)
+    return r
+
+
+def test_rank_mask_matches_a_brute_force_span_count():
+    rng = random.Random(22)
+    for m in [ag23_matroid(), pg33_matroid()] + [random_linear(rng) for _ in range(8)]:
+        for _ in range(40):
+            vs = rng.sample(range(m.n), rng.randint(1, min(6, m.n)))
+            assert m.rank(vs) == span_rank(m, vs)
+        assert m.rank(range(m.n)) == m.full_rank
 
 
 def test_rank_examples():
@@ -311,6 +341,28 @@ def test_flats_match_closures_of_every_independent_subset():
         for r in range(m.full_rank + 1):
             want = {closure(m, s) for s in combinations(range(m.n), r) if m.rank(s) == r}
             assert flats(m, r).flats == tuple(sorted(want))
+
+
+def test_flats_match_the_closed_sets_among_all_subsets():
+    # a rank-r flat is a set equal to its closure; the oracle tests every
+    # subset of the ground set
+    rng = random.Random(9)
+    for m in [ag23_matroid(), UniformMatroid(3, 7)] + [random_matroid(rng) for _ in range(20)]:
+        want = {}
+        for mask in range(1 << m.n):
+            s = tuple(v for v in range(m.n) if mask >> v & 1)
+            if closure(m, s) == s:
+                want.setdefault(m.rank(s), []).append(s)
+        for r in range(m.full_rank + 1):
+            assert flats(m, r).flats == tuple(sorted(want[r]))
+
+
+def test_flats_of_uniform_5_20_are_listed_in_linear_time():
+    # every r-subset is a flat; testing each one against all flats found
+    # so far took about 1.4 s CPU
+    start = time.process_time()
+    assert phi_star(UniformMatroid(5, 20)) == 80
+    assert time.process_time() - start < 1.0
 
 
 def test_phi_star_uniform24():

@@ -168,3 +168,17 @@ def test_rank_with_entries_beyond_31_bits():
     assert rank_exact(np.array([[top, 2 * top], [-top, -2 * top]], dtype=np.int64)) == 1
     u = np.array([[2**64 - 1, 2**63], [2**63, 2**62]], dtype=np.uint64)
     assert rank_exact(u) == sympy.Matrix([[int(e) for e in r] for r in u]).rank() == 2
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(q):
+        return q >= 2 and all(q % d for d in range(2, int(q**0.5) + 1))
+
+    for q in range(-3, 10**5):
+        assert rational._is_prime(q) == trial_division(q), q
+    assert rational._is_prime(2**31 - 1)
+    # Carmichael numbers, and a strong pseudoprime to bases 2, 3 and 5
+    # that base 7 exposes
+    for q in (561, 1105, 25326001):
+        assert not rational._is_prime(q)
+    assert sympy.isprime(2**31 - 1) and not sympy.isprime(25326001)
