@@ -26,9 +26,14 @@ from .domination import _check_partition
 from .homology import betti_exact, spectrum
 from .matroids import (
     MAX_GP_CLASSES,
+    UniformMatroid,
+    ag23_complex,
+    ag23_matroid,
     check_fractional_gp_hall,
     check_gp_hall,
     matroid_from_json,
+    pg33_complex,
+    pg33_matroid,
     phi,
     phi_star,
 )
@@ -39,61 +44,39 @@ PARSE_FAILURE = 2
 NUMERIC_FAILURE = 3
 GUARD_FAILURE = 4
 
-def _builtin_complex(token):
-    from .matroids import ag23_complex, pg33_complex
 
-    if token == "ag23":
-        return ag23_complex()
-    if token == "pg33":
-        return pg33_complex()
-    if token == "hollow-triangle":
-        return from_missing_faces(3, [(0, 1, 2)])
-    return None
-
-
-BUILTIN_PARTITIONS = {
-    "3-parallel-lines": ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+BUILTIN_COMPLEXES = {
+    "ag23": ag23_complex,
+    "pg33": pg33_complex,
+    "hollow-triangle": lambda: from_missing_faces(3, [(0, 1, 2)]),
 }
+BUILTIN_PARTITIONS = {
+    "3-parallel-lines": lambda: Partition(((0, 1, 2), (3, 4, 5), (6, 7, 8))),
+}
+BUILTIN_MATROIDS = {"builtin:AG23": ag23_matroid, "builtin:PG33": pg33_matroid}
 
 
-def _load_complex(token):
-    x = _builtin_complex(token)
-    if x is not None:
-        return x
+def _load(token, builtins, from_json, what):
+    """The builtin named ``token``, else the JSON file at that path."""
+    make = builtins.get(token)
+    if make is not None:
+        return make()
     try:
         text = Path(token).read_text()
     except OSError as exc:
-        raise ValueError(f"cannot read complex {token!r}: {exc}") from exc
-    return complex_from_json(text)
+        raise ValueError(f"cannot read {what} {token!r}: {exc}") from exc
+    return from_json(text)
 
 
 def _load_matroid(token):
-    if token.startswith("builtin:"):
-        doc = {"kind": "builtin", "name": token[len("builtin:"):]}
-        return matroid_from_json(json.dumps(doc))
+    if token.startswith("builtin:") and token not in BUILTIN_MATROIDS:
+        raise ValueError(f"unknown builtin matroid {token[len('builtin:'):]!r}")
     if token.startswith("uniform:"):
-        body = token[len("uniform:"):]
-        parts = body.split(",")
+        parts = token[len("uniform:"):].split(",")
         if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
             raise ValueError(f"uniform spec must look like uniform:R,N, got {token!r}")
-        doc = {"kind": "uniform", "rank": int(parts[0]), "n": int(parts[1])}
-        return matroid_from_json(json.dumps(doc))
-    try:
-        text = Path(token).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read matroid {token!r}: {exc}") from exc
-    return matroid_from_json(text)
-
-
-def _load_partition(token):
-    classes = BUILTIN_PARTITIONS.get(token)
-    if classes is not None:
-        return Partition(classes)
-    try:
-        text = Path(token).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read partition {token!r}: {exc}") from exc
-    return partition_from_json(text)
+        return UniformMatroid(int(parts[0]), int(parts[1]))
+    return _load(token, BUILTIN_MATROIDS, matroid_from_json, "matroid")
 
 
 def _parse_subset(text, n):
@@ -126,7 +109,7 @@ def _emit_report(rep, pretty):
 
 def cmd_spectrum(args):
     try:
-        x = _load_complex(args.input)
+        x = _load(args.input, BUILTIN_COMPLEXES, complex_from_json, "complex")
     except ValueError as exc:
         return _fail(PARSE_FAILURE, exc)
     t0 = time.perf_counter()
@@ -153,7 +136,7 @@ def cmd_spectrum(args):
 
 def cmd_betti(args):
     try:
-        x = _load_complex(args.input)
+        x = _load(args.input, BUILTIN_COMPLEXES, complex_from_json, "complex")
     except ValueError as exc:
         return _fail(PARSE_FAILURE, exc)
     print(betti_exact(x, args.dim))
@@ -188,7 +171,8 @@ def cmd_matroid(args):
     try:
         m = _load_matroid(args.matroid)
         subset = _parse_subset(args.subset, m.n)
-        partition = _load_partition(args.partition) if args.partition else None
+        partition = (_load(args.partition, BUILTIN_PARTITIONS, partition_from_json, "partition")
+                     if args.partition else None)
         if args.operation == "hall" and partition is None:
             raise ValueError("the hall operation needs --partition")
         if partition is not None:
@@ -222,7 +206,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    builtin_names = "ag23, pg33, hollow-triangle"
+    builtin_names = ", ".join(BUILTIN_COMPLEXES)
     sp = sub.add_parser("spectrum", help="full-Laplacian eigenvalues in one degree")
     sp.add_argument("input", help=f"complex JSON file or builtin ({builtin_names})")
     sp.add_argument("--dim", type=int, required=True, help="cochain degree, -1 upward")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations, product
 
 from .reports import json_lists
@@ -195,6 +196,12 @@ class Complex:
     @property
     def missing_masks(self) -> tuple[int, ...]:
         return self._missing
+
+    @property
+    def apexes(self) -> int:
+        """Mask of the vertices in no missing face.  Each lies in every
+        facet, so the complex is a cone over any of them."""
+        return ((1 << self.n) - 1) & ~reduce(operator.or_, self._missing, 0)
 
     def missing_dims(self) -> frozenset[int]:
         """Dimensions i such that some missing face has cardinality i+1."""
@@ -436,6 +443,13 @@ class Complex:
         return f"Complex(n={self.n}, missing={list(self.missing_faces)!r})"
 
 
+def _masks_of_size(vertices, r: int):
+    """Bitmasks of the r-subsets of ``vertices``, in the order of
+    ``combinations(vertices, r)``: a sum of distinct powers of two is
+    their union."""
+    return map(sum, combinations([1 << v for v in vertices], r))
+
+
 def _layer_complex(x: Complex, i: int) -> Complex:
     """Build the layer of :meth:`Complex.missing_complex`.  Its missing
     faces are the (i+1)-sets outside the layer and the (i+2)-sets whose
@@ -443,15 +457,9 @@ def _layer_complex(x: Complex, i: int) -> Complex:
     if i + 1 not in x._by_card:
         raise ValueError(f"no missing faces of dimension {i}")
     layer = frozenset(x._by_card[i + 1])
-    gens = [_mask_of(f, x.n) for f in combinations(range(x.n), i + 1)
-            if _mask_of(f, x.n) not in layer]
-    if i + 2 <= x.n:
-        for f in combinations(range(x.n), i + 2):
-            m = 0
-            for v in f:
-                m |= 1 << v
-            if all(m & ~(1 << v) in layer for v in f):
-                gens.append(m)
+    gens = [m for m in _masks_of_size(range(x.n), i + 1) if m not in layer]
+    gens += [m for m in _masks_of_size(range(x.n), i + 2)
+             if all(m ^ 1 << v in layer for v in _vertices_of(m))]
     return Complex(x.n, gens)
 
 

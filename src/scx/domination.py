@@ -69,20 +69,17 @@ MAX_DOMINATION_VERTICES = 22
 # -- total domination --------------------------------------------------
 
 
-def _served(x: Complex, v: int, smask: int) -> bool:
-    # v is served iff some missing face contains v with the rest inside S
-    bit = 1 << v
-    for m in x.missing_masks:
-        if m & bit and (m & ~bit) & ~smask == 0:
-            return True
-    return False
-
-
 def _dominates(x: Complex, s) -> bool:
-    smask = 0
-    for v in s:
-        smask |= 1 << v
-    return all(_served(x, v, smask) for v in range(x.n))
+    """Whether S serves every vertex, in one pass over the missing faces:
+    one inside S serves each of its vertices, and one with a single
+    vertex outside S serves that vertex."""
+    smask = sum(1 << v for v in s)
+    served = 0
+    for m in x.missing_masks:
+        out = m & ~smask
+        if out & (out - 1) == 0:  # at most one vertex outside S
+            served |= out or m
+    return served == (1 << x.n) - 1
 
 
 def _dominating_sets(x: Complex, size: int):
@@ -97,10 +94,7 @@ def total_domination(x: Complex):
     v+sigma not a face; minimal witnesses are missing faces through v,
     so feasibility requires every vertex to lie in some missing face.
     """
-    union = 0
-    for m in x.missing_masks:
-        union |= m
-    if union != (1 << x.n) - 1:
+    if x.apexes:
         return math.inf
     if x.n > MAX_DOMINATION_VERTICES:
         raise ValueError(f"vertex count {x.n} above search cap {MAX_DOMINATION_VERTICES}")

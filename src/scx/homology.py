@@ -18,8 +18,9 @@ ranks modulo the first prime sum to the dimension of the cochain space,
 both are exact and the Betti number is 0, with no second prime.  The
 homological connectivity eta is one more than the first index with a
 nonvanishing reduced Betti number, or infinity when none exists.  The
-top eigenvalue of a missing layer is solved on the smaller of two
-matrices with the same nonzero spectrum (Horak and Jost, Spectra of
+numerical ranks and the top eigenvalue of a missing layer read one
+spectrum: that of a coboundary's smaller Gram matrix, d^T d or d d^T,
+which share their nonzero eigenvalues (Horak and Jost, Spectra of
 combinatorial Laplace operators on simplicial complexes, 2013).
 
 Every dense coboundary or Laplacian passes one size guard first: above
@@ -30,17 +31,16 @@ products pair until they are compared.  The full Laplacian is formed
 only when first read, after the products pair is gone; the eigensolver
 adds one float working copy, and solves each distinct principal block
 of the nonzero pattern once (pg33's degree-1 Laplacian is 130 identical
-6 x 6 blocks).  Incidences, Laplacians, spectra, missing-layer top
-eigenvalues and coboundary ranks are remembered on the complex (in its
-``_memo``, under keys of this module's own).
+6 x 6 blocks).  Incidences, Laplacians, spectra, Gram spectra and
+coboundary ranks are remembered on the complex (in its ``_memo``, under
+keys of this module's own); a spectrum the range guard refuses is not.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from ._lazy import lazy_import
 from .complexes import Complex, _vertices_of
@@ -339,29 +339,37 @@ def spectral_gap(x: Complex, k: int) -> float:
     return spectrum(x, k).mu
 
 
+def _gram_eigenvalues(x: Complex, k: int) -> np.ndarray:
+    """Sorted eigenvalues of the smaller Gram matrix of the degree-k
+    coboundary: d_k^T d_k (side f_k, the upper Laplacian in degree k) or
+    d_k d_k^T (side f_{k+1}, the lower Laplacian in degree k+1), which
+    share their nonzero spectrum; both come through ``laplacians`` and so
+    are cross-checked between assemblies.  Empty when either side is (so
+    below degree -1 and out of the top degree).  Every eigenvalue must
+    lie within the guard of [0, n], as in ``spectrum``; memoized once per
+    degree."""
+    key = ("gram", k)
+    if key not in x._memo:
+        lo, hi = x.n_faces(k), x.n_faces(k + 1)
+        if lo == 0 or hi == 0:
+            x._memo[key] = np.zeros(0)
+        else:
+            mat = laplacians(x, k + 1).minus if hi < lo else laplacians(x, k).plus
+            x._memo[key] = _eigenvalues_in_range(x, mat)
+    return x._memo[key]
+
+
 def missing_top_eigenvalue(x: Complex, i: int) -> float:
     """Largest eigenvalue of the dimension-i missing layer's Laplacians.
 
     The layer complex y has the full (i-1)-skeleton and one top face per
-    missing i-face.  Its upper Laplacian in degree i-1 (d^T d, one row
-    per (i-1)-face) and its lower Laplacian in degree i (d d^T, one row
-    per missing i-face) share their nonzero eigenvalues, so the smaller
-    of the two is solved; both come through ``laplacians`` and so are
-    cross-checked between assemblies.  Its eigenvalues must lie within
-    the guard of [0, n], as in ``spectrum``.
+    missing i-face.  Its upper Laplacian in degree i-1 and its lower
+    Laplacian in degree i are the Gram matrices of its degree-(i-1)
+    coboundary, so the top of ``_gram_eigenvalues(y, i - 1)`` is theirs.
     """
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
-    key = ("missing-top", i)
-    if key in x._memo:
-        return x._memo[key]
-    y = x.missing_complex(i)
-    if y.n_faces(i) < y.n_faces(i - 1):
-        mat = laplacians(y, i).minus
-    else:
-        mat = laplacians(y, i - 1).plus
-    x._memo[key] = float(_eigenvalues_in_range(x, mat)[-1])
-    return x._memo[key]
+    return float(_gram_eigenvalues(x.missing_complex(i), i - 1)[-1])
 
 
 # -- cohomology -------------------------------------------------------
@@ -435,19 +443,8 @@ def betti_exact(x: Complex, k: int) -> int:
 
 def _numerical_rank(x: Complex, k: int, tol: float) -> int:
     """Numerical rank of the degree-k coboundary: the eigenvalues at
-    least tol of the smaller of its Gram matrices d_k^T d_k (side f_k)
-    and d_k d_k^T (side f_{k+1}), which share their nonzero spectrum.
-    Zero when either side is empty (so below degree -1 and out of the
-    top degree); memoized on the complex.  Every eigenvalue must lie
-    within the guard of [0, n], as in ``spectrum``."""
-    lo, hi = x.n_faces(k), x.n_faces(k + 1)
-    if lo == 0 or hi == 0:
-        return 0
-    key = ("numerical-rank", k, tol)
-    if key not in x._memo:
-        mat = laplacians(x, k + 1).minus if hi < lo else laplacians(x, k).plus
-        x._memo[key] = int(np.count_nonzero(_eigenvalues_in_range(x, mat) >= tol))
-    return x._memo[key]
+    least tol of its smaller Gram matrix."""
+    return int(np.count_nonzero(_gram_eigenvalues(x, k) >= tol))
 
 
 def betti_hodge(x: Complex, k: int, tol: float = KERNEL_TOL) -> int:
@@ -479,7 +476,7 @@ def eta(x: Complex):
     facet, so the complex is a cone, contractible, and answered without
     any rank.  The complex on zero vertices (beta_-1 = 1) is no cone.
     """
-    if reduce(operator.or_, x.missing_masks, 0) != (1 << x.n) - 1:
+    if x.apexes:
         return math.inf
     for k in range(-1, x.dim + 1):
         if betti_exact(x, k) != 0:

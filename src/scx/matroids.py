@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, Partition, _vertices_of, as_int, as_vertex, from_missing_faces
+from .complexes import (Complex, Partition, _masks_of_size, _vertices_of, as_int, as_vertex,
+                        from_missing_faces)
 from .domination import VectorRepresentation, _hall_sweep, _transversal, index_sets, rep_value
 from .numerics.lp import lp_solve_max
 from .numerics.rational import SparseRows, _is_prime, _rank_mod
@@ -197,15 +198,14 @@ def flats(m, r: int) -> FlatSet:
     else:
         masks = set()
         inside = set()  # the r-subsets of the flats found so far
-        # a sum of distinct powers of two is their union
-        for mask in map(sum, combinations([1 << v for v in range(m.n)], r)):
+        for mask in _masks_of_size(range(m.n), r):
             # an r-subset of a found rank-r flat is dependent or spans it
             if mask in inside:
                 continue
             if m.rank_mask(mask) == r:
                 flat = _closure_mask(m, mask)
                 masks.add(flat)
-                inside.update(map(sum, combinations([1 << v for v in _vertices_of(flat)], r)))
+                inside.update(_masks_of_size(_vertices_of(flat), r))
     fs = FlatSet(r, tuple(sorted(_vertices_of(mask) for mask in masks)))
     m._flat_cache[r] = fs
     return fs
@@ -273,11 +273,8 @@ def _extends(m, d: int, chosen, v: int) -> bool:
     position with v added: v with any t <= d chosen elements has rank
     t + 1."""
     for t in range(min(len(chosen), d) + 1):
-        for sub in combinations(chosen, t):
-            mask = 1 << v
-            for w in sub:
-                mask |= 1 << w
-            if m.rank_mask(mask) != t + 1:
+        for mask in _masks_of_size(chosen, t):
+            if m.rank_mask(mask | 1 << v) != t + 1:
                 return False
     return True
 
@@ -431,9 +428,7 @@ def flat_representation(m, u=None) -> VectorRepresentation:
         r = len(sigma) + 1
         layer = flats(m, r).flats
         col = {f: i for i, f in enumerate(layer)}
-        smask = 0
-        for i in sigma:
-            smask |= 1 << verts[i]
+        (smask,) = _masks_of_size([verts[i] for i in sigma], len(sigma))
         rows = []
         for vd in range(x.n):
             mask = smask | (1 << verts[vd])

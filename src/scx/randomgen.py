@@ -84,15 +84,8 @@ def random_single_layer_complex(rng: random.Random, n_max: int = 6,
                                 d_max: int = 3) -> Complex:
     """All missing faces of one cardinality, rerolled until a totally
     dominating set exists (every vertex inside some missing face)."""
-    _at_least("n_max", n_max, 4)
-    _at_least("d_max", d_max, 1)
     while True:
-        n = rng.randint(4, n_max)
-        d = rng.randint(1, min(d_max, n - 1))
-        fam = [s for s in combinations(range(n), d + 1) if rng.random() < 0.5]
-        if not fam:
-            continue
-        x = from_missing_faces(n, fam)
+        x = random_complex(rng, n_max, d_max, mixed=False)
         if not math.isinf(total_domination(x)):
             return x
 

@@ -138,6 +138,16 @@ def check_complement_identity(x: Complex, i: int, tol: float = 1e-8) -> CheckRec
                        details={"matrix_deviation": deviation, "top_eig": lam})
 
 
+def _layer_terms(x: Complex, j: int) -> dict:
+    """C(j, i) lambda_i for each missing dimension i, ascending; a zero
+    binomial gives 0.0 without solving the layer."""
+    terms = {}
+    for i in sorted(x.missing_dims()):
+        c = comb(j, i)
+        terms[i] = c * missing_top_eigenvalue(x, i) if c else 0.0
+    return terms
+
+
 def check_gap_lower_bound(x: Complex, k: int, tol: float = SLACK_TOL) -> CheckRecord:
     """mu_k >= n - sum over missing dimensions i of C(k+1,i) lambda_i,
     where lambda_i tops the spectrum of the dimension-i missing layer."""
@@ -149,10 +159,7 @@ def check_gap_lower_bound(x: Complex, k: int, tol: float = SLACK_TOL) -> CheckRe
     if math.isinf(mu):
         return CheckRecord(name, inputs, math.inf, None, math.inf, True,
                            note="vacuous: no cochains in degree k")
-    terms = {}
-    for i in sorted(x.missing_dims()):
-        c = comb(k + 1, i)
-        terms[i] = c * missing_top_eigenvalue(x, i) if c else 0.0
+    terms = _layer_terms(x, k + 1)
     rhs = x.n - sum(terms.values())
     margin = mu - rhs
     return CheckRecord(name, inputs, mu, rhs, margin, margin >= -tol,
@@ -168,10 +175,7 @@ def check_connectivity_eigen(x: Complex, tol: float = SLACK_TOL) -> CheckRecord:
     if math.isinf(e):
         return CheckRecord(name, inputs, None, x.n, math.inf, True,
                            note="vacuous: all reduced cohomology vanishes")
-    terms = {}
-    for i in sorted(x.missing_dims()):
-        c = comb(e, i)
-        terms[i] = c * missing_top_eigenvalue(x, i) if c else 0.0
+    terms = _layer_terms(x, e)
     lhs = sum(terms.values())
     margin = lhs - x.n
     return CheckRecord(name, inputs, lhs, x.n, margin, margin >= -tol,

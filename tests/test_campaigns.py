@@ -302,6 +302,14 @@ def test_reproduce_stretch_budget_refuses_with_sizes():
         run_reproduce("pg33", stretch=True)
 
 
+def test_reproduce_stretch_refuses_before_any_eigensolve(monkeypatch):
+    solved = []
+    monkeypatch.setattr(homology, "eigenvalues_sym", solved.append)
+    with pytest.raises(ValueError, match="stretch budget"):
+        run_reproduce("pg33", stretch=True)
+    assert solved == []
+
+
 def test_reproduce_unknown_name():
     with pytest.raises(ValueError, match="unknown reproduction"):
         run_reproduce("everything")

@@ -17,6 +17,7 @@ import scx.complexes as complexes
 from scx.complexes import (
     Complex,
     Partition,
+    _masks_of_size,
     complex_from_json,
     complex_to_json,
     from_facets,
@@ -628,3 +629,22 @@ def test_a_refused_step_is_retried_and_refused_again(monkeypatch):
         assert x.n_faces(1) == 44
     monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count)
     assert x.n_faces(2) == 112
+
+
+def test_apexes_match_a_per_vertex_scan():
+    rng = random.Random(64)
+    cases = [Complex(0, ()), from_missing_faces(3, [(0, 1, 2)]), from_missing_faces(4, [(0, 1, 2)])]
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        cases.append(from_missing_faces(n, random_antichain(rng, n)))
+    for x in cases:
+        scan = [v for v in range(x.n) if not any(v in mu for mu in x.missing_faces)]
+        assert x.apexes == sum(1 << v for v in scan)
+    assert any(x.apexes for x in cases) and any(x.n and not x.apexes for x in cases)
+
+
+def test_masks_of_size_match_combinations():
+    for vertices in [(), (3,), (0, 2, 5, 7), range(6), (5, 1, 3)]:
+        for r in range(len(vertices) + 2):
+            expected = [sum(1 << v for v in c) for c in combinations(vertices, r)]
+            assert list(_masks_of_size(vertices, r)) == expected

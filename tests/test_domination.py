@@ -20,6 +20,7 @@ import scx.randomgen as randomgen
 from scx.complexes import Partition, from_missing_faces
 from scx.domination import (
     VectorRepresentation,
+    _dominates,
     all_ones_representation,
     check_colorful_hall,
     check_connectivity_bound,
@@ -122,6 +123,23 @@ def test_gamma_cap():
     x = from_missing_faces(23, [(v,) for v in range(23)])
     with pytest.raises(ValueError):
         total_domination(x)
+
+
+def test_dominates_matches_the_per_vertex_definition():
+    # every S on random complexes of at most 8 vertices, missing
+    # singletons included: v is served iff some missing face holds v
+    # and has the rest of its vertices inside S
+    rng = random.Random(58)
+    singletons = 0
+    for _ in range(30):
+        x = random_complex(rng, n_max=8, min_card=1)
+        singletons += any(m.bit_count() == 1 for m in x.missing_masks)
+        for smask in range(1 << x.n):
+            s = [v for v in range(x.n) if smask >> v & 1]
+            served = [any(m >> v & 1 and m & ~(1 << v) & ~smask == 0 for m in x.missing_masks)
+                      for v in range(x.n)]
+            assert _dominates(x, s) == all(served)
+    assert singletons
 
 
 # -- representations ---------------------------------------------------

@@ -3,10 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from scx.complexes import Partition
+from scx.complexes import Partition, from_missing_faces
 from scx.domination import index_sets, rep_value, total_domination
 from scx.matroids import LinearMatroid, UniformMatroid
 from scx.randomgen import (
@@ -63,6 +64,27 @@ def test_single_layer_always_has_dominating_set():
         x = random_single_layer_complex(trial_rng(3, t))
         assert len({len(mu) for mu in x.missing_faces}) == 1
         assert not math.isinf(total_domination(x))
+
+
+def test_single_layer_draws_as_its_own_draw_loop_did():
+    # the generator's former body, inlined: the same complex from the
+    # same draws, leaving the stream in the same state
+    def single_layer(rng, n_max, d_max):
+        while True:
+            n = rng.randint(4, n_max)
+            d = rng.randint(1, min(d_max, n - 1))
+            fam = [s for s in combinations(range(n), d + 1) if rng.random() < 0.5]
+            if not fam:
+                continue
+            x = from_missing_faces(n, fam)
+            if not math.isinf(total_domination(x)):
+                return x
+
+    for t in range(200):
+        n_max, d_max = (6, 3) if t % 2 else (5, 1)
+        old, new = trial_rng(41, t), trial_rng(41, t)
+        assert random_single_layer_complex(new, n_max, d_max) == single_layer(old, n_max, d_max)
+        assert new.getstate() == old.getstate()
 
 
 def test_random_representation_is_valid_and_positive():
