@@ -201,7 +201,11 @@ class Complex:
     def apexes(self) -> int:
         """Mask of the vertices in no missing face.  Each lies in every
         facet, so the complex is a cone over any of them."""
-        return ((1 << self.n) - 1) & ~reduce(operator.or_, self._missing, 0)
+        return self.apexes_in((1 << self.n) - 1)
+
+    def apexes_in(self, mask: int) -> int:
+        """The apexes of the subcomplex induced on ``mask``, without building it."""
+        return mask & ~reduce(operator.or_, (m for m in self._missing if m & mask == m), 0)
 
     def missing_dims(self) -> frozenset[int]:
         """Dimensions i such that some missing face has cardinality i+1."""

@@ -503,8 +503,8 @@ def check_colorful_hall(z: Complex, partition: Partition) -> CheckRecord:
     witness = None
     for size in range(1, m + 1):
         for which in combinations(range(m), size):
-            sub = z.induced(partition.union_of(which))
-            e = eta(sub)
+            union = partition.union_of(which)  # a cone when it has an apex, so eta = inf
+            e = math.inf if z.apexes_in(sum(1 << v for v in union)) else eta(z.induced(union))
             etas[",".join(map(str, which))] = e
             if not e >= size:
                 hypothesis = False

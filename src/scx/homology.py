@@ -2,26 +2,26 @@
 
 Cochains are represented in the standard basis indexed by faces in
 ascending vertex order; all signs come from permutation parity.  Each
-degree's coboundary is held once, as a signed incidence from which the
-dense coboundary and boundary matrices are scattered.  The lower and
-upper Laplacians are assembled twice, from the entry formulas (which
-read the cofaces off the missing faces, never off the faces one degree
-up) and as products scatter-added from the incidences, and the two
-integer results must agree entrywise before anything downstream sees
-them.
+degree's coboundary is built once, row by row from the face masks: the
+exact ranks read the rows as they come, the float readers an index
+array of them.  The lower and upper Laplacians are assembled twice, from
+the entry formulas (which read the cofaces off the missing faces, never
+off the faces one degree up) and as products scatter-added from the
+index arrays, and the two integer results must agree entrywise before
+anything downstream sees them.
 
 Betti numbers are computed two independent ways as well: exactly, from
-rational ranks of the coboundaries (sparse eliminations of the incidence
-rows; see numerics.rational), and numerically, from the float spectra of
-each coboundary's smaller Gram matrix (see betti_hodge).  When the two
-ranks modulo the first prime sum to the dimension of the cochain space,
-both are exact and the Betti number is 0, with no second prime.  The
-homological connectivity eta is one more than the first index with a
-nonvanishing reduced Betti number, or infinity when none exists.  The
-numerical ranks and the top eigenvalue of a missing layer read one
-spectrum: that of a coboundary's smaller Gram matrix, d^T d or d d^T,
-which share their nonzero eigenvalues (Horak and Jost, Spectra of
-combinatorial Laplace operators on simplicial complexes, 2013).
+rational ranks of the coboundaries (sparse eliminations of the rows,
+without numpy; see numerics.rational), and numerically, from the float
+spectra of each coboundary's smaller Gram matrix (see betti_hodge).
+When the two ranks modulo the first prime sum to the dimension of the
+cochain space, both are exact and the Betti number is 0, with no second
+prime.  The homological connectivity eta is one more than the first
+index with a nonvanishing reduced Betti number, or infinity when none
+exists.  The numerical ranks and the top eigenvalue of a missing layer
+read one spectrum: that of a coboundary's smaller Gram matrix, d^T d or
+d d^T, which share their nonzero eigenvalues (Horak and Jost, Spectra
+of combinatorial Laplace operators on simplicial complexes, 2013).
 
 Every dense coboundary or Laplacian passes one size guard first: above
 2**25 entries it is refused with a ValueError giving its shape; ranks
@@ -31,9 +31,10 @@ products pair until they are compared.  The full Laplacian is formed
 only when first read, after the products pair is gone; the eigensolver
 adds one float working copy, and solves each distinct principal block
 of the nonzero pattern once (pg33's degree-1 Laplacian is 130 identical
-6 x 6 blocks).  Incidences, Laplacians, spectra, Gram spectra and
-coboundary ranks are remembered on the complex (in its ``_memo``, under
-keys of this module's own); a spectrum the range guard refuses is not.
+6 x 6 blocks).  The float readers' index arrays, Laplacians, spectra,
+Gram spectra and coboundary ranks are remembered on the complex (in its
+``_memo``, under keys of this module's own); a spectrum the range guard
+refuses is not, and neither are the rows an exact rank reads.
 """
 
 from __future__ import annotations
@@ -73,9 +74,6 @@ KERNEL_TOL = 1e-7
 #: Most entries of one dense coboundary or Laplacian (2**25 int64 entries
 #: are 256 MiB).
 _DENSE_ENTRIES = 1 << 25
-
-#: Incidence rows a rank converts to Python lists at a time.
-_ROW_CHUNK = 4096
 
 
 def _zeros(rows: int, cols: int) -> np.ndarray:
@@ -138,19 +136,33 @@ def evaluate_cochain(phi, index, ordered) -> float:
 # -- the signed incidence and its readers -----------------------------
 
 
-def _incidence(x: Complex, k: int) -> np.ndarray:
-    """The degree-k coboundary (k >= -2) as a fixed-width index array.
+class _SignedRows:
+    """The degree-k coboundary (k >= -2), its rows built afresh from the
+    face masks on each pass: for each (k+1)-face in turn, the positions of
+    the k-faces left by dropping each vertex, and the signs (-1)**i of
+    dropping the i-th.  A pass holds one row and one position dict."""
 
-    Row r lists the positions of the k-faces left by dropping each vertex
-    of the r-th (k+1)-face in turn; dropping the i-th carries the sign
-    (-1)**i, which is not stored.  Degrees k and k+1 both read it.
-    """
+    def __init__(self, x: Complex, k: int):
+        self.x, self.k = x, k
+
+    def __iter__(self):
+        x, k = self.x, self.k
+        pos = {m: i for i, m in enumerate(x.face_masks(k))}
+        signs = [(-1) ** i for i in range(k + 2)]
+        for f, m in zip(x.faces(k + 1), x.face_masks(k + 1)):
+            cols = []  # a loop, not a comprehension: a third faster on 3.11
+            for v in f:
+                cols.append(pos[m ^ 1 << v])
+            yield cols, signs
+
+
+def _incidence(x: Complex, k: int) -> np.ndarray:
+    """The columns of ``_SignedRows(x, k)`` as a fixed-width index array,
+    read by the float readers of degrees k and k+1; signs are not stored."""
     key = ("incidence", k)
     if key not in x._memo:
-        pos = {m: i for i, m in enumerate(x.face_masks(k))}
-        up = x.faces(k + 1)
-        flat = [pos[m ^ 1 << v] for f, m in zip(up, x.face_masks(k + 1)) for v in f]
-        x._memo[key] = np.array(flat, dtype=np.intp).reshape(len(up), k + 2)
+        flat = [c for cols, _ in _SignedRows(x, k) for c in cols]
+        x._memo[key] = np.array(flat, dtype=np.intp).reshape(x.n_faces(k + 1), k + 2)
     return x._memo[key]
 
 
@@ -375,25 +387,9 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
 # -- cohomology -------------------------------------------------------
 
 
-class _IncidenceRows:
-    """The (columns, signs) rows of an incidence, converted ``_ROW_CHUNK``
-    rows at a time on each pass: an elimination holds one chunk of lists,
-    not one per row, and a rank may pass over them several times."""
-
-    def __init__(self, inc: np.ndarray, signs: list[int]):
-        self.inc, self.signs = inc, signs
-
-    def __iter__(self):
-        for start in range(0, len(self.inc), _ROW_CHUNK):
-            for cols in self.inc[start:start + _ROW_CHUNK].tolist():
-                yield cols, self.signs
-
-
 def _coboundary_rows(x: Complex, k: int) -> SparseRows:
-    """The degree-k coboundary from its incidence: (-1)**i in column inc[r, i] of row r."""
-    inc = _incidence(x, k)
-    return SparseRows((len(inc), x.n_faces(k)),
-                      _IncidenceRows(inc, _signs(k + 2).tolist()))
+    """The degree-k coboundary for the exact ranks; nothing of it is stored."""
+    return SparseRows((x.n_faces(k + 1), x.n_faces(k)), _SignedRows(x, k))
 
 
 def _coboundary_rank_mod(x: Complex, k: int) -> int:

@@ -1,11 +1,11 @@
 """Certified multi-modular rank of exact rational matrices, by sparse elimination.
 
 A matrix is ranked as ``SparseRows`` (each row's columns and integer
-values, zeros optional): ``homology`` reads coboundaries off their
-signed incidences, ``matroids.LinearMatroid`` hands over its chosen
-columns to rank modulo its own prime (checked by the same primality
-test), and other input (rows or arrays of integers, Fractions or
-integral floats) is converted, each row cleared of denominators.
+values, zeros optional): ``homology`` builds coboundary rows from the
+face masks, ``matroids.LinearMatroid`` hands over its chosen columns
+to rank modulo its own prime (checked by the same primality test), and
+other input (rows or arrays of integers, Fractions or integral floats)
+is converted, each row cleared of denominators.
 
 Modulo a prime p < 2**31, each incoming row is reduced on its largest
 column by the stored row pivoting there, as in persistence reduction,

@@ -17,7 +17,7 @@ import pytest
 from scipy.optimize import linprog
 
 import scx.randomgen as randomgen
-from scx.complexes import Partition, from_missing_faces
+from scx.complexes import Complex, Partition, from_missing_faces
 from scx.domination import (
     VectorRepresentation,
     _dominates,
@@ -34,6 +34,7 @@ from scx.domination import (
     total_domination,
     validate_representation,
 )
+from scx.homology import eta
 from scx.numerics.lp import LpProblem, lp_solve
 
 
@@ -581,6 +582,37 @@ def test_colorful_hall_not_applicable():
     assert rec.passed
     assert "not applicable" in rec.note
     assert colorful_simplex_search(x, Partition([(0,), (1,)])) is None
+
+
+def test_colorful_hall_answers_cone_unions_without_inducing(monkeypatch):
+    # a union with a vertex in no missing face inside it induces a cone:
+    # eta = inf is read from z's masks, and only the other unions are built
+    rng = random.Random(424)
+    real = Complex.induced
+    built = []
+    monkeypatch.setattr(Complex, "induced", lambda z, s: built.append(tuple(s)) or real(z, s))
+    seen = {"cone": 0, "no cone": 0}
+    for _ in range(120):
+        z = random_complex(rng, n_max=7)
+        verts = rng.sample(range(z.n), rng.randint(1, z.n))
+        m = rng.randint(1, min(4, len(verts)))
+        cuts = [0] + sorted(rng.sample(range(1, len(verts)), m - 1)) + [len(verts)]
+        part = Partition([verts[a:b] for a, b in zip(cuts, cuts[1:])])
+        built.clear()
+        etas = check_colorful_hall(z, part).details["etas"]
+        cones = []
+        for key, e in etas.items():
+            union = part.union_of(int(i) for i in key.split(","))
+            sub = real(z, union)
+            assert e == eta(sub), (z, part, key)
+            if sub.apexes:
+                cones.append(union)
+            else:
+                assert union in built, (z, part, key)
+        assert not set(cones) & set(built) and len(built) == len(etas) - len(cones)
+        seen["cone"] += len(cones)
+        seen["no cone"] += len(built)
+    assert all(seen.values()), seen
 
 
 def test_representation_hall_single_class_fires():

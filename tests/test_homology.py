@@ -378,20 +378,35 @@ def test_pg33_spectrum_working_set():
     assert peak <= 5.5 * 780**2 * 8
 
 
-def test_coboundary_rank_reads_the_incidence_a_chunk_at_a_time():
+def test_coboundary_rank_reads_rows_as_they_are_built():
     # 200 vertices minus one edge: d_0 has 19,899 rows, about 2.9 MB as
-    # one list and tuple per row; the elimination stores 199 short rows.
+    # one list and tuple per row; the elimination holds one row at a time
+    # and stores 199 short rows.
     x = Complex(200, [0b11])
-    inc = homology._incidence(x, 0)
-    rows = homology._coboundary_rows(x, 0).rows
-    assert list(rows) == list(rows) == [(r, [1, -1]) for r in inc.tolist()]
+    x.faces(1)
     tracemalloc.start()
     try:
         assert homology._coboundary_rank_mod(x, 0) == 199
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6
+    assert peak < 2e5
+
+
+def test_ranking_pg33_d1_keeps_nothing_but_the_rank():
+    # the 9360 x 780 d_1 is read row by row as its rows are built from the
+    # face masks: no index array is made, and none is left behind
+    x = pg33_complex()
+    x.faces(2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert homology._coboundary_rank_mod(x, 1) == 741
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(x._memo) == [("coboundary-rank-mod", 1)]
+    assert peak - before < 600e3 and kept - before < 20e3, (peak - before, kept - before)
 
 
 def test_pg33_degree1_laplacian_is_130_identical_blocks(monkeypatch):
@@ -714,7 +729,6 @@ def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
 ])
 def test_large_coboundary_ranks_are_fast(name, n, missing, k, rank):
     x = pg33_complex() if n is None else from_missing_faces(n, missing)
-    homology._incidence(x, k)
     t0 = time.process_time()
     assert homology._coboundary_rank_mod(x, k) == rank
     assert time.process_time() - t0 < 0.5, name
@@ -793,6 +807,17 @@ def test_sparse_rank_mod_p_matches_dense_elimination(x):
             assert rational._rank_mod(homology._coboundary_rows(x, k), p) == dense, (p, k)
             if p > 3:
                 assert homology._coboundary_rank_mod(x, k) == dense, k
+
+
+@PROPERTY_SETTINGS
+@given(any_complex())
+def test_exact_rows_and_the_float_incidence_come_from_one_builder(x):
+    for k in range(-2, x.dim + 2):
+        rows = homology._coboundary_rows(x, k)
+        inc = homology._incidence(x, k)
+        assert rows.shape == (x.n_faces(k + 1), x.n_faces(k)) and inc.shape == (rows.shape[0], k + 2)
+        signs = [(-1) ** i for i in range(k + 2)]
+        assert list(rows.rows) == list(rows.rows) == [(r, signs) for r in inc.tolist()]
 
 
 def alexander_dual(x):

@@ -1,5 +1,6 @@
 """numpy is loaded on first use, so the commands that never call it start without it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +38,18 @@ def test_import_scx_leaves_numpy_unloaded():
 def test_phistar_runs_without_numpy():
     setup = 'from scx.cli import main; main(["matroid", "phistar", "--matroid", "builtin:AG23"])'
     assert loads_numpy(setup) == (["9"], False)
+
+
+def test_betti_runs_without_numpy():
+    # exact ranks read the coboundary rows as they are built from the face masks
+    setup = 'from scx.cli import main; main(["betti", "ag23", "--dim", "2"])'
+    assert loads_numpy(setup) == (["1"], False)
+
+
+def test_verify_hall_runs_without_numpy():
+    setup = 'from scx.cli import main; main(["verify", "hall", "--seed", "0", "--trials", "3"])'
+    out, loaded = loads_numpy(setup)
+    assert not loaded and json.loads(out[0])["passed"] is True
 
 
 def test_spectrum_loads_numpy():
