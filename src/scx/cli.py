@@ -21,7 +21,8 @@ import time
 from pathlib import Path
 
 from .campaigns import REPRODUCE_NAMES, SUITES, run_reproduce, run_suite
-from .complexes import Partition, complex_from_json, from_missing_faces, partition_from_json
+from .complexes import (Partition, _OverBudget, complex_from_json, from_missing_faces,
+                        partition_from_json)
 from .domination import _check_partition
 from .homology import betti_exact, spectrum
 from .matroids import (
@@ -111,7 +112,7 @@ def cmd_spectrum(args):
     try:
         x = _load(args.input, BUILTIN_COMPLEXES, complex_from_json, "complex")
     except ValueError as exc:
-        return _fail(PARSE_FAILURE, exc)
+        return _fail(GUARD_FAILURE if isinstance(exc, _OverBudget) else PARSE_FAILURE, exc)
     t0 = time.perf_counter()
     rep = spectrum(x, args.dim, tol=args.tol)
     wall = time.perf_counter() - t0
@@ -138,7 +139,7 @@ def cmd_betti(args):
     try:
         x = _load(args.input, BUILTIN_COMPLEXES, complex_from_json, "complex")
     except ValueError as exc:
-        return _fail(PARSE_FAILURE, exc)
+        return _fail(GUARD_FAILURE if isinstance(exc, _OverBudget) else PARSE_FAILURE, exc)
     print(betti_exact(x, args.dim))
     return 0
 

@@ -20,12 +20,12 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations, product
+from math import comb
 
 from .reports import json_lists
 
 __all__ = [
     "Complex",
-    "MissingFaceStats",
     "Partition",
     "as_int",
     "as_vertex",
@@ -44,6 +44,11 @@ __all__ = [
 #: below pg33's 5-face step (2052702), so ``pg33_complex().dim`` is
 #: refused before its 5-faces are listed.
 MAX_STEP_CANDIDATES = 1 << 20
+
+
+class _OverBudget(ValueError):
+    """A size guard refusing an input while it is still being read, so
+    the CLI can tell it from a malformed input."""
 
 
 def as_int(value, what: str) -> int:
@@ -109,22 +114,6 @@ def _minimalize(masks) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
-class MissingFaceStats:
-    """Top-dimensional absences inside one vertex subset.
-
-    ``absent`` lists the (d+1)-subsets of ``subset`` that are not faces,
-    where d is the complex's maximal missing-face dimension; ``core`` is
-    the common intersection of those subsets (empty when nothing is
-    absent) and ``core_size`` its cardinality.
-    """
-
-    subset: tuple[int, ...]
-    absent: tuple[tuple[int, ...], ...]
-    core: tuple[int, ...]
-    core_size: int
-
-
 class Complex:
     """Immutable simplicial complex on vertices 0..n-1.
 
@@ -135,7 +124,7 @@ class Complex:
     """
 
     __slots__ = ("n", "_missing", "_by_card", "_by_second", "_singles", "_faces", "_masks",
-                 "_top", "_ext", "_index", "_dim", "_layers", "_memo")
+                 "_top", "_ext", "_dim", "_layers", "_memo")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
@@ -179,7 +168,6 @@ class Complex:
         # extension masks of the faces of degree max(_top - 1, -1): the
         # vertices above a face's largest that extend it to a face
         self._ext: list[int] = [((1 << n) - 1) & ~self._singles]
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._dim: int | None = None
         self._layers: dict[int, Complex] = {}
         # results of scx.homology and scx.domination on this complex; only
@@ -300,12 +288,6 @@ class Complex:
             self.faces(k)
         return self._masks.get(k, ())
 
-    def face_index(self, k: int) -> dict[tuple[int, ...], int]:
-        """Position of each k-face in the canonical ordering."""
-        if k not in self._index:
-            self._index[k] = {f: i for i, f in enumerate(self.faces(k))}
-        return self._index[k]
-
     def n_faces(self, k: int) -> int:
         """Number of k-faces: 1 in degree -1 (the empty face), 0 below."""
         return len(self.faces(k))
@@ -417,24 +399,6 @@ class Complex:
             y = self._layers[i] = _layer_complex(self, i)
         return y
 
-    def missing_stats(self, theta) -> MissingFaceStats:
-        """Which top-cardinality subsets of theta are absent, and their
-        common intersection (empty when theta is a face)."""
-        d = self.max_missing_dim()
-        tvs = tuple(sorted(set(as_vertex(v) for v in theta)))
-        _mask_of(tvs, self.n)
-        if len(tvs) < d + 1:
-            raise ValueError(f"subset must have at least {d + 1} vertices")
-        absent = tuple(tau for tau in combinations(tvs, d + 1) if not self.contains(tau))
-        if absent:
-            core = set(absent[0])
-            for tau in absent[1:]:
-                core &= set(tau)
-            core = tuple(sorted(core))
-        else:
-            core = ()
-        return MissingFaceStats(subset=tvs, absent=absent, core=core, core_size=len(core))
-
     # -- plumbing -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -460,6 +424,10 @@ def _layer_complex(x: Complex, i: int) -> Complex:
     (i+1)-subsets all lie in it."""
     if i + 1 not in x._by_card:
         raise ValueError(f"no missing faces of dimension {i}")
+    count = comb(x.n, i + 1) + comb(x.n, i + 2)
+    if count > MAX_STEP_CANDIDATES:
+        raise ValueError(f"building the dimension-{i} missing layer lists {count} subsets, "
+                         f"above the budget of {MAX_STEP_CANDIDATES}")
     layer = frozenset(x._by_card[i + 1])
     gens = [m for m in _masks_of_size(range(x.n), i + 1) if m not in layer]
     gens += [m for m in _masks_of_size(range(x.n), i + 2)
@@ -472,14 +440,21 @@ def from_facets(n: int, facets) -> Complex:
 
     Input sets contained in other input sets are absorbed.  The minimal
     non-faces are derived here so the result round-trips through
-    :func:`from_missing_faces`.
+    :func:`from_missing_faces`.  Every subset of every maximal input set
+    is listed and tested once per vertex; over ``MAX_STEP_CANDIDATES``
+    such tests the input is refused before any subset is built.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     full = (1 << n) - 1
     # the maximal input sets (minimal complements), then all their subsets
+    tops = [full & ~m for m in _minimalize(full & ~_mask_of(f, n) for f in facets)]
+    count = n * sum(1 << fm.bit_count() for fm in tops)
+    if count > MAX_STEP_CANDIDATES:
+        raise _OverBudget(f"listing the subsets of the maximal facets tests {count} candidates "
+                          f"({n} per subset), above the budget of {MAX_STEP_CANDIDATES}")
     faces = {0}
-    for fm in (full & ~m for m in _minimalize(full & ~_mask_of(f, n) for f in facets)):
+    for fm in tops:
         sub = fm
         while sub:
             faces.add(sub)

@@ -10,11 +10,10 @@ product at least one.  Integer rows are the stored form: each index
 set's rows times the lcm d of their denominators.  The constructor
 scales the int and Fraction rows it is given; the in-library builders
 (``all_ones_representation``, ``randomgen.random_representation``,
-``matroids.flat_representation``) hand over integer rows directly; the
-Fraction rows are only a view, built when asked for.  Inner products
-are integer Gram entries over d**2, each Gram matrix built once, so
-validation, the covering check of the dominating family, the
-eigenvalue bound and the covering LP all run on integers.  The
+``matroids.flat_representation``) hand over integer rows directly.
+Inner products are integer Gram entries over d**2, each Gram matrix
+built once, so validation, the covering check of the dominating family,
+the eigenvalue bound and the covering LP all run on integers.  The
 representation's value |P| is that covering LP, solved exactly, with
 one column per distinct (cost, column) pair; the one solve also
 returns its single-vector packing dual, and the solver's certificate
@@ -145,14 +144,13 @@ class VectorRepresentation:
 
     ``scaled`` is the stored form: each index set's rows times d as
     integers, with d the lcm of their denominators, so inner products
-    are exact integers over d**2.  ``matrices`` is the Fraction view of
-    the same rows, built when first asked for.  The constructor scales
-    rows of ints and Fractions; the in-library builders hand over
-    integer rows directly through ``_from_scaled``.  Either way the
-    representation is validated before it is returned.
+    are exact integers over d**2.  The constructor scales rows of ints
+    and Fractions; the in-library builders hand over integer rows
+    directly through ``_from_scaled``.  Either way the representation is
+    validated before it is returned.
     """
 
-    __slots__ = ("complex", "scaled", "_gram", "_matrices")
+    __slots__ = ("complex", "scaled", "_gram")
 
     def __init__(self, x: Complex, matrices) -> None:
         scaled = {}
@@ -173,23 +171,9 @@ class VectorRepresentation:
         self.complex = x
         self.scaled = scaled
         self._gram = {}
-        self._matrices = None
         ok, violations = validate_representation(self, x)
         if not ok:
             raise ValueError("invalid representation: " + "; ".join(violations[:5]))
-
-    @property
-    def matrices(self) -> dict:
-        """Each index set's rows as Fractions."""
-        if self._matrices is None:
-            self._matrices = {
-                sigma: tuple(tuple(Fraction(e, d) for e in row) for row in rows)
-                for sigma, (rows, d) in self.scaled.items()
-            }
-        return self._matrices
-
-    def vector(self, sigma, v) -> tuple:
-        return self.matrices[tuple(sigma)][v]
 
     def gram(self, sigma) -> tuple:
         """(G, d): the integer Gram matrix of sigma's scaled rows and
@@ -206,10 +190,6 @@ class VectorRepresentation:
                     gi[j] = full[j][i] = sum(map(operator.mul, a, rows[j]))
             g = self._gram[sigma] = (tuple(map(tuple, full)), d)
         return g
-
-    def gram_entry(self, sigma, v, w) -> Fraction:
-        g, d = self.gram(sigma)
-        return Fraction(g[v][w], d * d)
 
 
 def _completions(x: Complex) -> tuple:

@@ -53,7 +53,6 @@ __all__ = [
     "LaplacianSet",
     "SpectrumReport",
     "sign",
-    "evaluate_cochain",
     "coboundary_matrix",
     "boundary_matrix",
     "laplacian_from_formula",
@@ -123,14 +122,6 @@ def sign(sigma, tau) -> int:
     target = rest + list(tau)
     pos = {v: i for i, v in enumerate(sigma)}
     return _perm_parity([pos[v] for v in target])
-
-
-def evaluate_cochain(phi, index, ordered) -> float:
-    """Value on an ordered simplex of a cochain given in the ascending basis."""
-    key = tuple(sorted(ordered))
-    if key not in index:
-        raise KeyError(f"{key} is not a basis simplex")
-    return sign(tuple(ordered), key) * phi[index[key]]
 
 
 # -- the signed incidence and its readers -----------------------------

@@ -32,7 +32,6 @@ from .reports import CheckRecord, digest, json_field, json_lists
 __all__ = [
     "LinearMatroid",
     "UniformMatroid",
-    "FlatSet",
     "GpWeighting",
     "MAX_PHI_GROUND",
     "MAX_GP_CLASSES",
@@ -180,14 +179,9 @@ def closure(m, s) -> tuple:
     return _vertices_of(_closure_mask(m, _as_mask(s, m.n)))
 
 
-@dataclass(frozen=True)
-class FlatSet:
-    rank: int
-    flats: tuple  # sorted vertex tuples, lexicographic
-
-
-def flats(m, r: int) -> FlatSet:
-    """All rank-r flats, as closures of independent r-subsets."""
+def flats(m, r: int) -> tuple:
+    """All rank-r flats, as closures of independent r-subsets: sorted
+    vertex tuples in lexicographic order."""
     if not 0 <= r <= m.full_rank:
         raise ValueError(f"flat rank {r} outside 0..{m.full_rank}")
     cached = m._flat_cache.get(r)
@@ -206,7 +200,7 @@ def flats(m, r: int) -> FlatSet:
                 flat = _closure_mask(m, mask)
                 masks.add(flat)
                 inside.update(_masks_of_size(_vertices_of(flat), r))
-    fs = FlatSet(r, tuple(sorted(_vertices_of(mask) for mask in masks)))
+    fs = tuple(sorted(_vertices_of(mask) for mask in masks))
     m._flat_cache[r] = fs
     return fs
 
@@ -250,7 +244,7 @@ def gp_by_flat_counts(m, s) -> bool:
     elems = set(as_vertex(v) for v in s)
     d = m.full_rank - 1
     for k in range(1, d + 1):
-        for f in flats(m, k).flats:
+        for f in flats(m, k):
             if len(elems.intersection(f)) > k:
                 return False
     return True
@@ -335,7 +329,7 @@ def _gp_constraint_supports(m, elems) -> tuple:
     elemset = set(elems)
     supports = set()
     for k in range(1, d + 1):
-        for f in flats(m, k).flats:
+        for f in flats(m, k):
             inside = [v for v in f if v in elemset]
             for sigma in combinations(inside, k - 1):
                 smask = _as_mask(sigma, m.n)
@@ -426,7 +420,7 @@ def flat_representation(m, u=None) -> VectorRepresentation:
     scaled = {}
     for sigma in index_sets(x):
         r = len(sigma) + 1
-        layer = flats(m, r).flats
+        layer = flats(m, r)
         col = {f: i for i, f in enumerate(layer)}
         (smask,) = _masks_of_size([verts[i] for i in sigma], len(sigma))
         rows = []

@@ -13,7 +13,10 @@ sets they sit inside.  Empty draws are rerolled.
 
 Bounds that no draw can meet (n_max below 4 or d_max below 1 for the
 complexes, n_max below 5 for linear and below 6 for mixed matroids) are
-refused with a ValueError naming the parameter, before any draw.
+refused with a ValueError naming the parameter, before any draw.  So are
+complex bounds under which one draw may list more than
+``MAX_STEP_CANDIDATES`` subsets of one cardinality: the largest
+C(n_max, c) for c up to min(d_max, n_max - 1) + 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import random
 from itertools import combinations
 
-from .complexes import Complex, Partition, from_missing_faces
+from .complexes import MAX_STEP_CANDIDATES, Complex, Partition, from_missing_faces
 from .domination import VectorRepresentation, index_sets, total_domination
 from .matroids import LinearMatroid, UniformMatroid
 
@@ -53,12 +56,23 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _family_budget(name: str, n: int, d_max: int) -> None:
+    """Refuse bounds under which one draw may list more than the budget
+    of subsets of one cardinality."""
+    c = min(min(d_max, n - 1) + 1, n // 2)  # C(n, c) grows up to c = n // 2
+    count = math.comb(n, c)
+    if count > MAX_STEP_CANDIDATES:
+        raise ValueError(f"{name} {n} and d_max {d_max} let one draw list C({n}, {c}) = "
+                         f"{count} subsets, above the budget of {MAX_STEP_CANDIDATES}")
+
+
 def random_complex(rng: random.Random, n_max: int = 7, d_max: int = 3,
                    n: int | None = None, mixed: bool = True) -> Complex:
     """A complex with at least one missing face, per the module recipe."""
     if n is None:
         _at_least("n_max", n_max, 4)
     _at_least("d_max", d_max, 1)
+    _family_budget("n_max" if n is None else "n", n_max if n is None else n, d_max)
     while True:
         nn = n if n is not None else rng.randint(4, n_max)
         d = rng.randint(1, min(d_max, nn - 1))
@@ -76,6 +90,8 @@ def random_complex(rng: random.Random, n_max: int = 7, d_max: int = 3,
 def random_complex_pair(rng: random.Random, n_max: int = 7, d_max: int = 3) -> list:
     """Two complexes on one vertex count drawn from [4, n_max]."""
     _at_least("n_max", n_max, 4)
+    _at_least("d_max", d_max, 1)
+    _family_budget("n_max", n_max, d_max)
     n = rng.randint(4, n_max)
     return [random_complex(rng, n_max, d_max, n=n) for _ in range(2)]
 

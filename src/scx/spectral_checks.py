@@ -13,19 +13,14 @@ note.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from itertools import combinations
 from math import comb
 
 from ._lazy import lazy_import
-from .complexes import Complex, intersection
-from .homology import (
-    betti_exact,
-    eta,
-    evaluate_cochain,
-    laplacians,
-    missing_top_eigenvalue,
-    spectral_gap,
-)
+from .complexes import Complex, _masks_of_size, _vertices_of, intersection
+from .homology import betti_exact, eta, laplacians, missing_top_eigenvalue, spectral_gap
 from .reports import CheckRecord, digest
 
 np = lazy_import("numpy")
@@ -185,27 +180,30 @@ def check_connectivity_eigen(x: Complex, tol: float = SLACK_TOL) -> CheckRecord:
 def check_upper_energy(y: Complex, phi, tol: float = SLACK_TOL) -> CheckRecord:
     """Upper-Laplacian energy of a cochain on a top-degree-minus-one
     basis is at most the sum over codimension-2 faces of squared
-    differences across their link edges."""
+    differences across their link edges.
+
+    The cochain's value on (v,) + sigma, sigma ascending, is its entry
+    at the face sigma + v times (-1) to the number of vertices of sigma
+    below v: the sign of moving v into place."""
     j = y.dim - 1
-    faces = y.faces(j)
+    masks = y.face_masks(j)
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (len(faces),):
-        raise ValueError(f"cochain must have {len(faces)} entries")
+    if phi.shape != (len(masks),):
+        raise ValueError(f"cochain must have {len(masks)} entries")
     name = "upper_energy"
-    inputs = digest(_complex_digest(y), tuple(float(v) for v in phi))
+    values = phi.tolist()
+    inputs = digest(_complex_digest(y), tuple(values))
     plus = laplacians(y, j).plus
     lhs = float(phi @ plus.astype(np.float64) @ phi)
-    index = y.face_index(j)
+    pos = {m: i for i, m in enumerate(masks)}
     rhs = 0.0
-    for sigma in y.faces(j - 1):
-        sset = set(sigma)
-        outside = [v for v in range(y.n) if v not in sset]
-        for v, w in combinations(outside, 2):
-            if y.contains(sigma + (v, w)):
-                a = evaluate_cochain(phi, index, (v,) + sigma)
-                b = evaluate_cochain(phi, index, (w,) + sigma)
+    for s in y.face_masks(j - 1):
+        # the value on (v,) + sigma for each v extending sigma to a j-face
+        ends = [(1 << v, (-1) ** (s & (1 << v) - 1).bit_count() * values[pos[s | 1 << v]])
+                for v in range(y.n) if s | 1 << v in pos]
+        for (bv, a), (bw, b) in combinations(ends, 2):
+            if y.contains_mask(s | bv | bw):
                 rhs += (a - b) ** 2
-    rhs = float(rhs)
     margin = rhs - lhs
     return CheckRecord(name, inputs, lhs, rhs, margin, margin >= -tol)
 
@@ -224,10 +222,14 @@ def check_degree_sum(x: Complex, sigma) -> CheckRecord:
     inputs = digest(_complex_digest(x), sigma)
     lhs = sum(x.degree(sigma[:i] + sigma[i + 1 :]) for i in range(k + 1))
     counts = {r: 0 for r in range(2, d + 2)}
+    smask = sum(1 << v for v in sigma)
     for v in range(x.n):
-        if v in sigma:
+        if smask >> v & 1:
             continue
-        m = x.missing_stats(sigma + (v,)).core_size
+        # the common core of the (d+1)-subsets of sigma + v that are not faces
+        absent = [m for m in _masks_of_size(_vertices_of(smask | 1 << v), d + 1)
+                  if not x.contains_mask(m)]
+        m = reduce(operator.and_, absent).bit_count() if absent else 0
         if m >= 2:
             counts[m] += 1
     rhs = k + 1 + (k + 1) * x.degree(sigma) + sum((r - 1) * c for r, c in counts.items())

@@ -67,6 +67,21 @@ def test_reports_match_the_golden_digests():
     assert got == GOLDEN
 
 
+# sha256 of the unrounded canonical JSON at seed 0 with default trials:
+# GOLDEN's rounding to 10 digits would hide a last-bit change in the
+# upper-energy sum, which these would show
+EXACT = {
+    "countdeg": "0dbb282bc3621a6cca08ff3e6b798b5507457b72c8e4e2692a960714a88858dd",
+    "pluslap": "7357841a532e914740cc108005852f27333b74b97c6364e3e383276071b453bc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_unrounded_reports_match_the_exact_digests(name):
+    text = run_suite(name, seed=0).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT[name]
+
+
 def test_every_suite_token_passes_at_small_counts():
     for name in sorted(SUITES):
         rep = run_suite(name, seed=0, trials=3)

@@ -176,14 +176,22 @@ def test_sparse_elimination_over_budget_is_refused(capsys, monkeypatch):
      "= 174436 subsets, above the budget of 16384"),
     (("matroid", "phistar", "--matroid", "uniform:10,40"),
      "= 373585603 subsets, above the budget of 16384"),
+    (("betti", "{simplex}", "--dim", "0"),
+     "listing the subsets of the maximal facets tests 584115552256 candidates (34 per subset), "
+     "above the budget of 1048576"),
+    (("verify", "fp", "--n-max", "40", "--d-max", "10", "--trials", "1"),
+     "n_max 40 and d_max 10 let one draw list C(40, 11) = 2311801440 subsets, "
+     "above the budget of 1048576"),
 ])
 def test_size_guards_refuse_within_a_second(tmp_path, capsys, argv, message):
     # with --dim 0 the same input lists its 244649 edges and is answered
     # (see above)
     path = tmp_path / "k700_minus_edge.json"
     path.write_text('{"n":700,"missing_faces":[[0,1]]}')
+    simplex = tmp_path / "simplex34.json"
+    simplex.write_text(json.dumps({"n": 34, "facets": [list(range(34))]}))
     t0 = time.process_time()
-    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    code, out, err = run_cli(capsys, *(a.format(path=path, simplex=simplex) for a in argv))
     assert time.process_time() - t0 < 1.0
     assert code == 4
     assert out == ""

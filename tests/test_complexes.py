@@ -177,7 +177,7 @@ def random_missing_masks(rng, n):
 
 
 def test_faces_match_definition_on_random_complexes():
-    """faces, face_masks, face_index, n_faces and contains_mask against
+    """faces, face_masks, n_faces and contains_mask against
     all subsets, filtered by the definition, in lexicographic order; the
     levels are asked for in a random order so each can be enumerated
     from a cold cache."""
@@ -198,7 +198,6 @@ def test_faces_match_definition_on_random_complexes():
             )
             assert x.faces(k) == want, (n, masks, k)
             assert x.face_masks(k) == tuple(sum(1 << v for v in f) for f in want)
-            assert x.face_index(k) == {f: i for i, f in enumerate(want)}
             assert x.n_faces(k) == len(want)  # 1 in degree -1, the empty face
         for m in range(1 << n):
             assert x.contains_mask(m) == is_face(m), (n, masks, m)
@@ -312,31 +311,6 @@ def test_induced_matches_definition():
             got = {tuple(u[j] for j in f) for f in sub.faces(k)}
             want = {f for f in x.faces(k) if set(f) <= set(u)}
             assert got == want
-
-
-# -- missing-face statistics ------------------------------------------
-
-
-def test_missing_stats_trivial():
-    x = from_missing_faces(2, [{0, 1}])
-    st = x.missing_stats({0, 1})
-    assert st.absent == ((0, 1),)
-    assert st.core == (0, 1) and st.core_size == 2
-    ag = from_missing_faces(9, ag23_lines())
-    face = ag.faces(2)[0]
-    st = ag.missing_stats(face)
-    assert st.absent == () and st.core_size == 0
-    with pytest.raises(ValueError):
-        ag.missing_stats({0, 1})
-
-
-def test_missing_stats_line_plus_point():
-    ag = from_missing_faces(9, ag23_lines())
-    for line in ag.missing_faces[:4]:
-        extra = min(set(range(9)) - set(line))
-        st = ag.missing_stats(set(line) | {extra})
-        assert not ag.contains(st.subset)
-        assert 2 <= st.core_size <= 3
 
 
 # -- derived complexes ------------------------------------------------
@@ -516,8 +490,6 @@ def test_non_integer_vertices_are_rejected(bad):
     x = from_missing_faces(3, [[0, 1, 2]])
     with pytest.raises(ValueError, match="vertex"):
         x.contains([bad])
-    with pytest.raises(ValueError, match="vertex"):
-        x.missing_stats([0, 2, bad])
 
 
 @pytest.mark.parametrize("text", [
@@ -583,6 +555,39 @@ def test_pg33_dim_is_refused_at_the_5_face_step():
                                          "above the budget of 1048576"):
         x.dim
     assert time.process_time() - t0 < 2.0
+
+
+def test_from_facets_budget(monkeypatch):
+    # each subset of each maximal input set is tested once per vertex;
+    # an absorbed input set costs nothing
+    facets = [(0, 1, 2), (2, 3), (0, 1), (4,)]
+    count = 5 * (8 + 4 + 2)
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count)
+    assert from_facets(5, facets).facets() == ((0, 1, 2), (2, 3), (4,))
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count - 1)
+    with pytest.raises(ValueError, match=rf"tests {count} candidates \(5 per subset\)"):
+        from_facets(5, facets)
+    # a full facet on 16 vertices is the real budget exactly; on 17 it is
+    # refused before any subset is built
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", 1 << 20)
+    assert from_facets(16, [range(16)]).missing_faces == ()
+    t0 = time.process_time()
+    for n in (17, 34):
+        with pytest.raises(ValueError, match=f"tests {n << n} candidates"):
+            from_facets(n, [range(n)])
+    assert time.process_time() - t0 < 0.5
+
+
+def test_missing_layer_budget(monkeypatch):
+    # the layer lists the C(n, i+1) + C(n, i+2) subsets around its faces
+    x = from_missing_faces(6, [(0, 1, 2), (3, 4)])
+    count = 20 + 15
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count)
+    assert x.missing_complex(2).faces(2) == ((0, 1, 2),)
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", count - 1)
+    y = from_missing_faces(6, [(0, 1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=f"the dimension-2 missing layer lists {count} subsets"):
+        y.missing_complex(2)
 
 
 def test_listed_degrees_are_lookups(monkeypatch):

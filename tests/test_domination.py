@@ -197,8 +197,9 @@ def test_representation_stores_integer_rows_and_views_them_as_fractions():
     x = from_missing_faces(2, [(0, 1)])
     p = VectorRepresentation(x, {(): [(Fraction(3, 2), 1), (2, Fraction(1, 3))]})
     assert p.scaled == {(): (((9, 6), (12, 2)), 6)}
-    assert p.matrices == {(): ((Fraction(3, 2), 1), (2, Fraction(1, 3)))}
-    assert p.vector((), 1) == (2, Fraction(1, 3))
+    rows, d = p.scaled[()]
+    assert [[Fraction(e, d) for e in row] for row in rows] == [[Fraction(3, 2), 1],
+                                                             [2, Fraction(1, 3)]]
     assert p.gram(()) == (((117, 120), (120, 148)), 6)
 
 
@@ -270,11 +271,10 @@ def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
         calls.clear()
         v = domination.rep_value(p)
         assert len(calls) == 1
-        rows = [
-            [float(p.gram_entry(sigma, w, v_)) for w in range(x.n)]
-            for sigma in p.matrices
-            for v_ in range(x.n)
-        ]
+        rows = []
+        for sigma in p.scaled:
+            g, d = p.gram(sigma)
+            rows += [[g[v_][w] / d**2 for w in range(x.n)] for v_ in range(x.n)]
         ref = linprog([-1] * x.n, A_ub=rows, b_ub=[1] * len(rows), bounds=(0, None),
                       method="highs")
         assert ref.status == 0 and abs(-ref.fun - float(v)) < 1e-9
@@ -282,12 +282,14 @@ def test_rep_value_is_one_solve_matching_the_packing_lp(monkeypatch):
 
 def _full_covering_lp(p):
     """The rational covering LP with all-ones cost and one column per
-    (sigma, v), no column dropped, built from the Fraction rows."""
+    (sigma, v), no column dropped, built from the scaled rows over d."""
     n = p.complex.n
+    mats = {s: [[Fraction(e, d) for e in row] for row in rows]
+            for s, (rows, d) in p.scaled.items()}
     cols = [
-        tuple(sum((a * b for a, b in zip(p.matrices[s][v], p.matrices[s][w])), Fraction(0))
+        tuple(sum((a * b for a, b in zip(mats[s][v], mats[s][w])), Fraction(0))
               for w in range(n))
-        for s in sorted(p.matrices, key=lambda s: (len(s), s)) for v in range(n)
+        for s in sorted(mats, key=lambda s: (len(s), s)) for v in range(n)
     ]
     return cols, LpProblem([1] * len(cols), list(zip(*cols)), [1] * n)
 
@@ -388,7 +390,8 @@ def test_rep_value_invariant_under_relabeling():
             x.n, [tuple(sorted(perm[v] for v in mu)) for mu in x.missing_faces]
         )
         mats = {}
-        for sigma, rows in p.matrices.items():
+        for sigma, (rows, d) in p.scaled.items():
+            rows = [[Fraction(e, d) for e in row] for row in rows]
             new_sigma = tuple(sorted(perm[v] for v in sigma))
             new_rows = [None] * x.n
             for v in range(x.n):

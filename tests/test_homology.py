@@ -32,7 +32,6 @@ from scx.homology import (
     boundary_matrix,
     coboundary_matrix,
     eta,
-    evaluate_cochain,
     laplacian_from_formula,
     laplacian_from_products,
     laplacians,
@@ -139,11 +138,12 @@ def test_sign_identities_on_cochains():
         k = rng.randint(1, n - 2)
         x = from_missing_faces(n, [])
         faces = x.faces(k)
-        index = x.face_index(k)
+        index = {f: i for i, f in enumerate(faces)}
         phi = cochain_on(faces, rng)
 
         def val(ordered):
-            return evaluate_cochain(phi, index, ordered)
+            key = tuple(sorted(ordered))
+            return sign(ordered, key) * phi[index[key]]
 
         sigma = rng.sample(range(n), k + 2)
         tau = rng.sample(sigma, k + 1)
@@ -164,16 +164,6 @@ def test_sign_identities_on_cochains():
         assert sign(tau, theta) * sign(eta_f, theta) * val(tau) * val(eta_f) == pytest.approx(
             sign(tau2, theta2) * sign(eta2, theta2) * val(tau2) * val(eta2)
         )
-
-
-def test_evaluate_cochain_skew():
-    x = from_missing_faces(4, [])
-    index = x.face_index(1)
-    phi = np.arange(1.0, 7.0)
-    assert evaluate_cochain(phi, index, (0, 1)) == phi[index[(0, 1)]]
-    assert evaluate_cochain(phi, index, (1, 0)) == -phi[index[(0, 1)]]
-    with pytest.raises(KeyError):
-        evaluate_cochain(phi, index, (0, 0, 1))
 
 
 # -- coboundary and boundary matrices ---------------------------------

@@ -19,7 +19,6 @@ import scx.matroids as matroids
 from scx.complexes import Partition, from_missing_faces
 from scx.domination import rep_value
 from scx.matroids import (
-    FlatSet,
     GpWeighting,
     LinearMatroid,
     UniformMatroid,
@@ -161,19 +160,18 @@ def test_closure_of_pair_is_line():
 
 
 def test_flats_uniform():
-    fs = flats(UniformMatroid(2, 4), 1)
-    assert fs == FlatSet(1, ((0,), (1,), (2,), (3,)))
-    assert flats(UniformMatroid(2, 4), 2).flats == ((0, 1, 2, 3),)
+    assert flats(UniformMatroid(2, 4), 1) == ((0,), (1,), (2,), (3,))
+    assert flats(UniformMatroid(2, 4), 2) == ((0, 1, 2, 3),)
 
 
 def test_flats_ag23():
     m = ag23_matroid()
-    assert flats(m, 0).flats == ((),)
-    assert flats(m, 1).flats == tuple((v,) for v in range(9))
-    lines = flats(m, 2).flats
+    assert flats(m, 0) == ((),)
+    assert flats(m, 1) == tuple((v,) for v in range(9))
+    lines = flats(m, 2)
     assert len(lines) == 12
     assert all(len(line) == 3 for line in lines)
-    assert flats(m, 3).flats == (tuple(range(9)),)
+    assert flats(m, 3) == (tuple(range(9)),)
     with pytest.raises(ValueError):
         flats(m, 4)
 
@@ -182,7 +180,7 @@ def test_flats_pg33():
     m = pg33_matroid()
     assert m.n == 40 and m.full_rank == 4
     assert m.columns[:3] == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1))
-    lines = flats(m, 2).flats
+    lines = flats(m, 2)
     assert len(lines) == 130
     assert all(len(line) == 4 for line in lines)
 
@@ -340,7 +338,7 @@ def test_flats_match_closures_of_every_independent_subset():
     for m in [ag23_matroid(), UniformMatroid(3, 6)] + [random_matroid(rng) for _ in range(20)]:
         for r in range(m.full_rank + 1):
             want = {closure(m, s) for s in combinations(range(m.n), r) if m.rank(s) == r}
-            assert flats(m, r).flats == tuple(sorted(want))
+            assert flats(m, r) == tuple(sorted(want))
 
 
 def test_flats_match_the_closed_sets_among_all_subsets():
@@ -354,7 +352,7 @@ def test_flats_match_the_closed_sets_among_all_subsets():
             if closure(m, s) == s:
                 want.setdefault(m.rank(s), []).append(s)
         for r in range(m.full_rank + 1):
-            assert flats(m, r).flats == tuple(sorted(want[r]))
+            assert flats(m, r) == tuple(sorted(want[r]))
 
 
 def test_flats_of_uniform_5_20_are_listed_in_linear_time():
@@ -448,8 +446,9 @@ def test_weighting_violations_detect_overload():
 def test_flat_representation_ag23():
     m = ag23_matroid()
     p = flat_representation(m)
-    assert sorted(p.matrices) == [(v,) for v in range(9)]
-    rows = p.matrices[(0,)]
+    assert sorted(p.scaled) == [(v,) for v in range(9)]
+    rows, d = p.scaled[(0,)]
+    assert d == 1
     assert len(rows) == 9 and len(rows[0]) == 12  # one slot per line
     assert sum(rows[0]) == 0  # closure of a repeated point has rank 1
     assert all(sum(rows[v]) == 1 for v in range(1, 9))

@@ -2,11 +2,13 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import scx.randomgen as randomgen
 from scx.complexes import Partition, from_missing_faces
 from scx.domination import index_sets, rep_value, total_domination
 from scx.matroids import LinearMatroid, UniformMatroid
@@ -117,7 +119,7 @@ def test_random_representation_matches_a_fraction_per_entry_oracle():
                                   for _ in range(width - 1))
                 for _ in range(x.n)
             )
-        assert rep.matrices == oracle
+        assert rep.scaled.keys() == oracle.keys()
         for sigma, rows in oracle.items():
             d = math.lcm(*(e.denominator for row in rows for e in row))
             assert rep.scaled[sigma] == (tuple(tuple(e * d for e in row) for row in rows), d)
@@ -163,6 +165,7 @@ def test_random_matroid_mixes_kinds():
 
 
 def test_unreachable_bounds_are_refused_before_any_draw():
+    big = "n_max 26 and d_max 9 let one draw list C(26, 10) = 5311735 subsets, above the budget"
     cases = [
         (lambda rng: random_complex(rng, n_max=3), "n_max must be at least 4"),
         (lambda rng: random_complex(rng, d_max=0), "d_max must be at least 1"),
@@ -171,6 +174,12 @@ def test_unreachable_bounds_are_refused_before_any_draw():
         (lambda rng: random_single_layer_complex(rng, d_max=0), "d_max must be at least 1"),
         (lambda rng: random_linear_matroid(rng, n_max=4), "n_max must be at least 5"),
         (lambda rng: random_matroid(rng, n_max=5), "n_max must be at least 6"),
+        # a draw on n vertices may list C(n, c) subsets for c up to d_max + 1
+        (lambda rng: random_complex(rng, n_max=26, d_max=9), re.escape(big)),
+        (lambda rng: random_complex_pair(rng, n_max=26, d_max=9), re.escape(big)),
+        (lambda rng: random_single_layer_complex(rng, n_max=26, d_max=9), re.escape(big)),
+        (lambda rng: random_complex(rng, d_max=6, n=30),
+         re.escape("n 30 and d_max 6 let one draw list C(30, 7) = 2035800 subsets")),
     ]
     for draw, message in cases:
         for seed in range(6):
@@ -179,6 +188,20 @@ def test_unreachable_bounds_are_refused_before_any_draw():
             with pytest.raises(ValueError, match=message):
                 draw(rng)
             assert rng.getstate() == state
+
+
+def test_the_family_budget_admits_its_largest_family(monkeypatch):
+    # the largest family for n_max 9 and d_max 3 is C(9, 4) = 126; with
+    # d_max 6 it is C(9, 4) again, since C(9, c) falls beyond c = 4
+    monkeypatch.setattr(randomgen, "MAX_STEP_CANDIDATES", 126)
+    for d_max in (3, 6):
+        assert 4 <= random_complex(trial_rng(5, 0), n_max=9, d_max=d_max).n <= 9
+    monkeypatch.setattr(randomgen, "MAX_STEP_CANDIDATES", 125)
+    with pytest.raises(ValueError, match=re.escape("C(9, 4) = 126 subsets, above the budget of 125")):
+        random_complex(trial_rng(5, 0), n_max=9, d_max=3)
+    # C(40, 4) = 91390 fits the real budget: --n-max 40 at the default d_max
+    monkeypatch.setattr(randomgen, "MAX_STEP_CANDIDATES", 1 << 20)
+    assert 4 <= random_complex(trial_rng(0, 0), n_max=40).n <= 40
 
 
 def test_smallest_accepted_bounds_draw():

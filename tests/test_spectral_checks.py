@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from scx.complexes import from_missing_faces
-from scx.homology import spectral_gap
+from scx.homology import sign, spectral_gap
 from scx.spectral_checks import (
     check_complement_identity,
     check_connectivity_eigen,
@@ -286,6 +286,38 @@ def test_upper_energy_random():
                 assert check_upper_energy(y, phi).passed
 
 
+def test_upper_energy_rhs_matches_a_tuple_evaluation_through_sign():
+    # the cochain's value on an ordered simplex is its entry at the
+    # sorted face times the relative sign of the two orders; the sum is
+    # taken over the same faces and pairs in the same order, so the
+    # floats agree exactly
+    rng = random.Random(41)
+    layers = 0
+    for _ in range(40):
+        x = random_complex(rng, n_max=7)
+        for i in sorted(x.missing_dims()):
+            if i < 1:
+                continue
+            y = x.missing_complex(i)
+            j = y.dim - 1
+            index = {f: p for p, f in enumerate(y.faces(j))}
+            phi = np.array([rng.gauss(0.0, 1.0) for _ in index])
+
+            def val(ordered):
+                key = tuple(sorted(ordered))
+                return sign(ordered, key) * phi[index[key]]
+
+            want = 0.0
+            for sigma in y.faces(j - 1):
+                outside = [v for v in range(y.n) if v not in sigma]
+                for v, w in combinations(outside, 2):
+                    if y.contains(sigma + (v, w)):
+                        want += (val((v,) + sigma) - val((w,) + sigma)) ** 2
+            assert check_upper_energy(y, phi).rhs == float(want)
+            layers += 1
+    assert layers >= 20
+
+
 def test_upper_energy_validates_length():
     y = ag23().missing_complex(2)
     with pytest.raises(ValueError):
@@ -330,3 +362,30 @@ def test_degree_sum_random_top_dims():
                 continue
             for sigma in x.faces(k):
                 assert check_degree_sum(x, sigma).passed
+
+
+def test_degree_sum_core_counts_match_the_absent_subsets_definition():
+    # the core of sigma + v is the intersection of its (d+1)-subsets that
+    # are not faces (empty when there are none); the check counts the
+    # extensions by core size from 2 up
+    rng = random.Random(42)
+    checked = 0
+    for _ in range(50):
+        x = random_complex(rng)
+        d = x.max_missing_dim()
+        for k in (x.dim, x.dim - 1):
+            if k < d:
+                continue
+            for sigma in x.faces(k):
+                want = {r: 0 for r in range(2, d + 2)}
+                for v in range(x.n):
+                    if v in sigma:
+                        continue
+                    theta = tuple(sorted(sigma + (v,)))
+                    absent = [set(t) for t in combinations(theta, d + 1) if not x.contains(t)]
+                    size = len(set.intersection(*absent)) if absent else 0
+                    if size >= 2:
+                        want[size] += 1
+                assert check_degree_sum(x, sigma).details["core_counts"] == want
+                checked += 1
+    assert checked > 100
