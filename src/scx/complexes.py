@@ -2,9 +2,10 @@
 
 A complex on vertices 0..n-1 is determined by its antichain of missing
 faces (minimal non-faces): tau is a face iff no missing face is contained
-in tau.  Faces are exposed as sorted vertex tuples; internally every set
-of vertices is a bitmask, so membership tests are subset checks on
-machine integers.
+in tau.  Every set of vertices is stored as a bitmask, so membership
+tests are subset checks on machine integers, and each face is stored
+once, as its mask; ``Complex.faces`` builds the sorted vertex tuples
+from the masks on each call, for readers that want them.
 
 Besides constructors and combinatorial queries this module builds the
 derived complexes the rest of the code needs: links, induced subcomplexes
@@ -123,8 +124,8 @@ class Complex:
     to share.
     """
 
-    __slots__ = ("n", "_missing", "_by_card", "_by_second", "_singles", "_faces", "_masks",
-                 "_top", "_ext", "_dim", "_layers", "_memo")
+    __slots__ = ("n", "_missing", "_by_card", "_by_second", "_singles", "_masks", "_top",
+                 "_ext", "_dim", "_layers", "_memo")
 
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
@@ -162,9 +163,8 @@ class Complex:
         self._by_second: dict[int, list[tuple[int, int]]] = {}
         for rest, tops in tops_of.items():
             self._by_second.setdefault(1 << rest.bit_length() - 1, []).append((rest, tops))
-        self._faces: dict[int, tuple[tuple[int, ...], ...]] = {-1: ((),)}
         self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
-        self._top = -1  # highest degree listed in _faces and _masks
+        self._top = -1  # highest degree listed in _masks
         # extension masks of the faces of degree max(_top - 1, -1): the
         # vertices above a face's largest that extend it to a face
         self._ext: list[int] = [((1 << n) - 1) & ~self._singles]
@@ -223,8 +223,9 @@ class Complex:
         """True iff the vertex set is a face (the empty set always is)."""
         return self.contains_mask(_mask_of(face, self.n))
 
-    def faces(self, k: int):
-        """All k-faces as sorted vertex tuples, in lexicographic order.
+    def face_masks(self, k: int) -> tuple[int, ...]:
+        """Bitmasks of the k-faces, in lexicographic order of their
+        vertex tuples.
 
         Each k-face is a (k-1)-face g extended by a vertex of g's
         extension mask, the vertices above max(g) that extend g to a
@@ -237,20 +238,20 @@ class Complex:
                 return ()
             for j in range(self._top + 1, k + 1):
                 self._extend(j)
-        return self._faces.get(k, ())
+        return self._masks.get(k, ())
 
     def _extend(self, k: int) -> None:
-        """Enumerate and cache the k-faces from the cached (k-1)-faces.
+        """Enumerate and cache the k-faces' masks from the cached (k-1)-faces'.
 
         f + v + w (f below v below w) is a face iff f + v and f + w are,
         and no missing face with top w and second-largest vertex v lies
         in f + v + w.  So each (k-1)-face f + v takes the vertices above
         v of its parent f's extension mask, less the tops filed under v
-        with a rest inside f + v; only the (k-2)-faces' masks are kept
-        from the step before.  The budget counts each (k-1)-face once per
-        vertex above its largest, an upper bound on the extensions tested
-        (and is counted only when n per face would exceed it); a step
-        over it is refused before any mask is read."""
+        with a rest inside f + v; only the (k-2)-faces' extension masks
+        are kept from the step before.  The budget counts each (k-1)-face
+        once per vertex above its largest, an upper bound on the
+        extensions tested (and is counted only when n per face would
+        exceed it); a step over it is refused before any mask is read."""
         below = self._masks[k - 1]
         if self.n * len(below) > MAX_STEP_CANDIDATES:
             count = self.n * len(below) - sum(map(int.bit_length, below))
@@ -259,16 +260,14 @@ class Complex:
                                  f"the budget of {MAX_STEP_CANDIDATES} per step")
         if k == 0:  # the vertices in the empty face's mask
             ext = self._ext
-            fs = [(v,) for v in range(self.n) if ext[0] >> v & 1]
-            ms = [1 << f[0] for f in fs]
+            ms = [1 << v for v in range(self.n) if ext[0] >> v & 1]
         else:  # for each (k-1)-face g = f + v: its mask, then g + w for w in it
-            ext, fs, ms = [], [], []
-            below_faces = iter(self._faces[k - 1])
+            ext, ms = [], []
             for fm, e in zip(self._masks[k - 2], self._ext):
                 while e:
                     low = e & -e
                     e ^= low
-                    g, gm, keep = next(below_faces), fm | low, e
+                    gm, keep = fm | low, e
                     for r, tops in self._by_second.get(low, ()):
                         if r & gm == r:
                             keep &= ~tops
@@ -276,21 +275,18 @@ class Complex:
                     while keep:
                         wb = keep & -keep
                         keep ^= wb
-                        fs.append(g + (wb.bit_length() - 1,))
                         ms.append(gm | wb)
-        self._faces[k] = tuple(fs)
         self._masks[k] = tuple(ms)
         self._ext, self._top = ext, k
 
-    def face_masks(self, k: int):
-        """Bitmasks of the k-faces, in the order of :meth:`faces`."""
-        if k > self._top:
-            self.faces(k)
-        return self._masks.get(k, ())
+    def faces(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """All k-faces as sorted vertex tuples, in lexicographic order: a
+        view of :meth:`face_masks`, built afresh on each call."""
+        return tuple(map(_vertices_of, self.face_masks(k)))
 
     def n_faces(self, k: int) -> int:
         """Number of k-faces: 1 in degree -1 (the empty face), 0 below."""
-        return len(self.faces(k))
+        return len(self.face_masks(k))
 
     @property
     def dim(self) -> int:
@@ -299,7 +295,7 @@ class Complex:
                 self._dim = self.n - 1
             else:
                 k = -1
-                while self.faces(k + 1):
+                while self.face_masks(k + 1):
                     k += 1
                 self._dim = k
         return self._dim

@@ -1,14 +1,17 @@
 """Signed cochain calculus on complexes: coboundaries, Laplacians, spectra.
 
-Cochains are represented in the standard basis indexed by faces in
-ascending vertex order; all signs come from permutation parity.  Each
-degree's coboundary is built once, row by row from the face masks: the
-exact ranks read the rows as they come, the float readers an index
-array of them.  The lower and upper Laplacians are assembled twice, from
-the entry formulas (which read the cofaces off the missing faces, never
-off the faces one degree up) and as products scatter-added from the
-index arrays, and the two integer results must agree entrywise before
-anything downstream sees them.
+Cochains are represented in the standard basis indexed by the faces in
+the order of ``Complex.face_masks``, lexicographic in their ascending
+vertex tuples; all signs come from permutation parity.  Each degree's
+coboundary is built once, row by row from the face masks alone (a
+mask's bits read lowest first are its vertices ascending): the exact
+ranks read the rows as they come, the float readers an index array of
+them.  Only the entry formula reads the faces as vertex tuples.  The
+lower and upper Laplacians are assembled twice, from the entry formulas
+(which read the cofaces off the missing faces, never off the faces one
+degree up) and as products scatter-added from the index arrays, and the
+two integer results must agree entrywise before anything downstream
+sees them.
 
 Betti numbers are computed two independent ways as well: exactly, from
 rational ranks of the coboundaries (sparse eliminations of the rows,
@@ -54,7 +57,6 @@ __all__ = [
     "SpectrumReport",
     "sign",
     "coboundary_matrix",
-    "boundary_matrix",
     "laplacian_from_formula",
     "laplacian_from_products",
     "laplacians",
@@ -130,8 +132,9 @@ def sign(sigma, tau) -> int:
 class _SignedRows:
     """The degree-k coboundary (k >= -2), its rows built afresh from the
     face masks on each pass: for each (k+1)-face in turn, the positions of
-    the k-faces left by dropping each vertex, and the signs (-1)**i of
-    dropping the i-th.  A pass holds one row and one position dict."""
+    the k-faces left by dropping each bit, and the signs (-1)**i of
+    dropping the i-th lowest, the i-th vertex.  A pass holds one row and
+    one position dict."""
 
     def __init__(self, x: Complex, k: int):
         self.x, self.k = x, k
@@ -140,10 +143,12 @@ class _SignedRows:
         x, k = self.x, self.k
         pos = {m: i for i, m in enumerate(x.face_masks(k))}
         signs = [(-1) ** i for i in range(k + 2)]
-        for f, m in zip(x.faces(k + 1), x.face_masks(k + 1)):
-            cols = []  # a loop, not a comprehension: a third faster on 3.11
-            for v in f:
-                cols.append(pos[m ^ 1 << v])
+        for m in x.face_masks(k + 1):
+            cols, rest = [], m
+            while rest:  # lowest bit first: the vertices ascending
+                low = rest & -rest
+                rest ^= low
+                cols.append(pos[m ^ low])
             yield cols, signs
 
 
@@ -173,11 +178,6 @@ def coboundary_matrix(x: Complex, k: int) -> np.ndarray:
         inc = _incidence(x, k)
         mat[np.arange(len(inc))[:, None], inc] = _signs(k + 2)
     return mat
-
-
-def boundary_matrix(x: Complex, k: int) -> np.ndarray:
-    """Adjoint of the degree-k coboundary in the standard bases."""
-    return coboundary_matrix(x, k).T.copy()
 
 
 def laplacian_from_formula(x: Complex, k: int):

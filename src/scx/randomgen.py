@@ -16,7 +16,11 @@ complexes, n_max below 5 for linear and below 6 for mixed matroids) are
 refused with a ValueError naming the parameter, before any draw.  So are
 complex bounds under which one draw may list more than
 ``MAX_STEP_CANDIDATES`` subsets of one cardinality: the largest
-C(n_max, c) for c up to min(d_max, n_max - 1) + 1.
+C(n_max, c) for c up to min(d_max, n_max - 1) + 1.  A mixed draw drops
+the top sets that contain a lower one by looking up each top set's
+subsets of the lower cardinality in a set: at most |fam| * C(d+1, low)
+lookups for a top family fam, which that budget holds to at most
+``MAX_STEP_CANDIDATES`` sets.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ def random_complex(rng: random.Random, n_max: int = 7, d_max: int = 3,
             low = rng.randint(2, d)
             extra = [s for s in combinations(range(nn), low) if rng.random() < 0.25]
             if extra:
+                ex = set(extra)
                 fam = [s for s in fam
-                       if not any(set(e) <= set(s) for e in extra)] + extra
+                       if not any(e in ex for e in combinations(s, low))] + extra
         if fam:
             return from_missing_faces(nn, sorted(fam, key=lambda s: (len(s), s)))
 

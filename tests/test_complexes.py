@@ -8,6 +8,7 @@ against their definitions element by element.
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -235,6 +236,22 @@ def test_pg33_keeps_extension_masks_one_degree_below_the_top():
     assert len(x._ext) == x.n_faces(2) == 9360
     for g, gm, e in list(zip(x.faces(2), x.face_masks(2), x._ext))[::97]:
         assert e == sum(1 << w for w in range(g[-1] + 1, x.n) if x.contains_mask(gm | 1 << w))
+
+
+def test_pg33_faces_through_degree_3_hold_under_5_mb():
+    # each face is held once, as its mask: the 72540 3-faces' masks and
+    # the tuple holding them, with the lower degrees and the 9360
+    # extension masks, come to about 3.7 MB; a vertex tuple per face as
+    # well came to 10.1 MB
+    x = pg33_complex()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert x.n_faces(3) == 72540
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 5e6, held
 
 
 def test_contains():

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,6 +60,46 @@ def test_random_complex_fixed_n_and_unmixed():
         x = random_complex(trial_rng(2, t), n=6, mixed=False)
         assert x.n == 6
         assert len({len(mu) for mu in x.missing_faces}) == 1
+
+
+def old_filter_complex(rng, n_max, d_max):
+    """The complex recipe as drawn before the lower family was looked up
+    by subset: each top set tested against each lower set."""
+    while True:
+        nn = rng.randint(4, n_max)
+        d = rng.randint(1, min(d_max, nn - 1))
+        fam = [s for s in combinations(range(nn), d + 1) if rng.random() < 0.5]
+        if d >= 2 and rng.random() < 0.25:
+            low = rng.randint(2, d)
+            extra = [s for s in combinations(range(nn), low) if rng.random() < 0.25]
+            if extra:
+                fam = [s for s in fam
+                       if not any(set(e) <= set(s) for e in extra)] + extra
+        if fam:
+            return from_missing_faces(nn, sorted(fam, key=lambda s: (len(s), s)))
+
+
+@pytest.mark.parametrize("n_max, d_max", [(7, 3), (9, 4)])
+def test_mixed_draws_match_the_pairwise_filter(n_max, d_max):
+    # the same complexes from the same draws, leaving the stream in the
+    # same state
+    mixed = 0
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        x = random_complex(new, n_max, d_max)
+        assert x == old_filter_complex(old, n_max, d_max), seed
+        assert new.getstate() == old.getstate()
+        mixed += len(x.missing_dims()) > 1
+    assert mixed >= 10
+
+
+def test_a_large_mixed_draw_ends_in_well_under_a_second():
+    # 63074 top 8-sets against 3933 lower 5-sets: the pairwise filter
+    # took about a minute here
+    start = time.process_time()
+    x = random_complex(random.Random(0), d_max=9, n=20)
+    assert time.process_time() - start < 1.0
+    assert len(x.missing_masks) == 3933
 
 
 def test_single_layer_always_has_dominating_set():
