@@ -19,7 +19,13 @@ without numpy; see numerics.rational), and numerically, from the float
 spectra of each coboundary's smaller Gram matrix (see betti_hodge).
 When the two ranks modulo the first prime sum to the dimension of the
 cochain space, both are exact and the Betti number is 0, with no second
-prime.  The homological connectivity eta is one more than the first
+prime.  Each modular rank is taken after the one a degree below and
+stops at f_k minus it, a bound because the coboundary squares to zero
+(Dumas, Heckenbach, Saunders and Welker, Computing simplicial homology
+based on efficient Smith normal form algorithms, 2003).  The kernel of
+the full Laplacian is the reduced cohomology, so ``spectral_gap`` is
+exactly 0.0, with no eigensolve, in a degree whose exact Betti number
+is nonzero.  The homological connectivity eta is one more than the first
 index with a nonvanishing reduced Betti number, or infinity when none
 exists.  The numerical ranks and the top eigenvalue of a missing layer
 read one spectrum: that of a coboundary's smaller Gram matrix, d^T d or
@@ -336,9 +342,16 @@ def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
 
 
 def spectral_gap(x: Complex, k: int) -> float:
-    """Smallest degree-k Laplacian eigenvalue; +inf on an empty basis."""
+    """Smallest degree-k Laplacian eigenvalue; +inf on an empty basis.
+
+    The kernel of L_k is the reduced cohomology in degree k (see
+    betti_hodge), so when ``betti_exact`` is nonzero the gap is exactly
+    0.0, certified without an eigensolve; otherwise it is the float
+    ``spectrum(x, k).mu``."""
     if x.n_faces(k) == 0:
         return math.inf
+    if betti_exact(x, k) != 0:
+        return 0.0
     return spectrum(x, k).mu
 
 
@@ -386,11 +399,20 @@ def _coboundary_rows(x: Complex, k: int) -> SparseRows:
 def _coboundary_rank_mod(x: Complex, k: int) -> int:
     """Rank of the degree-k coboundary modulo the first prime, a lower
     bound on its rank over Q; memoized on the complex.  With a side of
-    at most one face it is that side: every row holds k+2 signs."""
+    at most one face it is that side: every row holds k+2 signs.
+
+    Otherwise the degree below is ranked first, and the elimination
+    stops at f_k minus its rank: the coboundary squares to zero, so
+    rank_p d_k <= rank_Q d_k <= f_k - rank_Q d_{k-1} <= f_k - rank_p d_{k-1},
+    and once that many pivots are found no row left can add one."""
     key = ("coboundary-rank-mod", k)
     if key not in x._memo:
         side = min(x.n_faces(k), x.n_faces(k + 1))
-        x._memo[key] = side if side < 2 else rank_first_prime(_coboundary_rows(x, k))
+        if side < 2:
+            x._memo[key] = side
+        else:
+            target = x.n_faces(k) - _coboundary_rank_mod(x, k - 1)
+            x._memo[key] = rank_first_prime(_coboundary_rows(x, k), target)
     return x._memo[key]
 
 
@@ -415,7 +437,10 @@ def betti_exact(x: Complex, k: int) -> int:
     to at most f_k (the coboundary squares to zero) and each is at least
     its modular rank, so when the modular ranks sum to f_k both are
     exact and the Betti number is 0.  Otherwise each rank is certified
-    over Q by more primes and a Hadamard bound.
+    over Q by more primes and a Hadamard bound.  The modular ranks of
+    every degree below k are taken too (each bounds the elimination one
+    degree up; see ``_coboundary_rank_mod``) and memoized.  A nonzero
+    value certifies ``spectral_gap(x, k) == 0.0``.
     """
     nk = x.n_faces(k)
     if nk == 0:

@@ -11,7 +11,10 @@ Modulo a prime p < 2**31, each incoming row is reduced on its largest
 column by the stored row pivoting there, as in persistence reduction,
 until it vanishes or is stored with a leading 1; rows are {column:
 residue} dicts, and more than ``MAX_FILL`` stored entries raise a
-ValueError giving the shape.  The rank modulo p is at most the rank
+ValueError giving the shape.  A caller that knows an upper bound on
+the rank modulo p passes it as a target, and the elimination stops
+once it holds that many pivots: no row left could add one, so the rank
+returned is the same.  The rank modulo p is at most the rank
 over Q, so the largest rank r seen is a lower bound, exact when r =
 min(m, n).  Otherwise primes are added until their product P exceeds
 the Hadamard bound H on every (r+1)-minor, the smaller of the products
@@ -125,9 +128,14 @@ def _sparse(mat) -> SparseRows:
                       [([j for j, e in enumerate(r) if e], [e for e in r if e]) for r in rows])
 
 
-def _rank_mod(a: SparseRows, p: int) -> int:
-    """Rank of ``a`` modulo p, rows reduced on their largest column."""
+def _rank_mod(a: SparseRows, p: int, target: int | None = None) -> int:
+    """Rank of ``a`` modulo p, rows reduced on their largest column.
+
+    The elimination stops once it holds min(n, target) pivots, so
+    ``target`` must be an upper bound on that rank; the rank returned
+    is then still exact (the rows left unread could add no pivot)."""
     n = a.shape[1]
+    stop = n if target is None else min(n, target)
     pivots: dict[int, dict[int, int]] = {}
     fill = 0
     for cols, vals in a.rows:
@@ -152,15 +160,18 @@ def _rank_mod(a: SparseRows, p: int) -> int:
                     row[j] = w
                 else:
                     del row[j]
-        if len(pivots) == n:
+        if len(pivots) >= stop:
             break
     return len(pivots)
 
 
-def rank_first_prime(mat) -> int:
+def rank_first_prime(mat, target: int | None = None) -> int:
     """Rank modulo the first prime of ``rank_exact`` (2**31 - 1): a lower
-    bound on the rank over Q, which ``rank_exact`` accepts as ``first``."""
-    return _rank_mod(_sparse(mat), next(_primes()))
+    bound on the rank over Q, which ``rank_exact`` accepts as ``first``.
+    ``target``, when given, must bound that rank from above (for a
+    coboundary: f_k minus the modular rank of the one below), and the
+    elimination stops once it is reached."""
+    return _rank_mod(_sparse(mat), next(_primes()), target)
 
 
 def rank_exact(mat, first: int | None = None) -> int:

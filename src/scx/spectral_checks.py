@@ -113,7 +113,9 @@ def check_complement_identity(x: Complex, i: int, tol: float = 1e-8) -> CheckRec
     the eigenvalue side compares two separate eigensolves, the
     relaxation's full Laplacian and whichever of the layer's two
     Laplacians ``missing_top_eigenvalue`` solves (usually the lower one
-    in degree i, which is smaller)."""
+    in degree i, which is smaller).  When the relaxation has cohomology
+    in degree i-1 its side is the certified 0.0 of ``spectral_gap``, not
+    a solve."""
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
     name = "complement_identity"

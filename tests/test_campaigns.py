@@ -24,10 +24,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # significant digits (seed 3, 2 trials per part), captured from the
 # per-campaign runners the table replaced
 GOLDEN = {
-    "fp": "52a2d54d140aa6eb59906c6e55dd09490864871e2023635e85dfa036a9f6bbaf",
-    "intersection": "3677746425c70a8dc2a1475513d2ea40d96ec1a94b087045e33482302ccba2fc",
-    "yi": "c7c3dc0a715620e4884a3d1a3b0665bc01f345da87208eb861a96d61b1276c04",
-    "mu-bound": "27b5ed5ea5f81897ddfc366e7e51925d27e51ea9ec3362fd0af66333785ec838",
+    "fp": "4e6e10121cdc5e3bd2fe78edf37bc02e1364fb4eee440431781e031cf17655ce",
+    "intersection": "a713a65642655a66d7600a63c77cfcb1034b20f273589ffb3aca20764338964c",
+    "yi": "e9aa9d2b162569dac824277f433c12a87b0ab870e37e6264aee03f8dc39fa811",
+    "mu-bound": "46acdf4abf563042b751e52cc12818a7ea52d0f71314cebe7bb8f233f2074c32",
     "eigenhom": "164986d26888de36fe2f6e0c5170fe562e43b821431e92d382251f1b478ae416",
     "countdeg": "fcae5a81fb8ea959a8c3fb92a1502c48f023db190d3f05f0c6bb9b6bd1c1908a",
     "pluslap": "e1e054fd94aef80ee1241a8f23dc2f4474d8a2ae1c8b339be5805eb3c7897000",

@@ -40,7 +40,7 @@ from scx.homology import (
     spectrum,
 )
 from scx.matroids import ag23_complex, pg33_complex
-from scx.numerics import eigenvalues_sym, rank_exact
+from scx.numerics import SparseRows, eigenvalues_sym, rank_exact
 from scx.randomgen import random_complex
 
 
@@ -397,7 +397,8 @@ def test_coboundary_rank_reads_rows_as_they_are_built():
 
 def test_ranking_pg33_d1_keeps_nothing_but_the_rank():
     # the 9360 x 780 d_1 is read row by row as its rows are built from the
-    # face masks: no index array is made, and none is left behind
+    # face masks: no index array is made, and none is left behind but the
+    # modular ranks of d_1 and of the two degrees below, which bound it
     x = pg33_complex()
     x.faces(2)
     tracemalloc.start()
@@ -407,7 +408,7 @@ def test_ranking_pg33_d1_keeps_nothing_but_the_rank():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert list(x._memo) == [("coboundary-rank-mod", 1)]
+    assert list(x._memo) == [("coboundary-rank-mod", k) for k in (-1, 0, 1)]
     assert peak - before < 600e3 and kept - before < 20e3, (peak - before, kept - before)
 
 
@@ -707,21 +708,28 @@ def test_one_prime_certificate_matches_the_certified_ranks():
 def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
     # ranks 741 + 39 = 780 = f_1 modulo the first prime certify both
     # ranks and beta_1 = 0 with no second prime: one sparse elimination
-    # of each coboundary's incidence rows
+    # of each coboundary's incidence rows, d_1 stopping at its bound
+    # 780 - 39 = 741 after 1369 of its 9360 rows
     import scx.numerics.rational as rational
 
-    calls = []
+    calls, reads = [], {}
     real = rational._rank_mod
 
-    def counting(a, p):
+    def counting(a, p, target=None):
         calls.append(a.shape)
-        return real(a, p)
+
+        def rows():
+            for i, row in enumerate(a.rows, 1):
+                reads[a.shape] = i
+                yield row
+        return real(SparseRows(a.shape, rows()), p, target)
 
     monkeypatch.setattr(rational, "_rank_mod", counting)
     pg33 = pg33_complex()
     x = Complex(pg33.n, pg33.missing_masks)
     assert betti_exact(x, 1) == 0
     assert sorted(calls) == [(780, 40), (9360, 780)]
+    assert reads[(9360, 780)] == 1369
     assert (x._memo[("coboundary-rank", 1)], x._memo[("coboundary-rank", 0)]) == (741, 39)
 
 
@@ -828,6 +836,31 @@ def test_faces_are_the_vertex_tuples_of_the_masks(x):
     for k in range(-1, x.n + 1):
         want = tuple(f for f in combinations(range(x.n), k + 1) if x.contains(f))
         assert x.faces(k) == tuple(map(_vertices_of, x.face_masks(k))) == want, k
+
+
+@PROPERTY_SETTINGS
+@given(any_complex())
+def test_spectral_gap_is_certified_zero_exactly_on_cohomology(x):
+    # ker L_k is the reduced cohomology in degree k: the gap is 0.0 from
+    # betti_exact alone, and the eigensolve it skips would read about 0
+    for k in range(-1, x.dim + 1):
+        gap, mu = spectral_gap(x, k), spectrum(x, k).mu
+        if betti_exact(x, k) != 0:
+            assert gap == 0.0 and abs(mu) <= 1e-9, k
+        else:
+            assert gap == mu != 0.0, k
+
+
+def test_spectral_gap_solves_nothing_when_cohomology_is_nonzero(monkeypatch):
+    # beta_2(ag23) != 0 (eta = 3), so mu_2 = 0 needs no eigensolve;
+    # mu_1 = 6 still does
+    solved = []
+    real = homology.eigenvalues_sym
+    monkeypatch.setattr(homology, "eigenvalues_sym", lambda a: solved.append(a.shape) or real(a))
+    x = ag23_complex()
+    assert betti_exact(x, 2) != 0
+    assert spectral_gap(x, 2) == 0.0 and solved == []
+    assert spectral_gap(x, 1) == pytest.approx(6.0, abs=1e-9) and solved
 
 
 def test_exact_betti_numbers_and_eta_read_no_vertex_tuples(monkeypatch):

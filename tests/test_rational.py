@@ -182,3 +182,27 @@ def test_is_prime_matches_trial_division():
     for q in (561, 1105, 25326001):
         assert not rational._is_prime(q)
     assert sympy.isprime(2**31 - 1) and not sympy.isprime(25326001)
+
+
+def test_rank_mod_stopping_at_an_upper_bound_keeps_the_rank():
+    # a target at or above the rank modulo p stops the elimination early
+    # but never changes the rank it returns: on coboundaries (target f_k
+    # minus the rank one degree down, valid over any field since d d = 0)
+    # and on random integer rows (the rank itself, and above it)
+    rng = random.Random(577)
+    for p in (2**31 - 1, 3):
+        for _ in range(25):
+            x = random_complex(rng, n_max=7)
+            below = 0
+            for k in range(-1, x.dim + 1):
+                rows = homology._coboundary_rows(x, k)
+                rank = rational._rank_mod(rows, p)
+                assert rational._rank_mod(rows, p, x.n_faces(k) - below) == rank, (p, k)
+                below = rank
+        for _ in range(60):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            dense = [[rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(m)]
+            rows = rational._sparse(dense)
+            rank = rational._rank_mod(rows, p)
+            for target in (rank, rank + rng.randint(1, 3)):
+                assert rational._rank_mod(rows, p, target) == rank, (p, target)
