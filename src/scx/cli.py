@@ -114,7 +114,7 @@ def cmd_spectrum(args):
     except ValueError as exc:
         return _fail(GUARD_FAILURE if isinstance(exc, _OverBudget) else PARSE_FAILURE, exc)
     t0 = time.perf_counter()
-    rep = spectrum(x, args.dim, tol=args.tol)
+    rep = spectrum(x, args.dim)
     wall = time.perf_counter() - t0
     if args.pretty:
         print(f"degree {rep.k} spectrum on {x.n} vertices "
@@ -211,8 +211,6 @@ def build_parser():
     sp = sub.add_parser("spectrum", help="full-Laplacian eigenvalues in one degree")
     sp.add_argument("input", help=f"complex JSON file or builtin ({builtin_names})")
     sp.add_argument("--dim", type=int, required=True, help="cochain degree, -1 upward")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="guard for the certified eigenvalue range")
     sp.add_argument("--pretty", action="store_true", help="human table instead of JSON")
     sp.set_defaults(fn=cmd_spectrum)
 

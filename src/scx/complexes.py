@@ -69,15 +69,18 @@ def as_vertex(v) -> int:
     return as_int(v, "vertex")
 
 
-def _mask_of(vertices, n: int) -> int:
-    """Bitmask of a vertex collection, validating type, range and duplicates."""
+def _mask_of(vertices, n: int, repeats: bool = False) -> int:
+    """Bitmask of a vertex collection given from outside: the one
+    validator of faces and vertex subsets.  Each element must pass
+    :func:`as_vertex` and lie in 0..n-1; a repeat is an error in a face
+    and collapses in a subset (``repeats=True``)."""
     m = 0
     for v in vertices:
         v = as_vertex(v)
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range 0..{n - 1}")
         b = 1 << v
-        if m & b:
+        if m & b and not repeats:
             raise ValueError(f"duplicate vertex {v}")
         m |= b
     return m
@@ -301,15 +304,11 @@ class Complex:
         return self._dim
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """Inclusion-maximal faces."""
-        all_faces = []
-        for k in range(self.dim, -2, -1):
-            all_faces.extend(self.face_masks(k))
-        maximal: list[int] = []
-        for m in all_faces:
-            if not any(m & big == m for big in maximal):
-                maximal.append(m)
-        return tuple(sorted(_vertices_of(m) for m in maximal))
+        """Inclusion-maximal faces, sorted: the complements of the minimal
+        complements of the faces, as in :func:`from_facets`."""
+        full = (1 << self.n) - 1
+        comps = (full & ~f for k in range(-1, self.dim + 1) for f in self.face_masks(k))
+        return tuple(sorted(_vertices_of(full & ~m) for m in _minimalize(comps)))
 
     # -- local structure ----------------------------------------------
 
@@ -346,10 +345,11 @@ class Complex:
 
         Vertex j of the result is the j-th smallest element of the
         subset; its missing faces are exactly the missing faces of this
-        complex contained in the subset.  An empty subset yields the
+        complex contained in the subset.  The subset is validated by
+        ``_mask_of``, repeats collapsing.  An empty subset yields the
         degenerate complex on zero vertices (only the empty face).
         """
-        umask = _mask_of(set(subset), self.n)
+        umask = _mask_of(subset, self.n, repeats=True)
         verts = _vertices_of(umask)
         kept = [m for m in self._missing if m & umask == m]
         return Complex(len(verts), _relabel(kept, verts))
@@ -514,10 +514,6 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.classes)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for cl in self.classes for v in cl))
 
     def union_of(self, which) -> tuple[int, ...]:
         """Sorted union of the classes with the given indices."""

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, Partition, as_vertex
+from .complexes import Complex, Partition, _mask_of, _vertices_of, as_vertex
 from .homology import eta, missing_top_eigenvalue
 # lp_solve_max is not called here any more; perfbench's tracer tests
 # still look it up as scx.domination.lp_solve_max
@@ -291,17 +291,17 @@ def dominating_alpha_from_tds(s, p: VectorRepresentation):
 
     Requires every missing face to have one common dimension d; the
     family puts weight 1/d on the vertices of S minus sigma, for index
-    sets inside S.  Verifies domination and that the total weight is
-    C(|S|, d).
+    sets inside S.  S is a vertex subset (repeats collapse).  Verifies
+    domination and that the total weight is C(|S|, d).
     """
     x = p.complex
+    s = _vertices_of(_mask_of(s, x.n, repeats=True))
     dims = x.missing_dims()
     if len(dims) != 1:
         raise ValueError(f"missing faces must share one dimension, got {sorted(dims)}")
     d = next(iter(dims))
     if d < 1:
         raise ValueError("missing faces must have dimension at least 1")
-    s = tuple(sorted(set(s)))
     if not _dominates(x, s):
         raise ValueError(f"{s} is not totally dominating")
     sset = set(s)

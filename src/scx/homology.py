@@ -304,40 +304,36 @@ class SpectrumReport:
 
 
 def _range_tol(x: Complex) -> float:
-    """Default guard on the certified eigenvalue range [0, n]."""
+    """The guard on the certified eigenvalue range [0, n]."""
     return 1e-8 * max(1.0, float(x.n))
 
 
-def _eigenvalues_in_range(x: Complex, mat: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _eigenvalues_in_range(x: Complex, mat: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a Laplacian or Gram matrix of x, which must
-    all lie within the guard tol (default ``_range_tol``) of [0, n], the
-    certified range.  A RuntimeError otherwise."""
+    all lie within the guard ``_range_tol(x)`` of [0, n], the certified
+    range.  A RuntimeError otherwise."""
     evs = eigenvalues_sym(mat)
-    tol = _range_tol(x) if tol is None else tol
+    tol = _range_tol(x)
     if evs[0] < -tol or evs[-1] > x.n + tol:
         raise RuntimeError(f"eigenvalue outside the certified range [0, n]: "
                            f"min={float(evs[0])}, max={float(evs[-1])}, n={x.n}")
     return evs
 
 
-def spectrum(x: Complex, k: int, tol: float | None = None) -> SpectrumReport:
+def spectrum(x: Complex, k: int) -> SpectrumReport:
     """Eigenvalues of the degree-k full Laplacian, sorted ascending.
 
     Certifies the a-priori bounds: every eigenvalue must lie within the
-    guard of [0, n].  Raises ValueError on a zero cochain space or a
-    guard that is negative or not finite; see spectral_gap for +inf.
+    guard ``_range_tol(x)`` of [0, n], which the report keeps as ``tol``.
+    Raises ValueError on a zero cochain space; see spectral_gap for +inf.
     """
     if x.n_faces(k) == 0:
         raise ValueError(f"no cochains in degree {k}")
-    if tol is None:
-        tol = _range_tol(x)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    key = ("spectrum", k, tol)
+    key = ("spectrum", k)
     if key not in x._memo:
-        evs = _eigenvalues_in_range(x, laplacians(x, k).full, tol)
+        evs = _eigenvalues_in_range(x, laplacians(x, k).full)
         x._memo[key] = SpectrumReport(k, tuple(float(e) for e in evs), float(evs[0]),
-                                      float(evs[-1]), tol)
+                                      float(evs[-1]), _range_tol(x))
     return x._memo[key]
 
 

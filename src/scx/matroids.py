@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import (Complex, Partition, _masks_of_size, _vertices_of, as_int, as_vertex,
+from .complexes import (Complex, Partition, _mask_of, _masks_of_size, _vertices_of, as_int,
                         from_missing_faces)
 from .domination import VectorRepresentation, _hall_sweep, _transversal, index_sets, rep_value
 from .numerics.lp import lp_solve_max
@@ -69,20 +69,11 @@ MAX_PHI_STAR_ENTRIES = 1 << 12
 MAX_FLAT_SCAN = 1 << 14
 
 
-def _as_mask(s, n: int) -> int:
-    mask = 0
-    for v in s:
-        v = as_vertex(v)
-        if v < 0 or v >= n:
-            raise ValueError(f"vertex {v} outside ground set of size {n}")
-        mask |= 1 << v
-    return mask
-
-
 def _subset(m, s) -> tuple:
-    """The distinct elements of s in increasing order, each checked
-    against the ground set; all of it when s is None."""
-    return tuple(range(m.n)) if s is None else _vertices_of(_as_mask(s, m.n))
+    """The distinct elements of s in increasing order, validated against
+    the ground set by ``_mask_of`` (repeats collapse); all of it when s
+    is None."""
+    return tuple(range(m.n)) if s is None else _vertices_of(_mask_of(s, m.n, repeats=True))
 
 
 class LinearMatroid:
@@ -121,7 +112,7 @@ class LinearMatroid:
         return r
 
     def rank(self, s) -> int:
-        return self.rank_mask(_as_mask(s, self.n))
+        return self.rank_mask(_mask_of(s, self.n, repeats=True))
 
     @property
     def full_rank(self) -> int:
@@ -151,7 +142,7 @@ class UniformMatroid:
         return min(mask.bit_count(), self.r)
 
     def rank(self, s) -> int:
-        return self.rank_mask(_as_mask(s, self.n))
+        return self.rank_mask(_mask_of(s, self.n, repeats=True))
 
     @property
     def full_rank(self) -> int:
@@ -176,7 +167,7 @@ def _closure_mask(m, mask: int) -> int:
 
 def closure(m, s) -> tuple:
     """Every vertex whose addition leaves the rank unchanged."""
-    return _vertices_of(_closure_mask(m, _as_mask(s, m.n)))
+    return _vertices_of(_closure_mask(m, _mask_of(s, m.n, repeats=True)))
 
 
 def flats(m, r: int) -> tuple:
@@ -207,19 +198,16 @@ def flats(m, r: int) -> tuple:
 
 def circuits(m, max_size: int) -> tuple:
     """Minimal dependent sets of at most max_size elements, ascending."""
-    out = []
     found = []
     for size in range(1, max_size + 1):
-        for s in combinations(range(m.n), size):
-            mask = _as_mask(s, m.n)
+        for mask in _masks_of_size(range(m.n), size):
             if any(c & mask == c for c in found):
                 continue
             if m.rank_mask(mask) != size - 1:
                 continue
-            if all(m.rank_mask(mask ^ (1 << v)) == size - 1 for v in s):
-                out.append(s)
+            if all(m.rank_mask(mask ^ 1 << v) == size - 1 for v in _vertices_of(mask)):
                 found.append(mask)
-    return tuple(out)
+    return tuple(map(_vertices_of, found))
 
 
 # -- general position --------------------------------------------------
@@ -231,17 +219,15 @@ def is_general_position(m, s) -> bool:
     Checking the subsets of one maximal size suffices: smaller ones all
     embed in them.
     """
-    elems = sorted(set(s))
+    elems = _subset(m, s)
     t = min(len(elems), m.full_rank)
-    return all(
-        m.rank_mask(_as_mask(sub, m.n)) == t for sub in combinations(elems, t)
-    )
+    return all(m.rank_mask(mask) == t for mask in _masks_of_size(elems, t))
 
 
 def gp_by_flat_counts(m, s) -> bool:
     """Flat-counting form: no rank-k flat (1 <= k <= d) holds more than k
     points of s.  Agrees with is_general_position on loopless matroids."""
-    elems = set(as_vertex(v) for v in s)
+    elems = set(_subset(m, s))
     d = m.full_rank - 1
     for k in range(1, d + 1):
         for f in flats(m, k):
@@ -253,13 +239,14 @@ def gp_by_flat_counts(m, s) -> bool:
 def gp_complex(m, u=None) -> Complex:
     """Complex of general-position sets; missing faces are the circuits
     of at most full_rank elements.  With u, the induced subcomplex on u
-    (vertices relabeled densely in sorted order)."""
+    (validated as in ``Complex.induced``, vertices relabeled densely in
+    sorted order)."""
     if m._gp_cache is None:
         m._gp_cache = from_missing_faces(m.n, circuits(m, m.full_rank))
     x = m._gp_cache
     if u is None:
         return x
-    return x.induced(sorted(set(u)))
+    return x.induced(u)
 
 
 def _extends(m, d: int, chosen, v: int) -> bool:
@@ -331,13 +318,9 @@ def _gp_constraint_supports(m, elems) -> tuple:
     for k in range(1, d + 1):
         for f in flats(m, k):
             inside = [v for v in f if v in elemset]
-            for sigma in combinations(inside, k - 1):
-                smask = _as_mask(sigma, m.n)
-                support = tuple(
-                    v
-                    for v in inside
-                    if v not in sigma and m.rank_mask(smask | (1 << v)) == k
-                )
+            for smask in _masks_of_size(inside, k - 1):
+                support = tuple(v for v in inside
+                                if not smask >> v & 1 and m.rank_mask(smask | 1 << v) == k)
                 if support:
                     supports.add(support)
     return tuple(sorted(supports))
@@ -415,7 +398,7 @@ def flat_representation(m, u=None) -> VectorRepresentation:
     lower rank).  Completions of sigma to a missing face share that
     flat, so the inner-product condition holds with value exactly 1.
     """
-    verts = tuple(sorted(set(u))) if u is not None else tuple(range(m.n))
+    verts = _subset(m, u)
     x = gp_complex(m, verts)
     scaled = {}
     for sigma in index_sets(x):
@@ -441,7 +424,7 @@ def check_flat_rep_bound(m, u=None) -> CheckRecord:
     the covering LP of the flat representation, so the inequality holds
     by weak duality; both sides are computed independently and compared
     exactly."""
-    verts = tuple(sorted(set(u))) if u is not None else tuple(range(m.n))
+    verts = _subset(m, u)
     d = m.full_rank - 1
     name = "flat_rep_bound"
     inputs = digest(matroid_to_json(m), verts)

@@ -280,20 +280,6 @@ def test_verify_refuses_non_finite_tolerances(capsys, argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-5", "-1e-12"])
-def test_spectrum_refuses_a_negative_or_non_finite_guard(capsys, tol):
-    code, out, err = run_cli(capsys, "spectrum", "ag23", "--dim", "1", f"--tol={tol}")
-    assert code == 4
-    assert out == ""
-    assert "tol must be finite and nonnegative" in err
-
-
-def test_spectrum_takes_a_zero_guard(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "hollow-triangle", "--dim", "0", "--tol", "0")
-    assert code == 0
-    assert json.loads(out)["tol"] == 0.0
-
-
 @pytest.mark.parametrize("text", [
     '{"n": 3.7, "missing_faces": [[0, 1, 2]]}',
     '{"n": true, "missing_faces": [[0]]}',

@@ -17,7 +17,7 @@ import pytest
 
 import scx.matroids as matroids
 from scx.complexes import Partition, from_missing_faces
-from scx.domination import rep_value
+from scx.domination import all_ones_representation, dominating_alpha_from_tds, rep_value
 from scx.matroids import (
     GpWeighting,
     LinearMatroid,
@@ -399,11 +399,54 @@ def test_phi_star_rechecks_the_lp_weighting(monkeypatch):
 def test_phi_and_phi_star_check_the_subset_against_the_ground_set():
     m = ag23_matroid()
     for f in (phi, phi_star, phi_star_weighting):
-        with pytest.raises(ValueError, match=r"^vertex 99 outside ground set of size 9$"):
+        with pytest.raises(ValueError, match=r"^vertex 99 out of range 0\.\.8$"):
             f(m, [0, 99])
     # the empty subset solves the empty LP
     assert phi_star_weighting(m, []) == GpWeighting((), ())
     assert phi_star(m, []) == 0
+
+
+def _tds_alpha(s):
+    return dominating_alpha_from_tds(s, all_ones_representation(ag23_complex()))
+
+
+@pytest.mark.parametrize("call, vertex", [
+    pytest.param(lambda: gp_by_flat_counts(ag23_matroid(), [0, 99]), "99", id="flat-counts-99"),
+    pytest.param(lambda: gp_by_flat_counts(ag23_matroid(), [-1]), "-1", id="flat-counts-neg"),
+    # with full rank 0 no subset is ranked, but the vertex is still checked
+    pytest.param(lambda: is_general_position(UniformMatroid(0, 5), [99]), "99",
+                 id="general-position-rank-0"),
+    pytest.param(lambda: _tds_alpha((0, 1, 2, 3, 99)), "99", id="tds-99"),
+    pytest.param(lambda: _tds_alpha((0, 2, -1)), "-1", id="tds-neg"),
+    pytest.param(lambda: _tds_alpha((0, 2, True)), "True", id="tds-bool"),
+    pytest.param(lambda: ag23_complex().induced([1, True]), "True", id="induced-bool"),
+    pytest.param(lambda: gp_complex(ag23_matroid(), [0, 1, True]), "True", id="gp-complex-bool"),
+    pytest.param(lambda: closure(ag23_matroid(), [9]), "9", id="closure-9"),
+    pytest.param(lambda: UniformMatroid(2, 4).rank([0, 4]), "4", id="uniform-rank-4"),
+    pytest.param(lambda: flat_representation(ag23_matroid(), [0, 1.0]), "1.0",
+                 id="flat-rep-float"),
+])
+def test_every_vertex_subset_is_validated_by_one_rule(call, vertex):
+    with pytest.raises(ValueError, match=rf"^vertex {re.escape(vertex)} "):
+        call()
+
+
+def test_subsets_collapse_repeats_and_faces_refuse_them():
+    m, x = ag23_matroid(), ag23_complex()
+    assert x.induced([0, 1, 2, 2, 0]) == x.induced([0, 1, 2])
+    assert gp_complex(m, [3, 0, 3]) == gp_complex(m, [0, 3])
+    assert m.rank([0, 0, 1]) == m.rank([0, 1]) == 2
+    assert closure(m, [0, 1, 1]) == (0, 1, 2)
+    assert phi(m, [0, 1, 0]) == phi(m, [0, 1]) == 2
+    assert is_general_position(m, [0, 1, 0]) and gp_by_flat_counts(m, [0, 1, 0])
+    assert not is_general_position(m, [0, 1, 2, 0])
+    assert (dominating_alpha_from_tds((0, 1, 1, 2, 4, 8), all_ones_representation(x))
+            == dominating_alpha_from_tds((0, 1, 2, 4, 8), all_ones_representation(x)))
+    for face in ([0, 0], [3, 4, 3]):
+        with pytest.raises(ValueError, match=r"^duplicate vertex"):
+            x.contains(face)
+        with pytest.raises(ValueError, match=r"^duplicate vertex"):
+            from_missing_faces(9, [face])
 
 
 def test_phi_star_refuses_a_loop():
