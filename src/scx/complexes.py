@@ -33,7 +33,6 @@ __all__ = [
     "from_facets",
     "from_missing_faces",
     "intersection",
-    "is_colorful",
     "complex_to_json",
     "complex_from_json",
     "partition_from_json",
@@ -518,15 +517,6 @@ class Partition:
     def union_of(self, which) -> tuple[int, ...]:
         """Sorted union of the classes with the given indices."""
         return tuple(sorted(v for i in which for v in self.classes[i]))
-
-
-def is_colorful(sigma, partition: Partition) -> bool:
-    """True iff sigma meets every class of the partition exactly once."""
-    sset = set(sigma)
-    covered = {v for cl in partition.classes for v in cl}
-    if not sset <= covered:
-        raise ValueError("sigma has vertices outside the partition")
-    return all(len(sset & set(cl)) == 1 for cl in partition.classes)
 
 
 # -- JSON boundary ----------------------------------------------------

@@ -17,15 +17,15 @@ Betti numbers are computed two independent ways as well: exactly, from
 rational ranks of the coboundaries (sparse eliminations of the rows,
 without numpy; see numerics.rational), and numerically, from the float
 spectra of each coboundary's smaller Gram matrix (see betti_hodge).
-When the two ranks modulo the first prime sum to the dimension of the
-cochain space, both are exact and the Betti number is 0, with no second
-prime.  Each modular rank is taken after the one a degree below and
-stops at f_k minus it, a bound because the coboundary squares to zero
-(Dumas, Heckenbach, Saunders and Welker, Computing simplicial homology
-based on efficient Smith normal form algorithms, 2003).  The kernel of
-the full Laplacian is the reduced cohomology, so ``spectral_gap`` is
-exactly 0.0, with no eigensolve, in a degree whose exact Betti number
-is nonzero.  The homological connectivity eta is one more than the first
+Each exact rank is taken after the one a degree below, and f_k minus
+that rank bounds it, because the coboundary squares to zero (Dumas,
+Heckenbach, Saunders and Welker, Computing simplicial homology based on
+efficient Smith normal form algorithms, 2003); the two differ by beta_k.
+Every prime's elimination stops at the bound, and a modular rank that
+reaches it is exact, so where beta_k = 0 one prime suffices.  The kernel
+of the full Laplacian is the reduced cohomology, so ``spectral_gap`` is
+exactly 0.0, with no eigensolve, in a degree whose exact Betti number is
+nonzero.  The homological connectivity eta is one more than the first
 index with a nonvanishing reduced Betti number, or infinity when none
 exists.  The numerical ranks and the top eigenvalue of a missing layer
 read one spectrum: that of a coboundary's smaller Gram matrix, d^T d or
@@ -54,7 +54,7 @@ from functools import cached_property
 
 from ._lazy import lazy_import
 from .complexes import Complex, _vertices_of
-from .numerics import SparseRows, eigenvalues_sym, rank_exact, rank_first_prime
+from .numerics import SparseRows, eigenvalues_sym, rank_exact
 
 np = lazy_import("numpy")
 
@@ -392,61 +392,35 @@ def _coboundary_rows(x: Complex, k: int) -> SparseRows:
     return SparseRows((x.n_faces(k + 1), x.n_faces(k)), _SignedRows(x, k))
 
 
-def _coboundary_rank_mod(x: Complex, k: int) -> int:
-    """Rank of the degree-k coboundary modulo the first prime, a lower
-    bound on its rank over Q; memoized on the complex.  With a side of
+def _coboundary_rank(x: Complex, k: int) -> int:
+    """Rank over Q of the degree-k coboundary, memoized on the complex:
+    the Betti numbers of degrees k and k+1 both need it.  With a side of
     at most one face it is that side: every row holds k+2 signs.
 
-    Otherwise the degree below is ranked first, and the elimination
-    stops at f_k minus its rank: the coboundary squares to zero, so
-    rank_p d_k <= rank_Q d_k <= f_k - rank_Q d_{k-1} <= f_k - rank_p d_{k-1},
-    and once that many pivots are found no row left can add one."""
-    key = ("coboundary-rank-mod", k)
+    Otherwise the degree below is ranked first, and f_k minus its rank
+    bounds this one, because the coboundary squares to zero:
+    rank d_k <= f_k - rank d_{k-1}.  ``rank_exact`` stops each prime's
+    elimination at that bound and returns once a modular rank reaches it."""
+    key = ("coboundary-rank", k)
     if key not in x._memo:
         side = min(x.n_faces(k), x.n_faces(k + 1))
         if side < 2:
             x._memo[key] = side
         else:
-            target = x.n_faces(k) - _coboundary_rank_mod(x, k - 1)
-            x._memo[key] = rank_first_prime(_coboundary_rows(x, k), target)
-    return x._memo[key]
-
-
-def _coboundary_rank(x: Complex, k: int) -> int:
-    """Rank over Q of the degree-k coboundary, memoized on the complex:
-    the Betti numbers of degrees k and k+1 both need it.  A modular rank
-    equal to the smaller side is already exact; otherwise ``rank_exact``
-    goes on from the second prime."""
-    key = ("coboundary-rank", k)
-    if key not in x._memo:
-        first = _coboundary_rank_mod(x, k)
-        exact = first == min(x.n_faces(k), x.n_faces(k + 1))
-        x._memo[key] = first if exact else rank_exact(_coboundary_rows(x, k), first=first)
+            bound = x.n_faces(k) - _coboundary_rank(x, k - 1)
+            x._memo[key] = rank_exact(_coboundary_rows(x, k), bound)
     return x._memo[key]
 
 
 def betti_exact(x: Complex, k: int) -> int:
-    """Reduced Betti number from exact rational ranks.
-
-    dim C^k minus the ranks of the coboundaries out of and into degree
-    k.  Both are first taken modulo one prime.  Over Q the two ranks sum
-    to at most f_k (the coboundary squares to zero) and each is at least
-    its modular rank, so when the modular ranks sum to f_k both are
-    exact and the Betti number is 0.  Otherwise each rank is certified
-    over Q by more primes and a Hadamard bound.  The modular ranks of
-    every degree below k are taken too (each bounds the elimination one
-    degree up; see ``_coboundary_rank_mod``) and memoized.  A nonzero
-    value certifies ``spectral_gap(x, k) == 0.0``.
+    """Reduced Betti number from exact rational ranks: dim C^k minus the
+    ranks of the coboundaries out of and into degree k.  Each rank is
+    certified over Q by ``rank_exact`` at the bound set by the degree
+    below (see ``_coboundary_rank``); the ranks of every degree below k
+    are taken too, and all are memoized.  A nonzero value certifies
+    ``spectral_gap(x, k) == 0.0``.
     """
-    nk = x.n_faces(k)
-    if nk == 0:
-        return 0
-    up, down = _coboundary_rank_mod(x, k), _coboundary_rank_mod(x, k - 1)
-    if up + down == nk:
-        x._memo[("coboundary-rank", k)] = up
-        x._memo[("coboundary-rank", k - 1)] = down
-        return 0
-    return nk - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
+    return x.n_faces(k) - _coboundary_rank(x, k) - _coboundary_rank(x, k - 1)
 
 
 def _numerical_rank(x: Complex, k: int, tol: float) -> int:

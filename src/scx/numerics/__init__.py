@@ -2,7 +2,7 @@
 
 from .eigen import EigenError, eigenvalues_sym
 from .lp import LpProblem, LpSolution, lp_solve, lp_solve_max
-from .rational import SparseRows, rank_exact, rank_first_prime
+from .rational import SparseRows, rank_exact
 
 __all__ = [
     "EigenError",
@@ -13,5 +13,4 @@ __all__ = [
     "lp_solve_max",
     "SparseRows",
     "rank_exact",
-    "rank_first_prime",
 ]

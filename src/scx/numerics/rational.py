@@ -11,17 +11,18 @@ Modulo a prime p < 2**31, each incoming row is reduced on its largest
 column by the stored row pivoting there, as in persistence reduction,
 until it vanishes or is stored with a leading 1; rows are {column:
 residue} dicts, and more than ``MAX_FILL`` stored entries raise a
-ValueError giving the shape.  A caller that knows an upper bound on
-the rank modulo p passes it as a target, and the elimination stops
-once it holds that many pivots: no row left could add one, so the rank
-returned is the same.  The rank modulo p is at most the rank
-over Q, so the largest rank r seen is a lower bound, exact when r =
-min(m, n).  Otherwise primes are added until their product P exceeds
-the Hadamard bound H on every (r+1)-minor, the smaller of the products
-of the r+1 largest squared row norms and of the r+1 largest squared
-column norms (for a degree-k coboundary: k+2, and the coface counts).
-A nonzero (r+1)-minor would be divisible by P, and |minor| <= H < P
-leaves only zero: the rank is r, deterministically.
+ValueError giving the shape.  The rank modulo p is at most the rank over
+Q, so the largest rank r seen is a lower bound.  A caller that knows an
+upper bound on the rank over Q passes it as ``bound`` (for a coboundary:
+f_k minus the rank of the one below, since it squares to zero), and
+every prime's elimination stops once it holds min(m, n, bound) pivots:
+no row left could add one.  A modular rank that reaches that number is
+the rank over Q.  Otherwise primes are added until their product P
+exceeds the Hadamard bound H on every (r+1)-minor, the smaller of the
+products of the r+1 largest squared row norms and of the r+1 largest
+squared column norms (for a degree-k coboundary: k+2, and the coface
+counts).  A nonzero (r+1)-minor would be divisible by P, and |minor| <=
+H < P leaves only zero: the rank is r, deterministically.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
-__all__ = ["SparseRows", "rank_exact", "rank_first_prime"]
+__all__ = ["SparseRows", "rank_exact"]
 
 #: Most entries the stored rows of one elimination may hold, about 100
 #: bytes each in dicts; pg33's 72540 x 9360 d_2 stores 34686.
@@ -128,14 +129,14 @@ def _sparse(mat) -> SparseRows:
                       [([j for j, e in enumerate(r) if e], [e for e in r if e]) for r in rows])
 
 
-def _rank_mod(a: SparseRows, p: int, target: int | None = None) -> int:
+def _rank_mod(a: SparseRows, p: int, bound: int | None = None) -> int:
     """Rank of ``a`` modulo p, rows reduced on their largest column.
 
-    The elimination stops once it holds min(n, target) pivots, so
-    ``target`` must be an upper bound on that rank; the rank returned
+    The elimination stops once it holds min(n, bound) pivots, so
+    ``bound`` must be an upper bound on that rank; the rank returned
     is then still exact (the rows left unread could add no pivot)."""
     n = a.shape[1]
-    stop = n if target is None else min(n, target)
+    stop = n if bound is None else min(n, bound)
     pivots: dict[int, dict[int, int]] = {}
     fill = 0
     for cols, vals in a.rows:
@@ -165,31 +166,23 @@ def _rank_mod(a: SparseRows, p: int, target: int | None = None) -> int:
     return len(pivots)
 
 
-def rank_first_prime(mat, target: int | None = None) -> int:
-    """Rank modulo the first prime of ``rank_exact`` (2**31 - 1): a lower
-    bound on the rank over Q, which ``rank_exact`` accepts as ``first``.
-    ``target``, when given, must bound that rank from above (for a
-    coboundary: f_k minus the modular rank of the one below), and the
-    elimination stops once it is reached."""
-    return _rank_mod(_sparse(mat), next(_primes()), target)
-
-
-def rank_exact(mat, first: int | None = None) -> int:
+def rank_exact(mat, bound: int | None = None) -> int:
     """Rank over the rationals, certified by primes and a Hadamard bound.
 
     ``mat`` is SparseRows, or nested rows or an array holding integers,
     Fractions or integral floats, whose rows are cleared of denominators
-    first.  Anything else (1.5, nan, inf) raises ValueError.  ``first``,
-    when given, is ``rank_first_prime`` of the same matrix, and that
-    elimination is not repeated.
+    first.  Anything else (1.5, nan, inf) raises ValueError.  ``bound``,
+    when given, must bound the rank over Q from above; each prime's
+    elimination stops at min(m, n, bound) pivots, and the first modular
+    rank to reach that number is returned.
     """
     a = _sparse(mat)
-    full = min(a.shape)
+    full = min(a.shape) if bound is None else min(*a.shape, bound)
     if full == 0:
         return 0
     rank, product, rows, cols = 0, 1, None, None
-    for i, p in enumerate(_primes()):
-        rank = max(rank, first if i == 0 and first is not None else _rank_mod(a, p))
+    for p in _primes():
+        rank = max(rank, _rank_mod(a, p, full))
         if rank == full:
             return rank
         if rows is None:

@@ -23,7 +23,6 @@ from scx.complexes import (
     complex_to_json,
     from_facets,
     from_missing_faces,
-    is_colorful,
     partition_from_json,
 )
 from scx.matroids import pg33_complex
@@ -460,15 +459,6 @@ def test_partition_validation():
         Partition([[]])
     with pytest.raises(ValueError):
         Partition([[0, 0]])
-
-
-def test_is_colorful():
-    p = Partition([[0, 1], [2, 3]])
-    assert is_colorful({0, 3}, p)
-    assert not is_colorful({0, 1}, p)
-    assert is_colorful(set(), Partition([]))
-    with pytest.raises(ValueError):
-        is_colorful({9}, p)
 
 
 # -- JSON boundary ----------------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import scx.homology as homology
 import scx.numerics.eigen as eigen
+from scx.campaigns import complete_multipartite_complex
 from scx.complexes import Complex, _vertices_of, from_facets, from_missing_faces, intersection
 from scx.homology import (
     KERNEL_TOL,
@@ -388,7 +389,7 @@ def test_coboundary_rank_reads_rows_as_they_are_built():
     x.faces(1)
     tracemalloc.start()
     try:
-        assert homology._coboundary_rank_mod(x, 0) == 199
+        assert homology._coboundary_rank(x, 0) == 199
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,11 +405,11 @@ def test_ranking_pg33_d1_keeps_nothing_but_the_rank():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert homology._coboundary_rank_mod(x, 1) == 741
+        assert homology._coboundary_rank(x, 1) == 741
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert list(x._memo) == [("coboundary-rank-mod", k) for k in (-1, 0, 1)]
+    assert list(x._memo) == [("coboundary-rank", k) for k in (-1, 0, 1)]
     assert peak - before < 600e3 and kept - before < 20e3, (peak - before, kept - before)
 
 
@@ -620,8 +621,8 @@ def test_eta_of_a_cone_matches_the_full_betti_vector():
 
 def test_eta_of_a_cone_runs_no_rank(monkeypatch):
     ranked = []
-    real = homology._coboundary_rank_mod
-    monkeypatch.setattr(homology, "_coboundary_rank_mod",
+    real = homology._coboundary_rank
+    monkeypatch.setattr(homology, "_coboundary_rank",
                         lambda x, k: ranked.append(k) or real(x, k))
     cone = from_missing_faces(10, [(0, 1, 2), (3, 4), (5, 6, 7, 8)])  # apex 9
     assert eta(cone) == math.inf
@@ -733,6 +734,32 @@ def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
     assert (x._memo[("coboundary-rank", 1)], x._memo[("coboundary-rank", 0)]) == (741, 39)
 
 
+def test_a_rank_at_its_bound_takes_one_prime(monkeypatch):
+    # the join of five 3-point sets, a wedge of 2**5 4-spheres: no
+    # homology below degree 4, so each of d_0..d_3 reaches f_k minus the
+    # rank below modulo the first prime, and that certifies it with no
+    # further prime (d_3, 243 x 405, reaches 405 - 194 = 211 pivots)
+    import scx.numerics.rational as rational
+
+    calls = []
+    real = rational._rank_mod
+    monkeypatch.setattr(rational, "_rank_mod",
+                        lambda a, p, bound=None: calls.append(a.shape) or real(a, p, bound))
+    assert betti_exact(complete_multipartite_complex(5, 3), 4) == 32
+    assert sorted(calls) == [(90, 15), (243, 405), (270, 90), (405, 270)]
+
+
+def test_every_exact_rank_goes_through_rank_exact(monkeypatch):
+    # the one rank entry: tracing that wraps rank_exact sees every
+    # elimination betti_exact makes
+    ranked = []
+    real = homology.rank_exact
+    monkeypatch.setattr(homology, "rank_exact", lambda a, bound: ranked.append(a.shape) or real(a, bound))
+    pg33 = pg33_complex()
+    assert betti_exact(Complex(pg33.n, pg33.missing_masks), 1) == 0
+    assert ranked == [(780, 40), (9360, 780)]
+
+
 @pytest.mark.parametrize("name, n, missing, k, rank", [
     ("K200 d0", 200, [(0, 1)], 0, 199),
     ("pg33 d1", None, None, 1, 741),
@@ -740,17 +767,17 @@ def test_pg33_beta1_takes_one_elimination_per_coboundary(monkeypatch):
 def test_large_coboundary_ranks_are_fast(name, n, missing, k, rank):
     x = pg33_complex() if n is None else from_missing_faces(n, missing)
     t0 = time.process_time()
-    assert homology._coboundary_rank_mod(x, k) == rank
+    assert homology._coboundary_rank(x, k) == rank
     assert time.process_time() - t0 < 0.5, name
 
 
 def test_betti_and_eta_never_build_a_dense_coboundary(monkeypatch):
     # beta_1 of the hollow triangle, taken first, certifies its d_0
-    # (rank 2 of 3) through rank_exact and its Hadamard bound
+    # (rank 2 of 3) through rank_exact at the bound 3 - 1
     monkeypatch.setattr(homology, "coboundary_matrix", lambda *a: pytest.fail("dense coboundary"))
     ranked = []
     real = homology.rank_exact
-    monkeypatch.setattr(homology, "rank_exact", lambda a, first: ranked.append(a.shape) or real(a, first))
+    monkeypatch.setattr(homology, "rank_exact", lambda a, bound: ranked.append(a.shape) or real(a, bound))
     hollow = from_facets(3, [{0, 1}, {1, 2}, {0, 2}])
     assert [betti_exact(hollow, k) for k in (1, 0, -1)] == [1, 0, 0]
     assert (3, 3) in ranked
@@ -816,7 +843,7 @@ def test_sparse_rank_mod_p_matches_dense_elimination(x):
             dense = dense_rank_mod(coboundary_matrix(x, k), p)
             assert rational._rank_mod(homology._coboundary_rows(x, k), p) == dense, (p, k)
             if p > 3:
-                assert homology._coboundary_rank_mod(x, k) == dense, k
+                assert homology._coboundary_rank(x, k) == dense, k
 
 
 @PROPERTY_SETTINGS
