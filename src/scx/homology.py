@@ -22,15 +22,24 @@ that rank bounds it, because the coboundary squares to zero (Dumas,
 Heckenbach, Saunders and Welker, Computing simplicial homology based on
 efficient Smith normal form algorithms, 2003); the two differ by beta_k.
 Every prime's elimination stops at the bound, and a modular rank that
-reaches it is exact, so where beta_k = 0 one prime suffices.  The kernel
-of the full Laplacian is the reduced cohomology, so ``spectral_gap`` is
-exactly 0.0, with no eigensolve, in a degree whose exact Betti number is
-nonzero.  The homological connectivity eta is one more than the first
-index with a nonvanishing reduced Betti number, or infinity when none
-exists.  The numerical ranks and the top eigenvalue of a missing layer
-read one spectrum: that of a coboundary's smaller Gram matrix, d^T d or
-d d^T, which share their nonzero eigenvalues (Horak and Jost, Spectra
-of combinatorial Laplace operators on simplicial complexes, 2013).
+reaches it is exact, so where beta_k = 0 one prime suffices.  The
+homological connectivity eta is one more than the first index with a
+nonvanishing reduced Betti number, or infinity when none exists.  The
+numerical ranks and the top eigenvalue of a missing layer read one
+matrix: a coboundary's smaller Gram matrix, d^T d or d d^T, which share
+their nonzero eigenvalues (Horak and Jost, Spectra of combinatorial
+Laplace operators on simplicial complexes, 2013).
+
+Three spectral values are certified exactly and not left to the float
+slack.  The kernel of the full Laplacian is the reduced cohomology, so
+``spectral_gap`` is exactly 0.0, with no eigensolve, in a degree whose
+exact Betti number is nonzero.  A float gap within 1e-9 of an integer
+r > 0 is r exactly when L - rI is PSD and singular, and the top of a
+missing layer's Gram matrix G is the integer r, with no eigensolve, when
+rI - G is PSD and singular at the least such r (Sylvester's law of
+inertia); ``numerics.psd_rank`` decides both in integers, on the
+distinct blocks of the nonzero pattern.  Every other spectral value is
+a float.
 
 Every dense coboundary or Laplacian passes one size guard first: above
 2**25 entries it is refused with a ValueError giving its shape; ranks
@@ -41,7 +50,8 @@ only when first read, after the products pair is gone; the eigensolver
 adds one float working copy, and solves each distinct principal block
 of the nonzero pattern once (pg33's degree-1 Laplacian is 130 identical
 6 x 6 blocks).  The float readers' index arrays, Laplacians, spectra,
-Gram spectra and coboundary ranks are remembered on the complex (in its
+Gram spectra, nonzero gaps, missing-layer tops (on the layer) and
+coboundary ranks are remembered on the complex (in its
 ``_memo``, under keys of this module's own); a spectrum the range guard
 refuses is not, and neither are the rows an exact rank reads.
 """
@@ -54,7 +64,8 @@ from functools import cached_property
 
 from ._lazy import lazy_import
 from .complexes import Complex, _vertices_of
-from .numerics import SparseRows, eigenvalues_sym, rank_exact
+from .numerics import SparseRows, eigenvalues_sym, psd_rank, rank_exact
+from .numerics.eigen import _blocks
 
 np = lazy_import("numpy")
 
@@ -77,6 +88,10 @@ __all__ = [
 
 #: Default threshold below which a Laplacian eigenvalue counts as zero.
 KERNEL_TOL = 1e-7
+
+#: Distance within which a float gap is taken for its nearest integer,
+#: which the exact certificate then tests.
+_CERT_TOL = 1e-9
 
 #: Most entries of one dense coboundary or Laplacian (2**25 int64 entries
 #: are 256 MiB).
@@ -337,38 +352,102 @@ def spectrum(x: Complex, k: int) -> SpectrumReport:
     return x._memo[key]
 
 
+def _distinct_blocks(mat) -> list:
+    """The distinct principal blocks of the nonzero pattern of the
+    symmetric integer ``mat`` (split as the eigensolver splits it), each
+    as rows of Python ints.  ``s * mat + c * I`` is PSD when each of its
+    blocks is, and singular when one of them is."""
+    blocks = {}
+    for idx in _blocks(mat):
+        b = mat[np.ix_(idx, idx)]
+        blocks.setdefault(b.tobytes(), b)
+    return [b.tolist() for b in blocks.values()]
+
+
+def _singular_psd(blocks, s: int, c: int) -> bool | None:
+    """Whether ``s * mat + c * I`` is singular, given the distinct blocks
+    of ``mat``; None when it is not PSD.  Exact (``psd_rank``)."""
+    singular = False
+    for b in blocks:
+        rank = psd_rank([[s * v + c * (i == j) for j, v in enumerate(row)]
+                         for i, row in enumerate(b)])
+        if rank is None:
+            return None
+        singular = singular or rank < len(b)
+    return singular
+
+
 def spectral_gap(x: Complex, k: int) -> float:
     """Smallest degree-k Laplacian eigenvalue; +inf on an empty basis.
 
     The kernel of L_k is the reduced cohomology in degree k (see
     betti_hodge), so when ``betti_exact`` is nonzero the gap is exactly
-    0.0, certified without an eigensolve; otherwise it is the float
-    ``spectrum(x, k).mu``."""
+    0.0, certified without an eigensolve.  Otherwise the float
+    ``spectrum(x, k).mu`` is solved; when it lies within ``_CERT_TOL`` of
+    an integer r > 0 and L_k - rI is PSD and singular (exact, by
+    ``psd_rank``), the gap is r exactly (Sylvester's law of inertia), and
+    else it is the float mu.  ``spectrum`` itself stays float."""
     if x.n_faces(k) == 0:
         return math.inf
     if betti_exact(x, k) != 0:
         return 0.0
-    return spectrum(x, k).mu
+    key = ("gap", k)
+    if key not in x._memo:
+        mu = spectrum(x, k).mu
+        r = round(mu)
+        if r > 0 and abs(mu - r) <= _CERT_TOL and _singular_psd(
+                _distinct_blocks(laplacians(x, k).full), 1, -r):
+            mu = float(r)
+        x._memo[key] = mu
+    return x._memo[key]
+
+
+def _gram(x: Complex, k: int):
+    """The smaller Gram matrix of the degree-k coboundary: d_k^T d_k
+    (side f_k, the upper Laplacian in degree k) or d_k d_k^T (side
+    f_{k+1}, the lower Laplacian in degree k+1), which share their
+    nonzero spectrum; both come through ``laplacians`` and so are
+    cross-checked between assemblies.  None when either side is empty
+    (so below degree -1 and out of the top degree)."""
+    lo, hi = x.n_faces(k), x.n_faces(k + 1)
+    if lo == 0 or hi == 0:
+        return None
+    return laplacians(x, k + 1).minus if hi < lo else laplacians(x, k).plus
 
 
 def _gram_eigenvalues(x: Complex, k: int) -> np.ndarray:
-    """Sorted eigenvalues of the smaller Gram matrix of the degree-k
-    coboundary: d_k^T d_k (side f_k, the upper Laplacian in degree k) or
-    d_k d_k^T (side f_{k+1}, the lower Laplacian in degree k+1), which
-    share their nonzero spectrum; both come through ``laplacians`` and so
-    are cross-checked between assemblies.  Empty when either side is (so
-    below degree -1 and out of the top degree).  Every eigenvalue must
-    lie within the guard of [0, n], as in ``spectrum``; memoized once per
-    degree."""
+    """Sorted eigenvalues of ``_gram(x, k)``, empty when there is none.
+    Every eigenvalue must lie within the guard of [0, n], as in
+    ``spectrum``; memoized once per degree."""
     key = ("gram", k)
     if key not in x._memo:
-        lo, hi = x.n_faces(k), x.n_faces(k + 1)
-        if lo == 0 or hi == 0:
-            x._memo[key] = np.zeros(0)
-        else:
-            mat = laplacians(x, k + 1).minus if hi < lo else laplacians(x, k).plus
-            x._memo[key] = _eigenvalues_in_range(x, mat)
+        mat = _gram(x, k)
+        x._memo[key] = np.zeros(0) if mat is None else _eigenvalues_in_range(x, mat)
     return x._memo[key]
+
+
+def _certified_top(x: Complex, k: int) -> float | None:
+    """The largest eigenvalue of the nonempty ``_gram(x, k)`` when it is
+    an integer, certified exactly; None otherwise.  rI - G is PSD iff
+    r >= lambda_max >= max diag G, so the least integer r in
+    [max diag G, n] with rI - G PSD is the ceiling of lambda_max, found
+    by bisection, and lambda_max = r iff rI - G is singular there.  When
+    nI - G is not PSD, lambda_max > n: None, and the float path's range
+    guard refuses it."""
+    g = _gram(x, k)
+    blocks = _distinct_blocks(g)
+    lo, hi = int(g.diagonal().max()), x.n
+    singular = _singular_psd(blocks, -1, hi)
+    if singular is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        at_mid = _singular_psd(blocks, -1, mid)
+        if at_mid is None:
+            lo = mid + 1
+        else:
+            hi, singular = mid, at_mid
+    return float(hi) if singular else None
 
 
 def missing_top_eigenvalue(x: Complex, i: int) -> float:
@@ -377,11 +456,19 @@ def missing_top_eigenvalue(x: Complex, i: int) -> float:
     The layer complex y has the full (i-1)-skeleton and one top face per
     missing i-face.  Its upper Laplacian in degree i-1 and its lower
     Laplacian in degree i are the Gram matrices of its degree-(i-1)
-    coboundary, so the top of ``_gram_eigenvalues(y, i - 1)`` is theirs.
+    coboundary, so their top is that of the smaller one, ``_gram(y, i -
+    1)``.  When it is an integer it is certified exactly and no
+    eigensolve runs (see ``_certified_top``); otherwise it is the top of
+    the float ``_gram_eigenvalues(y, i - 1)``.  Memoized on the layer.
     """
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
-    return float(_gram_eigenvalues(x.missing_complex(i), i - 1)[-1])
+    y = x.missing_complex(i)
+    key = ("top", i - 1)
+    if key not in y._memo:
+        top = _certified_top(y, i - 1)
+        y._memo[key] = float(_gram_eigenvalues(y, i - 1)[-1]) if top is None else top
+    return y._memo[key]
 
 
 # -- cohomology -------------------------------------------------------

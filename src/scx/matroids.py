@@ -67,6 +67,10 @@ MAX_PHI_STAR_ENTRIES = 1 << 12
 #: rank k = 1..d.  uniform:5,20 scans 6195 and PG(3,3) 10700, against
 #: 174436 for uniform:6,30.
 MAX_FLAT_SCAN = 1 << 14
+#: Most (flat, sigma) pairs the flat constraints of one phi_star may
+#: visit: C(|F n elems|, k - 1) for each rank-k flat F.  PG(3,3) visits
+#: 3680, uniform:5,20 23200 and uniform:5,24 49152.
+MAX_GP_PAIRS = 1 << 16
 
 
 def _subset(m, s) -> tuple:
@@ -306,7 +310,9 @@ def _gp_constraint_supports(m, elems) -> tuple:
     Two flats of equal rank nested in each other coincide, so the test
     reduces to v in F and rank(sigma + v) = k.  Listing the flats scans
     C(n, k) subsets per rank; over ``MAX_FLAT_SCAN`` in all is refused
-    before any is tested."""
+    before any is tested.  Once the flats are listed, more than
+    ``MAX_GP_PAIRS`` (flat, sigma) pairs in all are refused before any
+    pair is tested."""
     d = m.full_rank - 1
     scans = [comb(m.n, k) for k in range(1, d + 1)]
     if sum(scans) > MAX_FLAT_SCAN:
@@ -314,10 +320,16 @@ def _gp_constraint_supports(m, elems) -> tuple:
                          f"{' + '.join(map(str, scans))} = {sum(scans)} subsets, above "
                          f"the budget of {MAX_FLAT_SCAN}")
     elemset = set(elems)
+    insides = [[[v for v in f if v in elemset] for f in flats(m, k)] for k in range(1, d + 1)]
+    pairs = [sum(comb(len(inside), k - 1) for inside in fs)
+             for k, fs in enumerate(insides, start=1)]
+    if sum(pairs) > MAX_GP_PAIRS:
+        raise ValueError(f"the flat constraints of ranks 1..{d} over {len(elems)} elements visit "
+                         f"{' + '.join(map(str, pairs))} = {sum(pairs)} (flat, sigma) pairs, "
+                         f"above the budget of {MAX_GP_PAIRS}")
     supports = set()
-    for k in range(1, d + 1):
-        for f in flats(m, k):
-            inside = [v for v in f if v in elemset]
+    for k, fs in enumerate(insides, start=1):
+        for inside in fs:
             for smask in _masks_of_size(inside, k - 1):
                 support = tuple(v for v in inside
                                 if not smask >> v & 1 and m.rank_mask(smask | 1 << v) == k)

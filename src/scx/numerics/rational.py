@@ -23,6 +23,17 @@ products of the r+1 largest squared row norms and of the r+1 largest
 squared column norms (for a degree-k coboundary: k+2, and the coface
 counts).  A nonzero (r+1)-minor would be divisible by P, and |minor| <=
 H < P leaves only zero: the rank is r, deterministically.
+
+``psd_rank`` decides positive semidefiniteness of a symmetric integer
+matrix exactly, by fraction-free symmetric elimination (Bareiss, Sylvester's
+identity and integer-preserving Gaussian elimination, 1968) on positive
+diagonal pivots.  After each pivot every entry left is the pivots'
+principal minor (positive) times the Schur complement's entry
+(Sylvester's determinant identity), computed with one exact division by
+the previous pivot, so it stays an integer with the sign of the Schur
+complement's.  By Sylvester's law of inertia the matrix is PSD iff no
+diagonal left turns negative and a diagonal left at zero has a zero row,
+and its rank is then the number of pivots.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
-__all__ = ["SparseRows", "rank_exact"]
+__all__ = ["SparseRows", "psd_rank", "rank_exact"]
 
 #: Most entries the stored rows of one elimination may hold, about 100
 #: bytes each in dicts; pg33's 72540 x 9360 d_2 stores 34686.
@@ -191,3 +202,33 @@ def rank_exact(mat, bound: int | None = None) -> int:
         if product * product > min(math.prod(rows[: rank + 1]), math.prod(cols[: rank + 1])):
             return rank
     raise ArithmeticError("the primes below 2**31 cannot certify this rank")
+
+
+def psd_rank(rows) -> int | None:
+    """Rank of the symmetric integer matrix ``rows`` (a sequence of rows
+    of Python ints) when it is positive semidefinite; None when it is
+    not.  Each step pivots on the largest diagonal left; any negative
+    diagonal answers None at once, and when the largest is 0 the matrix
+    left must be all zeros (a PSD matrix has no nonzero entry in a
+    zero-diagonal row), or the answer is None.  A matrix that is not
+    square and symmetric raises ValueError; the input is not modified."""
+    a = [list(r) for r in rows]
+    if any(len(r) != len(a) for r in a) or list(map(list, zip(*a))) != a:
+        raise ValueError("psd_rank needs a square symmetric matrix")
+    prev, rank = 1, 0
+    while a:
+        diag = [r[i] for i, r in enumerate(a)]
+        if min(diag) < 0:
+            return None
+        piv = max(diag)
+        if piv == 0:
+            return rank if not any(map(any, a)) else None
+        p = diag.index(piv)
+        prow = a.pop(p)
+        del prow[p]
+        for i, r in enumerate(a):
+            f = r.pop(p)
+            a[i] = [(piv * v - f * w) // prev for v, w in zip(r, prow)]
+        prev = piv
+        rank += 1
+    return rank

@@ -110,12 +110,15 @@ def check_complement_identity(x: Complex, i: int, tol: float = 1e-8) -> CheckRec
     gap equals n minus the layer's top eigenvalue.
 
     The matrix identity is checked on the upper Laplacian in integers;
-    the eigenvalue side compares two separate eigensolves, the
-    relaxation's full Laplacian and whichever of the layer's two
-    Laplacians ``missing_top_eigenvalue`` solves (usually the lower one
-    in degree i, which is smaller).  When the relaxation has cohomology
-    in degree i-1 its side is the certified 0.0 of ``spectral_gap``, not
-    a solve."""
+    the eigenvalue side compares two separate computations, the
+    relaxation's gap and the top of whichever of the layer's two
+    Laplacians ``missing_top_eigenvalue`` reads (usually the lower one in
+    degree i, which is smaller).  Either side may be certified exactly:
+    the gap is 0.0 without a solve when the relaxation has cohomology in
+    degree i-1, and an integer within 1e-9 of its float solve when
+    L - rI is PSD and singular; an integer top is certified with no
+    solve.  Only when both are certified does the comparison read no
+    float; otherwise it holds within tol."""
     if i not in x.missing_dims():
         raise ValueError(f"no missing faces of dimension {i}")
     name = "complement_identity"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scx.homology as homology
+import scx.matroids as matroids
 import scx.numerics.rational as rational
 from scx.cli import main
 from scx.matroids import ag23_matroid, matroid_to_json
@@ -157,6 +158,15 @@ def test_betti_of_700_vertices_missing_one_edge_is_sparse(tmp_path, capsys):
     assert (code, out) == (0, "0\n")
 
 
+def test_flat_constraint_pairs_over_budget_are_refused(capsys, monkeypatch):
+    # AG(2,3)'s flat constraints visit 9 + 36 (flat, sigma) pairs
+    monkeypatch.setattr(matroids, "MAX_GP_PAIRS", 44)
+    code, out, err = run_cli(capsys, "matroid", "phistar", "--matroid", "builtin:AG23")
+    assert code == 4
+    assert out == ""
+    assert "visit 9 + 36 = 45 (flat, sigma) pairs, above the budget of 44" in err
+
+
 def test_sparse_elimination_over_budget_is_refused(capsys, monkeypatch):
     # pg33's degree-1 coboundary stores 2223 entries
     monkeypatch.setattr(rational, "MAX_FILL", 1000)
@@ -216,8 +226,10 @@ def test_verify_forced_failure_exits_one(capsys):
 
 
 def test_failed_certification_exits_three(capsys, monkeypatch):
+    # seed 2's trial reaches a float solve; at seed 0 every value is
+    # certified exactly and none is solved
     monkeypatch.setattr(homology, "eigenvalues_sym", lambda mat: np.full(len(mat), 1e6))
-    code, out, err = run_cli(capsys, "verify", "yi", "--trials", "1")
+    code, out, err = run_cli(capsys, "verify", "yi", "--seed", "2", "--trials", "1")
     assert code == 3
     assert out == ""
     assert "certified range" in err

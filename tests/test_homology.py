@@ -16,6 +16,7 @@ import random
 import time
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,7 +489,7 @@ def test_ag23_gap_and_spectrum_report():
     assert rep.lambda_max <= 9 + rep.tol
     assert rep.eigenvalues == tuple(sorted(rep.eigenvalues))
     assert len(rep.eigenvalues) == 36
-    assert spectral_gap(x, 1) == rep.mu
+    assert spectral_gap(x, 1) == 6.0  # certified: L_1 - 6I is PSD and singular
 
 
 def test_spectrum_bounds_on_random_complexes():
@@ -526,12 +527,14 @@ def _solved_sides(monkeypatch):
 
 
 def test_missing_top_eigenvalue(monkeypatch):
+    # tops that are not integers: each is one float solve of the smaller side
     sides = _solved_sides(monkeypatch)
+    cycle, path = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [(0, 1), (1, 2), (2, 3)]
     for n, missing, i, side, lam in [
-        (4, [(0,), (2,)], 0, 1, 2.0),              # missing vertices: C(n, 0) = 1 row
-        (3, [(0, 1), (0, 2), (1, 2)], 1, 3, 3.0),  # equal sides: the triangle's graph Laplacian
-        (2, [(0, 1)], 1, 1, 2.0),                  # a single missing edge
-        (9, ag23_lines(), 2, 12, 3.0),             # ag23: 12 lines against 36 edges
+        (5, cycle, 1, 5, (5 + 5**0.5) / 2),                  # equal sides: the 5-cycle's graph Laplacian
+        (4, path, 1, 3, 2 + 2**0.5),                         # a path: 3 edges against 4 vertices
+        (5, path + [(3, 4), (0, 2), (1, 3)], 1, 5, 4.481194304092016),  # 6 edges against 5 vertices
+        (5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], 2, 3, 3 + 2**0.5),  # 3 triangles against 10 edges
     ]:
         x = from_missing_faces(n, missing)
         del sides[:]
@@ -541,29 +544,50 @@ def test_missing_top_eigenvalue(monkeypatch):
             missing_top_eigenvalue(x, i - 1)
 
 
+def test_an_integer_missing_top_is_certified_without_an_eigensolve(monkeypatch):
+    sides = _solved_sides(monkeypatch)
+    for n, missing, i, lam in [
+        (4, [(0,), (2,)], 0, 2.0),              # missing vertices: C(n, 0) = 1 row
+        (3, [(0, 1), (0, 2), (1, 2)], 1, 3.0),  # equal sides: the triangle's graph Laplacian
+        (2, [(0, 1)], 1, 2.0),                  # a single missing edge
+        (9, ag23_lines(), 2, 3.0),              # ag23: 12 lines against 36 edges
+        (4, [(0, 1, 2)], 2, 3.0),               # one missing triangle
+    ]:
+        x = from_missing_faces(n, missing)
+        assert missing_top_eigenvalue(x, i) == lam
+        assert sides == []
+
+
 def test_missing_top_eigenvalue_solves_the_smaller_laplacian(monkeypatch):
     rng = random.Random(20)
     cases = [random_complex(rng) for _ in range(120)]
     sides = _solved_sides(monkeypatch)
+    float_sides = set()
     for x in cases:
         for i in sorted(x.missing_dims()):
             y = x.missing_complex(i)
             del sides[:]
             lam = missing_top_eigenvalue(x, i)
-            assert sides == [min(y.n_faces(i - 1), y.n_faces(i))]
+            solved = list(sides)
             upper = eigenvalues_sym(laplacians(y, i - 1).plus.astype(np.float64))[-1]
             assert abs(lam - upper) <= 1e-9 * max(1.0, upper)
+            if abs(upper - round(upper)) > 1e-9:  # no integer: the float path
+                assert solved == [min(y.n_faces(i - 1), y.n_faces(i))]
+                float_sides.add("d^T d" if y.n_faces(i - 1) <= y.n_faces(i) else "d d^T")
+            else:
+                assert solved == [] and lam == round(upper)
+    assert float_sides == {"d^T d", "d d^T"}
 
 
 def test_missing_top_eigenvalue_range_guard(monkeypatch):
-    x = from_missing_faces(4, [(0, 1, 2)])
+    x = from_missing_faces(4, [(0, 1), (1, 2), (2, 3)])  # top 2 + sqrt 2: the float path
     monkeypatch.setattr(homology, "eigenvalues_sym", lambda mat: np.full(len(mat), x.n + 1.0))
     for _ in range(2):  # a refused spectrum is not remembered: refused again
         with pytest.raises(RuntimeError, match="certified range"):
-            missing_top_eigenvalue(x, 2)
+            missing_top_eigenvalue(x, 1)
     monkeypatch.undo()
-    upper = laplacians(x.missing_complex(2), 1).plus.astype(np.float64)
-    assert missing_top_eigenvalue(x, 2) == pytest.approx(np.linalg.eigvalsh(upper)[-1], abs=1e-9)
+    upper = laplacians(x.missing_complex(1), 0).plus.astype(np.float64)
+    assert missing_top_eigenvalue(x, 1) == pytest.approx(np.linalg.eigvalsh(upper)[-1], abs=1e-9)
 
 
 # -- Betti numbers and connectivity -----------------------------------
@@ -869,13 +893,33 @@ def test_faces_are_the_vertex_tuples_of_the_masks(x):
 @given(any_complex())
 def test_spectral_gap_is_certified_zero_exactly_on_cohomology(x):
     # ker L_k is the reduced cohomology in degree k: the gap is 0.0 from
-    # betti_exact alone, and the eigensolve it skips would read about 0
+    # betti_exact alone, and the eigensolve it skips would read about 0;
+    # elsewhere an integer within 1e-9 of the float gap is certified
     for k in range(-1, x.dim + 1):
         gap, mu = spectral_gap(x, k), spectrum(x, k).mu
         if betti_exact(x, k) != 0:
             assert gap == 0.0 and abs(mu) <= 1e-9, k
-        else:
-            assert gap == mu != 0.0, k
+        else:  # an integer gap is certified exactly, any other stays float
+            assert gap == (round(mu) if abs(mu - round(mu)) <= 1e-9 else mu) != 0.0, k
+
+
+@PROPERTY_SETTINGS
+@given(any_complex())
+def test_a_missing_top_is_certified_exactly_when_its_float_value_is_an_integer(x):
+    # the float path runs exactly when the solved top lies more than 1e-9
+    # from every integer; a certified top is that integer
+    solved = []
+    with mock.patch.object(homology, "eigenvalues_sym",
+                           lambda a: solved.append(a.shape) or eigenvalues_sym(a)):
+        for i in sorted(x.missing_dims()):
+            y = x.missing_complex(i)
+            del solved[:]
+            lam = missing_top_eigenvalue(x, i)
+            want = eigenvalues_sym(homology._gram(y, i - 1))[-1]
+            near = abs(want - round(want)) <= 1e-9
+            assert abs(lam - want) <= 1e-9, i
+            assert bool(solved) != near, i
+            assert lam == (round(want) if near else want), i
 
 
 def test_spectral_gap_solves_nothing_when_cohomology_is_nonzero(monkeypatch):
@@ -888,6 +932,20 @@ def test_spectral_gap_solves_nothing_when_cohomology_is_nonzero(monkeypatch):
     assert betti_exact(x, 2) != 0
     assert spectral_gap(x, 2) == 0.0 and solved == []
     assert spectral_gap(x, 1) == pytest.approx(6.0, abs=1e-9) and solved
+
+
+def test_the_certificate_decides_a_near_integer_gap(monkeypatch):
+    # mu_1(ag23) = 6.  A float solve reading 6 + 1e-12 is certified to 6.0
+    # exactly; one reading 5 + 1e-12 puts r = 5 below the spectrum, where
+    # L - 5I is PSD but not singular, so that float stays uncertified
+    real = homology.eigenvalues_sym
+    for shift, want in [(1e-12, 6.0), (-1 + 1e-12, None)]:
+        monkeypatch.setattr(homology, "eigenvalues_sym", lambda a, d=shift: real(a) + d)
+        gap = spectral_gap(ag23_complex(), 1)
+        if want is None:
+            assert gap != 5.0 and abs(gap - 5.0) <= 1e-9
+        else:
+            assert gap == want
 
 
 def test_exact_betti_numbers_and_eta_read_no_vertex_tuples(monkeypatch):

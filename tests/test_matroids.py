@@ -331,6 +331,32 @@ def test_flat_scan_budget_admits_todays_answers(monkeypatch):
         phi_star(ag23_matroid())
 
 
+def test_flat_constraint_pairs_are_refused_before_any_pair_is_tested(monkeypatch):
+    # AG(2,3) visits 9 points x C(1, 0) + 12 lines x C(3, 1) = 9 + 36 pairs
+    monkeypatch.setattr(matroids, "MAX_GP_PAIRS", 45)
+    assert phi_star(ag23_matroid()) == 9
+    monkeypatch.setattr(matroids, "MAX_GP_PAIRS", 44)
+    m = ag23_matroid()
+    full = (1 << m.n) - 1
+    ranked = []
+    rank_mask = LinearMatroid.rank_mask
+    monkeypatch.setattr(LinearMatroid, "rank_mask",
+                        lambda self, mask: ranked.append(mask) or rank_mask(self, mask))
+    flats(m, 1), flats(m, 2)
+    del ranked[:]
+    message = ("the flat constraints of ranks 1..2 over 9 elements visit 9 + 36 = 45 "
+               "(flat, sigma) pairs, above the budget of 44")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        matroids._gp_constraint_supports(m, tuple(range(m.n)))
+    assert set(ranked) <= {full}  # the matroid's rank alone; no pair tested
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phi_star(m)
+    # every answer of today stays within the budget
+    monkeypatch.undo()
+    assert matroids.MAX_GP_PAIRS >= 49152
+    assert phi_star(UniformMatroid(5, 24)) == 96
+
+
 def test_flats_match_closures_of_every_independent_subset():
     # flats skips the subsets already inside a found flat; the oracle
     # takes the closure of every independent r-subset

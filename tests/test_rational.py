@@ -7,11 +7,13 @@ from itertools import islice
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scx.homology as homology
 import scx.numerics.rational as rational
 from scx.homology import coboundary_matrix
-from scx.numerics.rational import rank_exact
+from scx.numerics.rational import psd_rank, rank_exact
 from scx.randomgen import random_complex
 
 
@@ -206,3 +208,63 @@ def test_rank_mod_stopping_at_an_upper_bound_keeps_the_rank():
             rank = rational._rank_mod(rows, p)
             for target in (rank, rank + rng.randint(1, 3)):
                 assert rational._rank_mod(rows, p, target) == rank, (p, target)
+
+
+def _psd_rank_oracle(rows):
+    """Rank when PSD, else None, from sympy's exact real roots of the
+    characteristic polynomial (a symmetric matrix has only real ones)."""
+    if not rows:
+        return 0
+    roots = sympy.real_roots(sympy.Matrix(rows).charpoly())
+    assert len(roots) == len(rows)
+    if any(r < 0 for r in roots):
+        return None
+    return sum(1 for r in roots if r != 0)
+
+
+@st.composite
+def symmetric_int_matrices(draw, side_max=5):
+    """Symmetric integer matrices of side at most side_max: half the time
+    B^T B for an integer B (PSD, often singular), else arbitrary."""
+    n = draw(st.integers(0, side_max))
+    if draw(st.booleans()):
+        b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n + 1))
+        return [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+    upper = draw(st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    a = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = next(it)
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_int_matrices())
+def test_psd_rank_matches_sympys_exact_eigenvalues(rows):
+    copy = [list(r) for r in rows]
+    assert psd_rank(rows) == _psd_rank_oracle(rows)
+    assert rows == copy
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([], 0),                                          # the empty matrix
+    ([[0, 0], [0, 0]], 0),
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 2),     # PSD and singular: the triangle's Laplacian
+    ([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], None),  # 3I - that Laplacian, less one: eigenvalue -1
+    ([[3, 0], [0, 0]], 1),                            # a zero diagonal with a zero row
+    ([[0, 1], [1, 5]], None),                         # a zero diagonal with a nonzero row ...
+    ([[0, 1], [1, 0]], None),                         # ... and with no positive pivot left
+    ([[1, 1, 1], [1, 1, 0], [1, 0, 1]], None),        # zero diagonals left by the first pivot
+    ([[-1]], None),                                   # a negative diagonal
+    ([[5, 1], [1, -2]], None),
+    ([[4, 2], [2, 1]], 1),                            # singular after one pivot
+])
+def test_psd_rank_cases(rows, want):
+    assert psd_rank(rows) == want == _psd_rank_oracle(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4]], [[1, 0]], [[1], [0, 1]]])
+def test_psd_rank_refuses_a_matrix_that_is_not_square_and_symmetric(rows):
+    with pytest.raises(ValueError, match="square symmetric"):
+        psd_rank(rows)
