@@ -29,12 +29,11 @@ from .matroids import (
     MAX_GP_CLASSES,
     UniformMatroid,
     ag23_complex,
-    ag23_matroid,
+    builtin_matroid,
     check_fractional_gp_hall,
     check_gp_hall,
     matroid_from_json,
     pg33_complex,
-    pg33_matroid,
     phi,
     phi_star,
 )
@@ -54,7 +53,6 @@ BUILTIN_COMPLEXES = {
 BUILTIN_PARTITIONS = {
     "3-parallel-lines": lambda: Partition(((0, 1, 2), (3, 4, 5), (6, 7, 8))),
 }
-BUILTIN_MATROIDS = {"builtin:AG23": ag23_matroid, "builtin:PG33": pg33_matroid}
 
 
 def _load(token, builtins, from_json, what):
@@ -70,14 +68,14 @@ def _load(token, builtins, from_json, what):
 
 
 def _load_matroid(token):
-    if token.startswith("builtin:") and token not in BUILTIN_MATROIDS:
-        raise ValueError(f"unknown builtin matroid {token[len('builtin:'):]!r}")
+    if token.startswith("builtin:"):
+        return builtin_matroid(token[len("builtin:"):])
     if token.startswith("uniform:"):
         parts = token[len("uniform:"):].split(",")
         if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
             raise ValueError(f"uniform spec must look like uniform:R,N, got {token!r}")
         return UniformMatroid(int(parts[0]), int(parts[1]))
-    return _load(token, BUILTIN_MATROIDS, matroid_from_json, "matroid")
+    return _load(token, {}, matroid_from_json, "matroid")
 
 
 def _parse_subset(text, n):

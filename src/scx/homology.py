@@ -37,21 +37,21 @@ exact Betti number is nonzero.  A float gap within 1e-9 of an integer
 r > 0 is r exactly when L - rI is PSD and singular, and the top of a
 missing layer's Gram matrix G is the integer r, with no eigensolve, when
 rI - G is PSD and singular at the least such r (Sylvester's law of
-inertia); ``numerics.psd_rank`` decides both in integers, on the
-distinct blocks of the nonzero pattern.  Every other spectral value is
-a float.
+inertia); ``numerics.psd_rank`` decides both in integers, once per
+distinct block of ``numerics.distinct_blocks``, the split the
+eigensolver reads.  Every other spectral value is a float.
 
 Every dense coboundary or Laplacian passes one size guard first: above
 2**25 entries it is refused with a ValueError giving its shape; ranks
-pass the fill budget of numerics.rational instead.  At most four dense
+pass the fill budget of numerics.rational instead, and each solve or
+PSD test the work budget of the split (pg33's degree-1 Laplacian is
+130 identical 6 x 6 blocks, 216 units of work).  At most four dense
 m x m integer matrices are alive at once: the formula pair and the
 products pair until they are compared.  The full Laplacian is formed
 only when first read, after the products pair is gone; the eigensolver
-adds one float working copy, and solves each distinct principal block
-of the nonzero pattern once (pg33's degree-1 Laplacian is 130 identical
-6 x 6 blocks).  The float readers' index arrays, Laplacians, spectra,
-Gram spectra, nonzero gaps, missing-layer tops (on the layer) and
-coboundary ranks are remembered on the complex (in its
+adds one float working copy.  The float readers' index arrays,
+Laplacians, spectra, Gram spectra, nonzero gaps, missing-layer tops (on
+the layer) and coboundary ranks are remembered on the complex (in its
 ``_memo``, under keys of this module's own); a spectrum the range guard
 refuses is not, and neither are the rows an exact rank reads.
 """
@@ -64,8 +64,7 @@ from functools import cached_property
 
 from ._lazy import lazy_import
 from .complexes import Complex, _vertices_of
-from .numerics import SparseRows, eigenvalues_sym, psd_rank, rank_exact
-from .numerics.eigen import _blocks
+from .numerics import SparseRows, distinct_blocks, eigenvalues_sym, psd_rank, rank_exact
 
 np = lazy_import("numpy")
 
@@ -352,28 +351,20 @@ def spectrum(x: Complex, k: int) -> SpectrumReport:
     return x._memo[key]
 
 
-def _distinct_blocks(mat) -> list:
-    """The distinct principal blocks of the nonzero pattern of the
-    symmetric integer ``mat`` (split as the eigensolver splits it), each
-    as rows of Python ints.  ``s * mat + c * I`` is PSD when each of its
-    blocks is, and singular when one of them is."""
-    blocks = {}
-    for idx in _blocks(mat):
-        b = mat[np.ix_(idx, idx)]
-        blocks.setdefault(b.tobytes(), b)
-    return [b.tolist() for b in blocks.values()]
-
-
-def _singular_psd(blocks, s: int, c: int) -> bool | None:
-    """Whether ``s * mat + c * I`` is singular, given the distinct blocks
-    of ``mat``; None when it is not PSD.  Exact (``psd_rank``)."""
+def _singular_psd(pairs, s: int, c: int) -> bool | None:
+    """Whether ``s * mat + c * I`` is singular, given the pairs of
+    ``distinct_blocks(mat)`` for an integer ``mat``; None when it is not
+    PSD.  It is PSD when each block's shift is, and singular when one
+    is: each block is shifted once, in int64, and tested exactly
+    (``psd_rank``)."""
     singular = False
-    for b in blocks:
-        rank = psd_rank([[s * v + c * (i == j) for j, v in enumerate(row)]
-                         for i, row in enumerate(b)])
+    for b, _ in pairs:
+        t = s * b
+        t.flat[::len(t) + 1] += c
+        rank = psd_rank(t.tolist())
         if rank is None:
             return None
-        singular = singular or rank < len(b)
+        singular = singular or rank < len(t)
     return singular
 
 
@@ -396,7 +387,7 @@ def spectral_gap(x: Complex, k: int) -> float:
         mu = spectrum(x, k).mu
         r = round(mu)
         if r > 0 and abs(mu - r) <= _CERT_TOL and _singular_psd(
-                _distinct_blocks(laplacians(x, k).full), 1, -r):
+                distinct_blocks(laplacians(x, k).full), 1, -r):
             mu = float(r)
         x._memo[key] = mu
     return x._memo[key]
@@ -435,14 +426,14 @@ def _certified_top(x: Complex, k: int) -> float | None:
     nI - G is not PSD, lambda_max > n: None, and the float path's range
     guard refuses it."""
     g = _gram(x, k)
-    blocks = _distinct_blocks(g)
+    pairs = distinct_blocks(g)
     lo, hi = int(g.diagonal().max()), x.n
-    singular = _singular_psd(blocks, -1, hi)
+    singular = _singular_psd(pairs, -1, hi)
     if singular is None:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        at_mid = _singular_psd(blocks, -1, mid)
+        at_mid = _singular_psd(pairs, -1, mid)
         if at_mid is None:
             lo = mid + 1
         else:

@@ -556,11 +556,24 @@ def pg33_complex() -> Complex:
     return from_missing_faces(m.n, sorted(triples))
 
 
+#: The stock geometries by the name that both their JSON, ``{"kind":
+#: "builtin", "name": ...}``, and the CLI token ``builtin:NAME`` give.
+BUILTIN_MATROIDS = {"AG23": ag23_matroid, "PG33": pg33_matroid}
+
+
+def builtin_matroid(name):
+    """The stock geometry called ``name``; a ValueError for any other."""
+    make = BUILTIN_MATROIDS.get(name) if isinstance(name, str) else None
+    if make is None:
+        raise ValueError(f"unknown builtin matroid {name!r}")
+    return make()
+
+
 # -- JSON boundary -----------------------------------------------------
 
 
 def matroid_to_json(m) -> str:
-    if getattr(m, "label", None) in ("AG23", "PG33"):
+    if getattr(m, "label", None) in BUILTIN_MATROIDS:
         doc = {"kind": "builtin", "name": m.label}
     elif isinstance(m, UniformMatroid):
         doc = {"kind": "uniform", "rank": m.r, "n": m.n}
@@ -579,10 +592,5 @@ def matroid_from_json(text: str):
     if kind == "uniform":
         return UniformMatroid(json_field(doc, "rank", "matroid"), json_field(doc, "n", "matroid"))
     if kind == "builtin":
-        name = doc.get("name")
-        if name == "AG23":
-            return ag23_matroid()
-        if name == "PG33":
-            return pg33_matroid()
-        raise ValueError(f"unknown builtin matroid {name!r}")
+        return builtin_matroid(doc.get("name"))
     raise ValueError(f"unknown matroid kind {kind!r}")

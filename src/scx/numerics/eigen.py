@@ -1,18 +1,25 @@
 """Eigenvalues of dense symmetric matrices: cyclic Jacobi sweeps, block by block.
 
-The matrix is first split into the connected components of its nonzero
-pattern (a union-find over the nonzero entries): with no entry coupling
-two principal blocks, the spectrum is the union of the blocks' spectra,
-and permuting the blocks onto the diagonal is the permutation step of
-Parlett-Reinsch balancing.  A matrix that is one block is rotated in
-place.  Otherwise each block of side 1 is already diagonal, each larger
-block is copied out and rotated alone, and blocks with identical bytes
-are solved once per call.  The eigenvalues go back to their blocks' row
-positions before one stable sort.  Rotations of different blocks touch
-disjoint entries, so each block ends as it would inside the whole
-matrix after the same number of sweeps.
+``distinct_blocks`` is the package's one block split, read here and by
+the exact PSD certificates of ``homology``.  A union-find over the
+nonzero entries cuts the matrix into the connected components of its
+pattern; with no entry coupling two principal blocks, the spectrum is
+the union of theirs, and permuting them onto the diagonal is the
+permutation step of Parlett-Reinsch balancing.  Each distinct block is
+kept once, with the indices of its copies.  A matrix that is one block is returned as itself and a block
+of side 1 as a view of its diagonal entry; larger blocks are copied
+out.  When the distinct blocks' sides cubed sum past ``MAX_BLOCK_WORK``
+= 2**21 (one block of side 128: a 0.6 s Jacobi solve, 0.15 s per exact
+PSD test, on a 2-CPU x86-64 VM), the split raises a ValueError naming
+the matrix side, the block count, the largest side and the budget
+before any block is solved or tested.  The benchmark's largest block
+has side 42.
 
-One numpy kernel applies the rotations with vectorized column updates.
+``eigenvalues_sym`` solves each distinct block once, in place, and puts
+its eigenvalues at each copy's rows before one stable sort.  Rotations
+of different blocks touch disjoint entries, so each block ends as it
+would inside the whole matrix after the same number of sweeps.  One
+numpy kernel applies the rotations with vectorized column updates.
 
 Convergence: a block's sweeps stop once its off-diagonal Frobenius norm
 drops below tol = 1e-12 times its own Frobenius norm.  The squares of
@@ -27,15 +34,11 @@ moves neither the stopping test nor the bound.  More than 100 sweeps
 on a block raises EigenError, never a silent wrong answer.
 
 Dense matrices alive at once: the input, never written to, and its
-float64 conversion (an integer Laplacian converts exactly, so it is
-passed as it is).  One block is rotated in that working copy; several
-leave it untouched and rotate copies of their own, one block at a time,
-keeping only each distinct block's diagonal until the call returns.
-No m x m mask is built for the split: it reads the two index arrays of
-``np.nonzero``, a few entries per row for the sparse Laplacians of
-large complexes.  The convergence test reads the strict upper triangle
-of the block it rotates through one boolean mask and squares that
-half-size gather in place.
+float64 conversion (an integer Laplacian converts exactly), which is
+rotated itself when it is one block and otherwise copied from.  The
+split reads the two index arrays of ``np.nonzero``, not an m x m mask;
+the convergence test squares, in place, the strict upper triangle of
+the block it rotates, gathered through one boolean mask.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ np = lazy_import("numpy")
 
 SWEEP_LIMIT = 100
 OFF_TOL = 1e-12
+
+#: Most work one split may hand on: the distinct blocks' sides cubed, summed.
+MAX_BLOCK_WORK = 1 << 21
 
 
 class EigenError(RuntimeError):
@@ -134,17 +140,33 @@ def _blocks(a):
     return blocks
 
 
-def _solve(b, m):
-    """Rotate the block ``b`` in place against its own Frobenius norm;
-    its diagonal.  ``m`` is the whole matrix's side, for the error."""
-    if _jacobi(b, OFF_TOL * float(np.linalg.norm(b))) < 0:
-        raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps "
-                         f"(block side {b.shape[0]} of matrix side {m})")
-    return np.diag(b).copy()
+def distinct_blocks(a):
+    """Pairs (block, copies), one per distinct principal block of the
+    nonzero pattern of the symmetric ``a`` (equal blocks have equal
+    bytes); each row of ``copies`` is one copy's ascending indices in
+    ``a``.  A ValueError past ``MAX_BLOCK_WORK``."""
+    m = a.shape[0]
+    blocks = _blocks(a)
+    if len(blocks) == 1:
+        pairs = [(a, blocks[0][None])]
+    else:
+        found = {}
+        for idx in blocks:
+            i = idx[0]
+            b = a[i:i + 1, i:i + 1] if len(idx) == 1 else a[np.ix_(idx, idx)]
+            found.setdefault(b.tobytes(), (b, []))[1].append(idx)
+        pairs = [(b, np.array(copies)) for b, copies in found.values()]
+    work = sum(len(b) ** 3 for b, _ in pairs)
+    if work > MAX_BLOCK_WORK:
+        raise ValueError(f"{m} x {m} matrix: {len(blocks)} block(s), {len(pairs)} distinct, "
+                         f"largest side {max(len(b) for b, _ in pairs)}; sides cubed sum "
+                         f"to {work}, above the budget of {MAX_BLOCK_WORK}")
+    return pairs
 
 
 def eigenvalues_sym(mat):
-    """Sorted eigenvalues of a finite, exactly symmetric matrix."""
+    """Sorted eigenvalues of a finite, exactly symmetric matrix; a
+    ValueError past the work budget of ``distinct_blocks``."""
     a = np.array(mat, dtype=np.float64)  # the one working copy; mat is not touched
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
@@ -153,18 +175,11 @@ def eigenvalues_sym(mat):
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
     m = a.shape[0]
-    if m == 0:
-        return np.empty(0)
-    blocks = _blocks(a)
-    if len(blocks) == 1:
-        return np.sort(_solve(a, m), kind="stable")
-    w = np.diag(a).copy()  # a block of side 1 is already diagonal
-    solved = {}
-    for idx in blocks:
-        if len(idx) > 1:
-            b = a[np.ix_(idx, idx)]  # a copy, so a stays untouched
-            key = b.tobytes()
-            if key not in solved:
-                solved[key] = _solve(b, m)
-            w[idx] = solved[key]
+    w = np.empty(m)
+    for b, copies in distinct_blocks(a):
+        # rotated in place against its own Frobenius norm; side 1 is diagonal
+        if len(b) > 1 and _jacobi(b, OFF_TOL * float(np.linalg.norm(b))) < 0:
+            raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps "
+                             f"(block side {len(b)} of matrix side {m})")
+        w[copies] = np.diag(b)
     return np.sort(w, kind="stable")

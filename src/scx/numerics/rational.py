@@ -39,7 +39,6 @@ and its rank is then the number of pivots.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
@@ -76,27 +75,14 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-#: Primes below 2**31 found so far, largest first; ``_primes`` extends
-#: it, so each candidate is tested once per process.
-_PRIMES: list[int] = []
-_PRIMES_LOCK = threading.Lock()
-
-
 def _primes():
-    """Primes below 2**31 (and above 10), largest first."""
-    i = 0
-    while True:
-        if i == len(_PRIMES):
-            with _PRIMES_LOCK:
-                if i == len(_PRIMES):
-                    q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
-                    while q > 10 and not _is_prime(q):
-                        q -= 2
-                    if q <= 10:
-                        return
-                    _PRIMES.append(q)
-        yield _PRIMES[i]
-        i += 1
+    """Primes below 2**31 (and above 10), largest first: the Mersenne
+    prime 2**31 - 1, then the odd numbers below it that pass
+    ``_is_prime``.  Most ranks stop at the first, which takes no test."""
+    yield 2**31 - 1
+    for q in range(2**31 - 3, 10, -2):
+        if _is_prime(q):
+            yield q
 
 
 class SparseRows(NamedTuple):

@@ -147,6 +147,18 @@ def test_dense_matrices_over_budget_are_refused(tmp_path, capsys, argv, shape):
     assert f"dense {shape} matrix exceeds the budget of 33554432 entries" in err
 
 
+def test_a_connected_laplacian_over_the_work_budget_is_refused(tmp_path, capsys):
+    # the 299 missing edges of a path leave one connected 300 x 300 vertex
+    # Laplacian: 300**3 = 27000000 above the 2**21 of one split
+    path = tmp_path / "path300.json"
+    path.write_text(json.dumps({"n": 300, "missing_faces": [[i, i + 1] for i in range(299)]}))
+    code, out, err = run_cli(capsys, "spectrum", str(path), "--dim", "0")
+    assert code == 4
+    assert out == ""
+    assert ("300 x 300 matrix: 1 block(s), 1 distinct, largest side 300; sides cubed sum "
+            "to 27000000, above the budget of 2097152") in err
+
+
 def test_betti_of_700_vertices_missing_one_edge_is_sparse(tmp_path, capsys):
     # the 244649 x 700 degree-0 coboundary, refused as a dense matrix
     # before, is ranked from its incidence: it stores under 1400 entries

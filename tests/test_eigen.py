@@ -10,7 +10,7 @@ import pytest
 
 import scx.numerics.eigen
 from scx import homology
-from scx.numerics.eigen import EigenError, eigenvalues_sym
+from scx.numerics.eigen import EigenError, distinct_blocks, eigenvalues_sym
 from scx.randomgen import random_complex
 
 
@@ -159,6 +159,52 @@ def test_blocks_are_the_components_of_the_nonzero_pattern():
     assert [b.tolist() for b in got] == [[0, 2, 5], [1], [3, 6], [4]]
     assert [b.tolist() for b in scx.numerics.eigen._blocks(np.ones((5, 5)))] == [[0, 1, 2, 3, 4]]
     assert len(scx.numerics.eigen._blocks(np.diag([1.0, 2.0, 3.0]))) == 3
+
+
+def path_laplacian(m):
+    """The graph Laplacian of a path on m vertices: one connected block."""
+    a = np.diag(np.r_[1, np.full(m - 2, 2), 1])
+    i = np.arange(m - 1)
+    a[i, i + 1] = a[i + 1, i] = -1
+    return a
+
+
+def test_distinct_blocks_keep_each_block_once_with_its_copies():
+    rng = np.random.default_rng(4)
+    b3, b2 = random_symmetric(rng, 3, True) + 20, random_symmetric(rng, 2, True) + 20
+    a = block_diagonal(rng, [b3, np.array([[5]]), b3, b2, np.array([[5]]), b3])
+    pairs = distinct_blocks(a)
+    assert sorted(copies.shape for _, copies in pairs) == [(1, 2), (2, 1), (3, 3)]
+    for b, copies in pairs:
+        for idx in copies:
+            assert np.array_equal(a[np.ix_(idx, idx)], b)
+        assert np.shares_memory(b, a) == (len(b) == 1)  # side 1: a view, no copy
+    assert sorted(np.concatenate([c.ravel() for _, c in pairs]).tolist()) == list(range(13))
+    one = path_laplacian(5)
+    [(b, copies)] = distinct_blocks(one)
+    assert b is one and copies.tolist() == [[0, 1, 2, 3, 4]]
+    assert distinct_blocks(np.zeros((0, 0))) == []
+
+
+def test_the_work_budget_counts_each_distinct_block_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    b3, b2 = random_symmetric(rng, 3, False), random_symmetric(rng, 2, False)
+    a = block_diagonal(rng, [b3, b3, b2, b3, b2])
+    monkeypatch.setattr(scx.numerics.eigen, "MAX_BLOCK_WORK", 3**3 + 2**3)
+    assert len(eigenvalues_sym(a)) == 13
+    monkeypatch.setattr(scx.numerics.eigen, "MAX_BLOCK_WORK", 3**3 + 2**3 - 1)
+    with pytest.raises(ValueError, match=r"^13 x 13 matrix: 5 block\(s\), 2 distinct, "
+                                         r"largest side 3; sides cubed sum to 35, "
+                                         r"above the budget of 34$"):
+        eigenvalues_sym(a)
+
+
+def test_a_connected_matrix_over_the_work_budget_is_refused_unsolved(monkeypatch):
+    # 129**3 = 2146689 is past the budget of 2**21 = 128**3
+    monkeypatch.setattr(scx.numerics.eigen, "_jacobi", lambda a, tol: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="129 x 129 matrix: 1 block.*largest side 129; "
+                                         "sides cubed sum to 2146689, above the budget of 2097152"):
+        eigenvalues_sym(path_laplacian(129))
 
 
 def whole_matrix_run(a):

@@ -590,6 +590,30 @@ def test_missing_top_eigenvalue_range_guard(monkeypatch):
     assert missing_top_eigenvalue(x, 1) == pytest.approx(np.linalg.eigvalsh(upper)[-1], abs=1e-9)
 
 
+def test_a_gram_matrix_with_its_top_above_n_skips_the_certificate(monkeypatch):
+    # G has eigenvalues n - 3 and n + 1 and its diagonal below n: nI - G
+    # is not PSD, so no integer r <= n certifies the top, and after that
+    # one test no bisection runs; the float path's range guard refuses n + 1
+    x = from_missing_faces(4, [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.setattr(homology, "_gram", lambda y, k: np.array([[x.n - 1, 2], [2, x.n - 1]]))
+    tests, real = [], homology.psd_rank
+    monkeypatch.setattr(homology, "psd_rank", lambda rows: tests.append(rows) or real(rows))
+    with pytest.raises(RuntimeError, match="certified range"):
+        missing_top_eigenvalue(x, 1)
+    assert tests == [[[1, -2], [-2, 1]]]
+
+
+def test_a_layer_over_the_work_budget_is_refused_untested(monkeypatch):
+    # the 129 missing edges of a path on 130 vertices: the smaller Gram
+    # matrix is the layer's lower Laplacian on those edges, one connected
+    # 129 x 129 block past the budget of 2**21 = 128**3
+    x = from_missing_faces(130, [(i, i + 1) for i in range(129)])
+    monkeypatch.setattr(homology, "psd_rank", lambda rows: pytest.fail("tested"))
+    monkeypatch.setattr(eigen, "_jacobi", lambda a, tol: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="129 x 129 matrix: 1 block.*above the budget of 2097152"):
+        missing_top_eigenvalue(x, 1)
+
+
 # -- Betti numbers and connectivity -----------------------------------
 
 

@@ -641,6 +641,8 @@ def test_matroid_json_round_trip():
         assert matroid_to_json(back) == text
         assert back.full_rank == m.full_rank
     assert matroid_from_json('{"kind":"builtin","name":"AG23"}').label == "AG23"
+    assert [matroid_to_json(matroids.builtin_matroid(name)) for name in matroids.BUILTIN_MATROIDS] \
+        == ['{"kind":"builtin","name":"AG23"}', '{"kind":"builtin","name":"PG33"}']
 
 
 def test_non_integer_elements_are_rejected():
@@ -671,5 +673,7 @@ def test_matroid_json_rejects_non_integer_fields(text, message):
 def test_matroid_json_errors():
     with pytest.raises(ValueError, match="builtin"):
         matroid_from_json('{"kind":"builtin","name":"FANO"}')
+    with pytest.raises(ValueError, match=r"unknown builtin matroid \['AG23'\]"):
+        matroid_from_json('{"kind":"builtin","name":["AG23"]}')
     with pytest.raises(ValueError, match="kind"):
         matroid_from_json('{"kind":"graphic"}')

@@ -93,15 +93,17 @@ def test_primes_run_down_from_the_largest_below_2_31():
     assert list(islice(rational._primes(), 25)) == want
 
 
-def test_primes_found_once_are_not_retested(monkeypatch):
-    first = list(islice(rational._primes(), 8))
+def test_the_first_prime_takes_no_primality_test(monkeypatch):
+    # M31 = 2**31 - 1 comes first untested; each later prime is searched
+    # for downward, testing every odd number on the way
     tested = []
     is_prime = rational._is_prime
     monkeypatch.setattr(rational, "_is_prime", lambda q: tested.append(q) or is_prime(q))
-    assert list(islice(rational._primes(), 8)) == first
+    assert next(rational._primes()) == P0 == 2**31 - 1
+    assert rank_exact([[2, 1], [1, 2]]) == 2
     assert tested == []
-    rank_exact([[P0 * P1, 0], [0, 1]])
-    assert tested == []
+    assert rank_exact([[P0 * P1, 0], [0, 1]]) == 2  # needs P0, P1 and P2
+    assert tested == list(range(2**31 - 3, P2 - 1, -2))
 
 
 @pytest.mark.parametrize(
