@@ -2,10 +2,11 @@
 
 A complex on vertices 0..n-1 is determined by its antichain of missing
 faces (minimal non-faces): tau is a face iff no missing face is contained
-in tau.  Every set of vertices is stored as a bitmask, so membership
-tests are subset checks on machine integers, and each face is stored
-once, as its mask; ``Complex.faces`` builds the sorted vertex tuples
-from the masks on each call, for readers that want them.
+in tau.  Every set of vertices is stored as a bitmask, and one table of
+the missing faces, filed by second-largest vertex, answers membership
+and every minimal-set question: a non-face g is minimal iff every g - v
+is a face.  Each face is stored once, as its mask; ``Complex.faces``
+builds the sorted vertex tuples from the masks on each call.
 
 Besides constructors and combinatorial queries this module builds the
 derived complexes the rest of the code needs: links, induced subcomplexes
@@ -108,15 +109,6 @@ def _relabel(masks, verts) -> list[int]:
     return out
 
 
-def _minimalize(masks) -> list[int]:
-    """Antichain of minimal elements of a family of bitmasks."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
 class Complex:
     """Immutable simplicial complex on vertices 0..n-1.
 
@@ -144,13 +136,6 @@ class Complex:
         by_card: dict[int, list[int]] = {}
         for m in canon:
             by_card.setdefault(m.bit_count(), []).append(m)
-        for ci, cj in combinations(sorted(by_card), 2):
-            for big in by_card[cj]:
-                for small in by_card[ci]:
-                    if small & big == small:
-                        raise ValueError(
-                            f"missing faces must form an antichain: {_vertices_of(small)} ⊆ {_vertices_of(big)}"
-                        )
         self.n = n
         self._missing = tuple(canon)
         self._by_card = by_card
@@ -165,6 +150,14 @@ class Complex:
         self._by_second: dict[int, list[tuple[int, int]]] = {}
         for rest, tops in tops_of.items():
             self._by_second.setdefault(1 << rest.bit_length() - 1, []).append((rest, tops))
+        # sets of one size never nest, so one of the least size holds no
+        # other; a larger m holds one iff some m - v is no face
+        big = next((m for c in sorted(by_card)[1:] for m in by_card[c]
+                    if not self._below_faces(m)), 0)
+        if big:
+            small = next(s for s in canon if s & big == s != big)
+            raise ValueError(f"missing faces must form an antichain: "
+                             f"{_vertices_of(small)} ⊆ {_vertices_of(big)}")
         self._masks: dict[int, tuple[int, ...]] = {-1: (0,)}
         self._top = -1  # highest degree listed in _masks
         # extension masks of the faces of degree max(_top - 1, -1): the
@@ -220,6 +213,10 @@ class Complex:
                 if tops & mask and r & mask == r:
                     return False
         return True
+
+    def _below_faces(self, mask: int, base: int = 0) -> bool:
+        """True iff ``mask`` less each one of its vertices, joined with ``base``, is a face."""
+        return all(self.contains_mask(mask ^ 1 << v | base) for v in _vertices_of(mask))
 
     def contains(self, face) -> bool:
         """True iff the vertex set is a face (the empty set always is)."""
@@ -303,11 +300,10 @@ class Complex:
         return self._dim
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """Inclusion-maximal faces, sorted: the complements of the minimal
-        complements of the faces, as in :func:`from_facets`."""
-        full = (1 << self.n) - 1
-        comps = (full & ~f for k in range(-1, self.dim + 1) for f in self.face_masks(k))
-        return tuple(sorted(_vertices_of(full & ~m) for m in _minimalize(comps)))
+        """Inclusion-maximal faces, sorted: the faces that no one-vertex
+        extension keeps a face."""
+        return tuple(sorted(_vertices_of(f) for k in range(-1, self.dim + 1)
+                            for f in self.face_masks(k) if not self._cofaces(f)))
 
     # -- local structure ----------------------------------------------
 
@@ -316,27 +312,25 @@ class Complex:
         smask = _mask_of(sigma, self.n)
         if not self.contains_mask(smask):
             raise ValueError(f"{tuple(sorted(sigma))} is not a face")
-        deg = 0
-        for v in range(self.n):
-            b = 1 << v
-            if smask & b:
-                continue
-            if self.contains_mask(smask | b):
-                deg += 1
-        return deg
+        return len(self._cofaces(smask))
+
+    def _cofaces(self, mask: int) -> list[int]:
+        """The faces ``mask`` + v, one per vertex v outside ``mask``."""
+        return [mask | 1 << v for v in range(self.n)
+                if not mask >> v & 1 and self.contains_mask(mask | 1 << v)]
 
     def link(self, sigma) -> "Complex":
         """Link of a face, relabelled to vertices 0..n-|sigma|-1.
 
         Vertex j of the result is the j-th smallest element of V minus
         sigma.  The minimal non-faces of the link are the minimal sets
-        among {mu \\ sigma : mu missing in X}.
+        among {mu \\ sigma : mu missing in X}, the g with every g - v + sigma a face.
         """
         smask = _mask_of(sigma, self.n)
         if not self.contains_mask(smask):
             raise ValueError(f"{tuple(sorted(sigma))} is not a face")
         rest = _vertices_of(~smask & ((1 << self.n) - 1))
-        gens = _minimalize(m & ~smask for m in self._missing)
+        gens = {g for g in (m & ~smask for m in self._missing) if self._below_faces(g, smask)}
         return Complex(len(rest), _relabel(gens, rest))
 
     def induced(self, subset) -> "Complex":
@@ -435,21 +429,24 @@ def from_facets(n: int, facets) -> Complex:
 
     Input sets contained in other input sets are absorbed.  The minimal
     non-faces are derived here so the result round-trips through
-    :func:`from_missing_faces`.  Every subset of every maximal input set
-    is listed and tested once per vertex; over ``MAX_STEP_CANDIDATES``
-    such tests the input is refused before any subset is built.
+    :func:`from_missing_faces`.  The distinct input sets are walked
+    largest first, skipping one already listed; each set's subsets are
+    listed and tested once per vertex, a running count of the tests is
+    checked before each set is, and past ``MAX_STEP_CANDIDATES`` the
+    input is refused, naming the count and how many sets were walked.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    full = (1 << n) - 1
-    # the maximal input sets (minimal complements), then all their subsets
-    tops = [full & ~m for m in _minimalize(full & ~_mask_of(f, n) for f in facets)]
-    count = n * sum(1 << fm.bit_count() for fm in tops)
-    if count > MAX_STEP_CANDIDATES:
-        raise _OverBudget(f"listing the subsets of the maximal facets tests {count} candidates "
-                          f"({n} per subset), above the budget of {MAX_STEP_CANDIDATES}")
-    faces = {0}
-    for fm in tops:
+    inputs = sorted({_mask_of(f, n) for f in facets}, key=lambda m: (-m.bit_count(), m))
+    faces, count = {0}, 0
+    for i, fm in enumerate(inputs):
+        if fm in faces:
+            continue
+        count += n << fm.bit_count()
+        if count > MAX_STEP_CANDIDATES:
+            raise _OverBudget(f"listing the subsets of the maximal facets tests {count} candidates "
+                              f"({n} per subset), above the budget of {MAX_STEP_CANDIDATES}, "
+                              f"after {i + 1} of the {len(inputs)} distinct input sets")
         sub = fm
         while sub:
             faces.add(sub)
@@ -465,8 +462,8 @@ def intersection(complexes) -> Complex:
     """Face-wise intersection of complexes on one common vertex set.
 
     A set is a face of the result iff it is a face of every input, so
-    the minimal non-faces are the minimal sets among the union of the
-    inputs' minimal non-faces.
+    the minimal non-faces are the inputs' minimal non-faces m with every
+    m - v a face of every input.
     """
     complexes = list(complexes)
     if not complexes:
@@ -474,8 +471,8 @@ def intersection(complexes) -> Complex:
     ns = {x.n for x in complexes}
     if len(ns) != 1:
         raise ValueError(f"vertex counts differ: {sorted(ns)}")
-    masks = [m for x in complexes for m in x.missing_masks]
-    return Complex(complexes[0].n, _minimalize(masks))
+    masks = {m for x in complexes for m in x.missing_masks}
+    return Complex(complexes[0].n, [m for m in masks if all(y._below_faces(m) for y in complexes)])
 
 
 def from_missing_faces(n: int, missing) -> Complex:

@@ -23,8 +23,9 @@ connectivity bounds, Hall-type colorful-simplex conditions) consumes
 that exact rational value.
 
 The Hall-type checks here and in ``matroids`` share one depth-first
-colorful-transversal search, pruned on each prefix, and one Hall sweep
-over the unions of classes.
+colorful-transversal search, pruned on each prefix.  All but the colorful
+Hall check also share one Hall sweep over the unions of classes; that
+check has its own sweep, which finishes each size level.
 """
 
 from __future__ import annotations

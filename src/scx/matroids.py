@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import (Complex, Partition, _mask_of, _masks_of_size, _vertices_of, as_int,
-                        from_missing_faces)
+from .complexes import (MAX_STEP_CANDIDATES, Complex, Partition, _mask_of, _masks_of_size,
+                        _vertices_of, as_int, from_missing_faces)
 from .domination import VectorRepresentation, _hall_sweep, _transversal, index_sets, rep_value
 from .numerics.lp import lp_solve_max
 from .numerics.rational import SparseRows, _is_prime, _rank_mod
@@ -201,16 +201,17 @@ def flats(m, r: int) -> tuple:
 
 
 def circuits(m, max_size: int) -> tuple:
-    """Minimal dependent sets of at most max_size elements, ascending."""
+    """Minimal dependent sets of at most max_size elements, ascending: the dependent
+    faces of the complex missing the smaller ones.  Refused over MAX_STEP_CANDIDATES subsets."""
+    count = sum(comb(m.n, size) for size in range(1, max_size + 1))
+    if count > MAX_STEP_CANDIDATES:
+        raise ValueError(f"listing the circuits of at most {max_size} elements on {m.n} elements "
+                         f"scans {count} subsets, above the budget of {MAX_STEP_CANDIDATES}")
     found = []
     for size in range(1, max_size + 1):
-        for mask in _masks_of_size(range(m.n), size):
-            if any(c & mask == c for c in found):
-                continue
-            if m.rank_mask(mask) != size - 1:
-                continue
-            if all(m.rank_mask(mask ^ 1 << v) == size - 1 for v in _vertices_of(mask)):
-                found.append(mask)
+        smaller = Complex(m.n, found)
+        found += [mask for mask in _masks_of_size(range(m.n), size)
+                  if smaller.contains_mask(mask) and m.rank_mask(mask) < size]
     return tuple(map(_vertices_of, found))
 
 

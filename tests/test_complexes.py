@@ -23,6 +23,7 @@ from scx.complexes import (
     complex_to_json,
     from_facets,
     from_missing_faces,
+    intersection,
     partition_from_json,
 )
 from scx.matroids import pg33_complex
@@ -165,6 +166,66 @@ def test_roundtrip_random_complexes():
             assert list(x.faces(k)) == brute_faces(n, missing, k)
         z = from_facets(n, x.facets())
         assert z == x
+
+
+def pairwise_minimal(masks):
+    """The minimal elements of a family of bitmasks, each compared with
+    every other."""
+    fam = set(masks)
+    return {m for m in fam if not any(o != m and o & m == o for o in fam)}
+
+
+def test_minimal_sets_match_a_pairwise_scan():
+    # links, intersections, facets and from_facets against the
+    # definitions read through pairwise_minimal, on random antichains of
+    # mixed cardinalities
+    rng = random.Random(3203)
+    for trial in range(200):
+        n = rng.randint(1, 9)
+        xs = [Complex(n, random_missing_masks(rng, n)) for _ in range(rng.randint(1, 3))]
+        x = xs[0]
+        union = [m for y in xs for m in y.missing_masks]
+        assert set(intersection(xs).missing_masks) == pairwise_minimal(union)
+        full = (1 << n) - 1
+        faces = [f for k in range(-1, x.dim + 1) for f in x.face_masks(k)]
+        tops = {full & ~c for c in pairwise_minimal(full & ~f for f in faces)}
+        assert set(x.facets()) == {complexes._vertices_of(f) for f in tops}
+        sigma = rng.choice(faces)
+        rest = [v for v in range(n) if not sigma >> v & 1]
+        gens = pairwise_minimal(m & ~sigma for m in x.missing_masks)
+        want = {tuple(rest.index(v) for v in complexes._vertices_of(g)) for g in gens}
+        assert set(x.link(complexes._vertices_of(sigma)).missing_faces) == want
+        # any family of input sets, nested or not, keeps its maximal ones
+        family = [rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))]
+        y = from_facets(n, map(complexes._vertices_of, family))
+        maximal = {full & ~c for c in pairwise_minimal(full & ~f for f in family)} - {0}
+        assert set(y.facets()) == {complexes._vertices_of(f) for f in maximal or {0}}
+        assert from_facets(n, y.facets()) == y
+
+
+def test_the_antichain_check_makes_at_most_one_membership_test_per_vertex(monkeypatch):
+    # a deterministic bound in place of a timing: at most sum |m| over the
+    # missing faces above the least size, so none for one size
+    tested = []
+    contains = Complex.contains_mask
+    monkeypatch.setattr(Complex, "contains_mask",
+                        lambda self, m: tested.append(m) or contains(self, m))
+    rng = random.Random(77)
+    mixed = 0
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        masks = random_missing_masks(rng, n)
+        tested.clear()
+        Complex(n, masks)
+        sizes = {m.bit_count() for m in masks}
+        if len(sizes) > 1:
+            mixed += 1
+            assert 0 < len(tested) <= sum(m.bit_count() for m in masks if m.bit_count() > min(sizes))
+        else:
+            assert not tested
+    assert mixed > 20
+    with pytest.raises(ValueError, match=r"antichain: \(1,\) ⊆ \(0, 1\)"):
+        Complex(3, [0b110, 0b011, 0b010, 0b101])
 
 
 def random_missing_masks(rng, n):
@@ -583,6 +644,26 @@ def test_from_facets_budget(monkeypatch):
         with pytest.raises(ValueError, match=f"tests {n << n} candidates"):
             from_facets(n, [range(n)])
     assert time.process_time() - t0 < 0.5
+
+
+def test_from_facets_refusal_names_the_running_count(monkeypatch):
+    # largest first, an absorbed set skipped: (0, 1, 2) counts 5 * 8,
+    # (0, 1) is absorbed and (2, 3), the third set walked, takes the
+    # count to 60
+    facets = [(0, 1, 2), (2, 3), (0, 1), (4,), (0, 1)]
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", 59)
+    with pytest.raises(ValueError, match=r"tests 60 candidates \(5 per subset\), above the budget "
+                                         r"of 59, after 3 of the 4 distinct input sets"):
+        from_facets(5, facets)
+    # 20000 four-sets on 60 vertices: 960 tests each, none absorbed, so
+    # the 1093rd set passes the real budget before the rest are listed
+    monkeypatch.setattr(complexes, "MAX_STEP_CANDIDATES", 1 << 20)
+    rng = random.Random(60)
+    sets = [rng.sample(range(60), 4) for _ in range(20000)]
+    distinct = len({frozenset(f) for f in sets})
+    with pytest.raises(ValueError, match=f"tests {1093 * 960} candidates .* after 1093 of "
+                                         f"the {distinct} distinct input sets"):
+        from_facets(60, sets)
 
 
 def test_missing_layer_budget(monkeypatch):

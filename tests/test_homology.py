@@ -279,10 +279,11 @@ def test_formula_lists_no_faces_one_degree_up(monkeypatch):
     for build, k in cases:
         x = build()
         extended.clear()
+        tested.clear()  # the constructor's antichain check tests membership
         laplacian_from_formula(x, k)
         assert max(extended, default=-1) <= k
         assert np.array_equal(laplacians(x, k).plus, laplacian_from_products(x, k)[1])
-    assert not tested
+        assert not tested, (x, k)
 
 
 @pytest.mark.parametrize("build, k", [

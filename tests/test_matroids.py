@@ -195,6 +195,19 @@ def test_circuits_with_loops_and_parallels():
     assert circuits(m, 2) == ((2,), (0, 1))
 
 
+def test_circuits_scan_is_refused_over_the_budget(monkeypatch):
+    # AG(2,3) scans 9 + 36 + 84 = 129 subsets for its twelve lines
+    monkeypatch.setattr(matroids, "MAX_STEP_CANDIDATES", 129)
+    assert len(circuits(ag23_matroid(), 3)) == 12
+    monkeypatch.setattr(matroids, "MAX_STEP_CANDIDATES", 128)
+    with pytest.raises(ValueError, match="scans 129 subsets, above the budget of 128"):
+        circuits(ag23_matroid(), 3)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="circuits of at most 10 elements on 30 elements scans "
+                                         "53009101 subsets, above the budget of 1048576"):
+        circuits(UniformMatroid(10, 30), 10)
+
+
 def test_circuits_match_minimal_dependent_enumeration():
     rng = random.Random(63)
     for _ in range(6):
