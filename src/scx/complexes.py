@@ -124,11 +124,9 @@ class Complex:
     def __init__(self, n: int, missing_masks) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        # by size, then lexicographically: the least vertex in which two
-        # sets of one size differ lies in the earlier, whose bits read from
-        # vertex 0 up then form the greater string
+        # by size, then lexicographically in the ascending vertex tuples
         canon = sorted(set(int(m) for m in missing_masks),
-                       key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+                       key=lambda m: (m.bit_count(), _vertices_of(m)))
         if 0 in canon:
             raise ValueError("the empty set cannot be a missing face")
         if canon and max(canon) >> n:

@@ -428,19 +428,22 @@ def _transversal(partition: Partition, cap: int, n: int, ground: str, accepts):
     so for a property closed under subsets (a face, a general-position
     set) it returns the first transversal in that order having it."""
     _check_partition(partition, cap, n, ground)
-    classes = partition.classes
+    return _walk(partition.classes, accepts, ())
 
-    def walk(chosen):
-        if len(chosen) == len(classes):
-            return tuple(sorted(chosen))
-        for v in classes[len(chosen)]:
-            if accepts(chosen, v):
-                found = walk(chosen + (v,))
-                if found is not None:
-                    return found
-        return None
 
-    return walk(())
+def _walk(classes, accepts, chosen):
+    """The depth-first walk of ``_transversal`` below the prefix
+    ``chosen``.  A module function, not a closure: a closure that calls
+    itself is a reference cycle, which would keep everything ``accepts``
+    holds (a complex and its memo) alive until the cyclic collector runs."""
+    if len(chosen) == len(classes):
+        return tuple(sorted(chosen))
+    for v in classes[len(chosen)]:
+        if accepts(chosen, v):
+            found = _walk(classes, accepts, chosen + (v,))
+            if found is not None:
+                return found
+    return None
 
 
 def _hall_sweep(partition: Partition, cap: int, n: int, ground: str, name: str,

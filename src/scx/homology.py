@@ -45,11 +45,12 @@ Every dense coboundary or Laplacian passes one size guard first: above
 2**25 entries it is refused with a ValueError giving its shape; ranks
 pass the fill budget of numerics.rational instead, and each solve or
 PSD test the work budget of the split (pg33's degree-1 Laplacian is
-130 identical 6 x 6 blocks, 216 units of work).  At most four dense
-m x m integer matrices are alive at once: the formula pair and the
-products pair until they are compared.  The full Laplacian is formed
-only when first read, after the products pair is gone; the eigensolver
-adds one float working copy.  The float readers' index arrays,
+130 identical 6 x 6 blocks, 216 units of work).  At most three dense
+m x m integer matrices are alive at once: the formula pair and one
+products half, which is compared with its formula half and dropped
+before the other half is built.  The full Laplacian, a third beside the
+pair, is formed only when first read; the eigensolver adds a float copy
+of each distinct block only.  The float readers' index arrays,
 Laplacians, spectra, Gram spectra, nonzero gaps, missing-layer tops (on
 the layer) and coboundary ranks are remembered on the complex (in its
 ``_memo``, under keys of this module's own); a spectrum the range guard
@@ -248,18 +249,11 @@ def laplacian_from_formula(x: Complex, k: int):
     return minus, plus
 
 
-def laplacian_from_products(x: Complex, k: int):
-    """Lower and upper Laplacians d_{k-1} d_{k-1}^T and d_k^T d_k,
-    scatter-added from the incidences.  Each row of the degree-k
-    incidence adds the outer product of its signed entries to the upper
-    one; the lower one pairs the degree-(k-1) entries sharing a column."""
-    if k < -1:
-        raise ValueError("cochain spaces vanish below degree -1")
+def _lower_products(x: Complex, k: int) -> np.ndarray:
+    """The lower Laplacian d_{k-1} d_{k-1}^T, scatter-added from the
+    degree-(k-1) incidence: each pair of its entries sharing a column
+    adds the product of their signs at their two rows."""
     m = x.n_faces(k)
-    inc = _incidence(x, k)
-    sgn = _signs(k + 2)
-    plus = _zeros(m, m)
-    np.add.at(plus, (inc[:, :, None], inc[:, None, :]), sgn[:, None] * sgn)
     low = _incidence(x, k - 1)  # one row per k-face
     order = np.argsort(low.ravel(), kind="stable")
     col = low.ravel()[order]
@@ -272,7 +266,26 @@ def laplacian_from_products(x: Complex, k: int):
     right = np.repeat(start + size - np.cumsum(size), size) + np.arange(left.size)
     minus = _zeros(m, m)
     np.add.at(minus, (row[left], row[right]), sgn[left] * sgn[right])
-    return minus, plus
+    return minus
+
+
+def _upper_products(x: Complex, k: int) -> np.ndarray:
+    """The upper Laplacian d_k^T d_k, scatter-added from the degree-k
+    incidence: each row adds the outer product of its signed entries."""
+    m = x.n_faces(k)
+    inc = _incidence(x, k)
+    sgn = _signs(k + 2)
+    plus = _zeros(m, m)
+    np.add.at(plus, (inc[:, :, None], inc[:, None, :]), sgn[:, None] * sgn)
+    return plus
+
+
+def laplacian_from_products(x: Complex, k: int):
+    """Lower and upper Laplacians d_{k-1} d_{k-1}^T and d_k^T d_k,
+    scatter-added from the incidences of degrees k-1 and k."""
+    if k < -1:
+        raise ValueError("cochain spaces vanish below degree -1")
+    return _lower_products(x, k), _upper_products(x, k)
 
 
 @dataclass(frozen=True)
@@ -295,10 +308,11 @@ def laplacians(x: Complex, k: int) -> LaplacianSet:
     if key in x._memo:
         return x._memo[key]
     fm, fp = laplacian_from_formula(x, k)
-    pm, pp = laplacian_from_products(x, k)
-    if not (np.array_equal(fm, pm) and np.array_equal(fp, pp)):
-        raise RuntimeError(f"laplacian assemblies disagree in degree {k}; "
-                           "entry formulas and coboundary products must match")
+    # one product half at a time, so at most three dense matrices are alive
+    for formula, product in ((fm, _lower_products), (fp, _upper_products)):
+        if not np.array_equal(formula, product(x, k)):
+            raise RuntimeError(f"laplacian assemblies disagree in degree {k}; "
+                               "entry formulas and coboundary products must match")
     x._memo[key] = LaplacianSet(k, fm, fp)
     return x._memo[key]
 

@@ -270,21 +270,20 @@ def phi(m, s=None) -> int:
     elems = _subset(m, s)
     if len(elems) > MAX_PHI_GROUND:
         raise ValueError(f"ground set of {len(elems)} exceeds cap {MAX_PHI_GROUND}")
-    d = m.full_rank - 1
-    best = 0
+    return _largest_gp(m, m.full_rank - 1, elems, 0, (), 0)
 
-    def walk(i, chosen):
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        if i == len(elems) or len(chosen) + len(elems) - i <= best:
-            return
-        if _extends(m, d, chosen, elems[i]):
-            walk(i + 1, chosen + (elems[i],))
-        walk(i + 1, chosen)
 
-    walk(0, ())
-    return best
+def _largest_gp(m, d: int, elems, i: int, chosen, best: int) -> int:
+    """The branch and bound of ``phi`` from element i on: the larger of
+    ``best`` and the largest general-position extension of ``chosen``.
+    A module function, not a closure that calls itself, which would be
+    a reference cycle keeping ``m`` alive until the cyclic collector runs."""
+    best = max(best, len(chosen))
+    if i == len(elems) or len(chosen) + len(elems) - i <= best:
+        return best
+    if _extends(m, d, chosen, elems[i]):
+        best = _largest_gp(m, d, elems, i + 1, chosen + (elems[i],), best)
+    return _largest_gp(m, d, elems, i + 1, chosen, best)
 
 
 # -- fractional general position ---------------------------------------

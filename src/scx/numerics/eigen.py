@@ -33,12 +33,18 @@ at most tol * sqrt((m-1)/m) and the sweeps would stop, so the skip
 moves neither the stopping test nor the bound.  More than 100 sweeps
 on a block raises EigenError, never a silent wrong answer.
 
-Dense matrices alive at once: the input, never written to, and its
-float64 conversion (an integer Laplacian converts exactly), which is
-rotated itself when it is one block and otherwise copied from.  The
-split reads the two index arrays of ``np.nonzero``, not an m x m mask;
-the convergence test squares, in place, the strict upper triangle of
-the block it rotates, gathered through one boolean mask.
+Dense matrices alive at once: the input, never written to, and the
+float64 working copy of the block being rotated.  The input is
+validated and split in its own dtype (integer entries need no
+finiteness test; input that is not an integer or float array, such as
+a list of Fractions, is converted to float64 first), and each distinct
+block is copied to float64 (an integer Laplacian converts exactly): a
+matrix that is one block is copied whole, a split one block by block.
+The symmetry test holds m x m booleans, an eighth of an int64 or
+float64 copy.  The split reads the two index arrays of ``np.nonzero``,
+not an m x m mask; the convergence test squares, in place, the strict
+upper triangle of the block it rotates, gathered through one boolean
+mask.
 """
 
 from __future__ import annotations
@@ -167,16 +173,19 @@ def distinct_blocks(a):
 def eigenvalues_sym(mat):
     """Sorted eigenvalues of a finite, exactly symmetric matrix; a
     ValueError past the work budget of ``distinct_blocks``."""
-    a = np.array(mat, dtype=np.float64)  # the one working copy; mat is not touched
+    a = np.asarray(mat)
+    if a.dtype.kind not in "iuf":  # objects, booleans, ...: converted first
+        a = np.array(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    if not np.all(np.isfinite(a)):
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
     m = a.shape[0]
     w = np.empty(m)
     for b, copies in distinct_blocks(a):
+        b = b.astype(np.float64)  # the block's working copy; mat is not touched
         # rotated in place against its own Frobenius norm; side 1 is diagonal
         if len(b) > 1 and _jacobi(b, OFF_TOL * float(np.linalg.norm(b))) < 0:
             raise EigenError(f"Jacobi did not converge within {SWEEP_LIMIT} sweeps "

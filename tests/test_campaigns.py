@@ -138,12 +138,15 @@ def _counting(fn, calls, name):
 
 
 def test_hodge_assembles_each_degree_once(monkeypatch):
-    # count calls made under any scx module's name for the assemblies
+    # count calls made under any scx module's name for the assemblies:
+    # the formula pair, and each half of the products pair
     calls = {"formula": 0, "products": 0}
+    upper = {"products": 0}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "scx"]
-    for name in calls:
-        orig = getattr(homology, f"laplacian_from_{name}")
-        counted = _counting(orig, calls, name)
+    for orig, count, name in ((homology.laplacian_from_formula, calls, "formula"),
+                              (homology._lower_products, calls, "products"),
+                              (homology._upper_products, upper, "products")):
+        counted = _counting(orig, count, name)
         for mod in modules:
             for attr, val in list(vars(mod).items()):
                 if val is orig:
@@ -153,6 +156,7 @@ def test_hodge_assembles_each_degree_once(monkeypatch):
                   if r.check == "laplacian_assembly")
     assert degrees > 20
     assert calls == {"formula": degrees, "products": degrees}
+    assert upper == {"products": degrees}
 
 
 def test_hodge_solves_each_coboundary_once_on_its_smaller_gram(monkeypatch):
@@ -210,13 +214,12 @@ def test_yi_builds_each_missing_layer_once(monkeypatch):
 
 
 def test_hodge_records_an_assembly_disagreement_as_a_failure(monkeypatch):
-    products = homology.laplacian_from_products
+    products = homology._upper_products
 
     def skewed(x, k):
-        minus, plus = products(x, k)
-        return minus, plus + 1
+        return products(x, k) + 1
 
-    monkeypatch.setattr(homology, "laplacian_from_products", skewed)
+    monkeypatch.setattr(homology, "_upper_products", skewed)
     rep = run_suite("hodge", seed=0, trials=2)
     assert [r.check for r in rep.records] == ["laplacian_assembly"] * 2
     assert not any(r.passed for r in rep.records)

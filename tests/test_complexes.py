@@ -237,6 +237,21 @@ def random_missing_masks(rng, n):
     return [m for m in fam if not any(o != m and o & m == o for o in fam)]
 
 
+def test_missing_faces_are_sorted_by_size_then_vertex_tuple():
+    # the reference order is the bit strings read from vertex 0 up,
+    # descending within a size; masks reach vertex 129
+    rng = random.Random(77)
+    for trial in range(300):
+        n = rng.choice((5, 9, 70, 130))
+        fam = {sum(1 << v for v in rng.sample(range(n), rng.randint(1, 4)))
+               for _ in range(rng.randint(1, 12))}
+        fam = [m for m in fam if not any(o != m and o & m == o for o in fam)]
+        x = Complex(n, fam)
+        assert x.missing_masks == tuple(sorted(
+            fam, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True))
+        assert x.missing_faces == tuple(sorted(x.missing_faces, key=lambda f: (len(f), f)))
+
+
 def test_faces_match_definition_on_random_complexes():
     """faces, face_masks, n_faces and contains_mask against
     all subsets, filtered by the definition, in lexicographic order; the

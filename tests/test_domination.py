@@ -6,6 +6,7 @@ covering LPs.  The octahedron boundary drives the Hall checks: three
 antipodal classes, colorful triangles everywhere.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -530,6 +531,22 @@ def test_colorful_search_octahedron():
 def test_colorful_search_none():
     x = from_missing_faces(2, [(0, 1)])
     assert colorful_simplex_search(x, Partition([(0,), (1,)])) is None
+
+
+def test_colorful_search_leaves_nothing_for_the_cyclic_collector():
+    # the walk makes no reference cycle, so the searched complex and its
+    # memo are freed by reference counting as soon as the search returns
+    gc.collect()
+    gc.disable()
+    try:
+        found = colorful_simplex_search(octahedron(), Partition([(0, 1), (2, 3), (4, 5)]))
+        assert found == (0, 2, 4)
+        x = from_missing_faces(2, [(0, 1)])
+        assert colorful_simplex_search(x, Partition([(0,), (1,)])) is None
+        del x
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_colorful_search_guards():

@@ -4,6 +4,7 @@ own whole-matrix run on block-diagonal inputs."""
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,12 +104,24 @@ def random_symmetric(rng, m, integer):
 
 
 def test_integer_input_matches_its_float_twin_bit_for_bit():
+    # an integer matrix is split in its own dtype, a float one in float64
     rng = np.random.default_rng(11)
     for _ in range(40):
-        a = random_symmetric(rng, int(rng.integers(1, 16)), integer=True)
-        got = eigenvalues_sym(a)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, eigenvalues_sym(a.astype(np.float64)))
+        one = random_symmetric(rng, int(rng.integers(1, 16)), integer=True)
+        split = block_diagonal(rng, [random_symmetric(rng, k, integer=True) for k in (3, 1, 3, 2)])
+        for a in (one, split, split.astype(np.int32)):
+            got = eigenvalues_sym(a)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, eigenvalues_sym(a.astype(np.float64)))
+
+
+def test_input_neither_integer_nor_float_is_converted_first():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert np.array_equal(eigenvalues_sym([[half, third], [third, half]]),
+                          eigenvalues_sym([[0.5, 1 / 3], [1 / 3, 0.5]]))
+    assert np.array_equal(eigenvalues_sym(np.eye(3, dtype=bool)), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues_sym([[Fraction(1), None], [None, Fraction(1)]])
 
 
 def block_diagonal(rng, blocks):

@@ -367,11 +367,28 @@ def test_product_assembly_never_densifies_a_coboundary():
     assert peak < 32e6
 
 
+def test_pg33_laplacians_keep_three_dense_matrices_alive():
+    # Each dense 780 x 780 copy of pg33's degree-1 Laplacian is 4.9 MB.  The
+    # formula pair is compared with one products half at a time, so three
+    # are alive at the peak; the rest is the index arrays, the face lists
+    # and the comparison's booleans.
+    x = pg33_complex()
+    m = x.n_faces(1)
+    assert not x._memo
+    tracemalloc.start()
+    try:
+        laplacians(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.75 * 8 * m * m
+
+
 def test_pg33_spectrum_working_set():
     # Each dense 780 x 780 copy of pg33's degree-1 Laplacian is 4.9 MB.  The
-    # products pair is dropped before the full Laplacian is formed, and the
-    # eigensolver holds one float copy and no index arrays, so under five
-    # copies are alive at the peak.
+    # products halves are dropped before the full Laplacian is formed, and
+    # the eigensolver holds float copies of the distinct blocks and no index
+    # arrays, so under five copies are alive at the peak.
     x = pg33_complex()
     assert not x._memo
     tracemalloc.start()
@@ -451,6 +468,21 @@ def test_pg33_degree1_eigensolve_keeps_one_float_working_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * m * m
+
+
+def test_pg33_degree1_eigensolve_copies_no_whole_matrix():
+    # The integer input is validated and split as it is: a float64 copy is
+    # made of the one distinct 6 x 6 block only.  The symmetry test's
+    # m x m booleans are an eighth of an int64 copy.
+    full = laplacians(pg33_complex(), 1).full
+    m = full.shape[0]
+    tracemalloc.start()
+    try:
+        eigenvalues_sym(full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * m * m
 
 
 def test_ag23_l1_shape_and_assembly():

@@ -6,6 +6,7 @@ code.  Random linear matroids over F_3 exercise the rank axioms and the
 phi-star >= phi inequality.
 """
 
+import gc
 import random
 import re
 import time
@@ -298,6 +299,25 @@ def test_phi_examples():
             if is_general_position(mm, s + [v]):
                 s.append(v)
         assert phi(mm, s) == len(s)
+
+
+def test_phi_against_every_subset_and_no_reference_cycle():
+    # the branch and bound makes no reference cycle, so the searched
+    # matroids are freed by reference counting as soon as it returns
+    rng = random.Random(66)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            mm = random_linear(rng)
+            assert phi(mm) == max(len(s) for r in range(mm.n + 1)
+                                  for s in combinations(range(mm.n), r)
+                                  if is_general_position(mm, s))
+        assert colorful_gp_search(ag23_matroid(), Partition([(0, 1, 2), (3, 4, 5), (6, 7, 8)]))
+        del mm
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_phi_ground_cap():
